@@ -160,6 +160,7 @@ def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
     episode = config.episode_len
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
+    lp_memo: dict = {}
 
     server = lin.LinServerState(
         cov=cfg.ridge * np.eye(dim),
@@ -222,10 +223,8 @@ def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
             c = lin.c_scalar(
                 server.counts_total, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )
-            theta = lin.rls_estimate(server.cov, server.resp)
-            i, j = lin.select_pair_linear(theta, contexts, server.cov, c)
-            new_target, fb = lin.choose_informative_arm(
-                server.cov, server.counts, contexts, i, j, cfg.arm_select, cfg.greedy_sense
+            new_target, fb, _q = lin.select_target(
+                server, contexts, c, cfg.arm_select, cfg.greedy_sense, lp_memo
             )
             fallbacks += int(fb)
             for m in range(m_agents):

@@ -51,6 +51,10 @@ class MabInstance:
         object.__setattr__(self, "sigma", float(self.sigma))
         if len(means) < 2:
             raise ValueError("need at least 2 arms")
+        if not all(math.isfinite(m) for m in means):
+            raise ValueError("every mean must be finite")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         top = max(means)
@@ -97,6 +101,10 @@ class LinearInstance:
             raise ValueError("need a (K, d) context matrix with K >= 2")
         if th.shape != (ctx.shape[1],):
             raise ValueError("theta dimension must match contexts")
+        if not (np.isfinite(ctx).all() and np.isfinite(th).all()):
+            raise ValueError("contexts and theta must be finite")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if np.linalg.norm(th) > 1 + _NORM_TOL:
@@ -402,16 +410,26 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Parse an instance; a missing field or a malformed value is a ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("instance JSON must be an object")
     kind = obj.get("type")
-    if kind == "mab":
-        return MabInstance(means=tuple(obj["means"]), sigma=obj["sigma"])
-    if kind == "linear":
+    if kind not in ("mab", "linear"):
+        raise ValueError(f"unknown instance type {kind!r}")
+    try:
+        if kind == "mab":
+            return MabInstance(means=tuple(obj["means"]), sigma=obj["sigma"])
         contexts = np.array(obj["contexts"], dtype=float)
+        if contexts.ndim != 2:
+            raise ValueError("contexts must be a (K, d) matrix")
         if contexts.shape[1] != int(obj["dim"]):
             raise ValueError("dim field does not match context width")
-        return LinearInstance(contexts=contexts, theta=np.array(obj["theta"]), sigma=obj["sigma"])
-    raise ValueError(f"unknown instance type {kind!r}")
+        return LinearInstance(contexts=contexts, theta=np.array(obj["theta"], dtype=float), sigma=obj["sigma"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} instance is missing field {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} instance: {exc}") from None
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -1,13 +1,13 @@
 """Small dense symmetric-positive-definite kernel: Cholesky factorization,
 solves, log-determinants and inverse quadratic forms.
 
-Everything refactors from scratch on each call; matrices here are d x d with
-d at most a few dozen, so clarity wins over rank-1 update tricks.
+The factorization and the triangular solves are numpy's LAPACK routines.
+Callers that need several quantities of one matrix factor it once with
+`cholesky` and pass the factor to the `*_factored` forms; the triangular
+solves accept a d x n right-hand side, so n quadratic forms cost one call.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,45 +23,38 @@ _PIVOT_TOL = 1e-14
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with a = L L^T.
 
-    Raises NotPositiveDefiniteError when a pivot falls at or below
-    1e-14 * trace(a), and ValueError if the input is visibly asymmetric.
+    Raises NotPositiveDefiniteError when LAPACK rejects the matrix or a
+    pivot L_jj^2 falls at or below 1e-14 * trace(a), and ValueError if the
+    input is visibly asymmetric.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > _SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    thresh = _PIVOT_TOL * float(np.trace(a))
-    lower = np.zeros((d, d))
-    for j in range(d):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= thresh:
-            raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j}")
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < d:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    if (a != a.T).any():
+        scale = np.abs(a).max()
+        if scale > 0 and np.abs(a - a.T).max() > _SYM_TOL * scale:
+            raise ValueError("matrix is not symmetric")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from None
+    diag = lower.diagonal()
+    thresh = _PIVOT_TOL * float(a.trace())
+    if float(diag.min()) ** 2 <= thresh:
+        j = int(np.argmax(diag * diag <= thresh))
+        raise NotPositiveDefiniteError(f"pivot {diag[j] ** 2:.3e} at column {j}")
     return lower
 
 
 def forward_sub(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L z = b for lower-triangular L."""
-    d = lower.shape[0]
-    z = np.empty(d)
-    for i in range(d):
-        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
-    return z
+    """Solve L z = b for lower-triangular L; b is a vector or a d x n matrix."""
+    return np.linalg.solve(lower, b)
 
 
 def back_sub(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve L^T x = z for lower-triangular L."""
-    d = lower.shape[0]
-    x = np.empty(d)
-    for i in range(d - 1, -1, -1):
-        x[i] = (z[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    """Solve L^T x = z for lower-triangular L; z is a vector or a d x n matrix."""
+    return np.linalg.solve(lower.T, z)
 
 
 def solve_factored(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,10 +70,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def logdet(a: np.ndarray) -> float:
     """log det(A) as 2 * sum(log L_ii)."""
     lower = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
-def logdet_factored(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 

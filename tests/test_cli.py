@@ -163,6 +163,37 @@ class TestRun:
             assert code == 0
 
 
+class TestInstanceBoundary:
+    """Malformed or non-finite instance files exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type":"mab","sigma":0.3}',
+            '{"type":"linear","dim":3,"contexts":[1,0,0],"theta":[1,0,0],"sigma":0.3}',
+            '{"type":"mab","means":[1.0,0.5],"sigma":Infinity}',
+            '{"type":"mab","means":[1.0,NaN],"sigma":0.3}',
+            '{"type":"linear","dim":2,"contexts":[[1,0],[0,1]],"theta":[Infinity,0],"sigma":0.3}',
+        ],
+        ids=["missing-means", "1d-contexts", "inf-sigma", "nan-mean", "inf-theta"],
+    )
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_exit_2_without_traceback(self, tmp_path, text, command):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        args = ["bounds", "--instance", str(inst)]
+        if command == "run":
+            algo = "famabpe" if '"mab"' in text else "falinpe"
+            # a round cap keeps a regression that accepts the file from spinning
+            args = ["run", "--algo", algo, "--instance", str(inst), "--max-rounds", "20000",
+                    "--out", str(tmp_path / "res.csv")]
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not (tmp_path / "res.csv").exists()
+
+
 class TestBounds:
     def test_mab_reference_values(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

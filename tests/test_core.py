@@ -79,6 +79,25 @@ class TestInstanceValidation:
                 contexts=np.array([[1.0, 0.0], [0.0, 1.0]]), theta=np.array([2.0, 0.0]), sigma=0.1
             )
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_mab_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MabInstance(means=(0.5, 0.2), sigma=bad)
+        with pytest.raises(ValueError, match="finite"):
+            MabInstance(means=(0.5, bad), sigma=0.1)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_linear_rejects_non_finite(self, bad):
+        ctx = np.array([[1.0, 0.0], [0.0, 0.5]])
+        theta = np.array([0.8, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            LinearInstance(contexts=ctx, theta=theta, sigma=bad)
+        for which in ("contexts", "theta"):
+            arrays = {"contexts": ctx.copy(), "theta": theta.copy()}
+            arrays[which][-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LinearInstance(**arrays, sigma=0.1)
+
 
 class TestGenerators:
     def test_mab_gap_guarantee(self):
@@ -243,3 +262,32 @@ class TestInstanceJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json('{"type":"other"}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type":"mab","sigma":0.3}',
+            '{"type":"mab","means":[1.0,0.5]}',
+            '{"type":"linear","contexts":[[1,0],[0,1]],"theta":[1,0],"sigma":0.1}',
+            '{"type":"linear","dim":2,"contexts":[[1,0],[0,1]],"sigma":0.1}',
+        ],
+    )
+    def test_missing_field_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="missing field"):
+            instance_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type":"linear","dim":3,"contexts":[1,0,0],"theta":[1,0,0],"sigma":0.1}',
+            '{"type":"linear","dim":2,"contexts":[[1,0],[0]],"theta":[1,0],"sigma":0.1}',
+            '{"type":"linear","dim":null,"contexts":[[1,0],[0,1]],"theta":[1,0],"sigma":0.1}',
+            '{"type":"mab","means":3,"sigma":0.1}',
+            '{"type":"mab","means":[1.0,0.5],"sigma":Infinity}',
+            '{"type":"mab","means":[1.0,NaN],"sigma":0.1}',
+            '[1, 2]',
+        ],
+    )
+    def test_wrong_shape_or_value_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            instance_from_json(text)

@@ -22,25 +22,28 @@ from fedpex.linear import (
 )
 
 
-def make_agent(cov, pending_cov, counts, pending_counts):
-    from fedpex.linalg import logdet
-
+def make_agent(cov, x, counts, n_pending, target=1):
+    """An agent that pulled its frozen target x n_pending times since its
+    download: pending_cov = n x x^T and target_q = x^T cov^{-1} x."""
+    cov = np.asarray(cov, dtype=float)
+    x = np.asarray(x, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
-    pending = np.asarray(pending_counts, dtype=np.int64)
+    pending = np.zeros(len(counts), dtype=np.int64)
+    pending[target - 1] = n_pending
     d = cov.shape[0]
     return LinAgentState(
-        cov=np.asarray(cov, dtype=float),
+        cov=cov,
         resp=np.zeros(d),
         counts=counts,
-        pending_cov=np.asarray(pending_cov, dtype=float),
+        pending_cov=n_pending * np.outer(x, x),
         pending_resp=np.zeros(d),
         pending_counts=pending,
-        current_target=1,
+        current_target=target,
         counts_total=int(counts.sum()),
-        pending_total=int(pending.sum()),
-        logdet_cov=logdet(np.asarray(cov, dtype=float)),
-        target_context=np.zeros(d),
-        target_outer=np.zeros((d, d)),
+        pending_total=n_pending,
+        target_context=x,
+        target_outer=np.outer(x, x),
+        target_q=quad_form_inv(cov, x),
     )
 
 
@@ -142,21 +145,23 @@ class TestSelectArmGreedy:
 
 class TestHybridTrigger:
     def test_determinant_condition_fires(self):
-        agent = make_agent(np.eye(2), np.diag([1.0, 0.0]), [5, 5], [1, 0])
+        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5], 1)
         assert check_trigger_hybrid(agent, 0.01, 1e9)  # det doubles
 
     def test_quiet_with_no_data(self):
-        agent = make_agent(np.eye(2), np.zeros((2, 2)), [5, 5], [0, 0])
+        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5], 0)
         assert not check_trigger_hybrid(agent, 0.01, 0.01)
 
     def test_count_condition_fires_alone(self):
-        tiny = 1e-9 * np.outer(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        agent = make_agent(np.eye(2), tiny, [1000, 1000], [1, 0])
+        agent = make_agent(np.eye(2), [1.0, 0.0], [1000, 1000], 1)
+        # det doubles, which stays below 1 + gamma1 = 11 ...
+        assert not check_trigger_hybrid(agent, 10.0, 1e9)
+        # ... so only the count ratio 2001/2000 > 1 + 1e-6 fires
         assert check_trigger_hybrid(agent, 10.0, Fraction(1, 10**6))
 
     def test_determinant_condition_below_threshold(self):
         # det doubles; with gamma1=1.25 the ratio 2 <= 2.25 stays quiet
-        agent = make_agent(np.eye(2), np.diag([1.0, 0.0]), [50, 50], [1, 0])
+        agent = make_agent(np.eye(2), [1.0, 0.0], [50, 50], 1)
         assert not check_trigger_hybrid(agent, 1.25, 1e9)
         # and just under the growth it fires
         assert check_trigger_hybrid(agent, 0.9, 1e9)
