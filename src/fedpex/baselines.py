@@ -106,7 +106,8 @@ def _run_sync_mab(instance: MabInstance, config: SyncConfig) -> RunResult:
         if not (at_sync or at_init):
             continue
         for m in range(m_agents):
-            server = mab.server_merge_mab(server, pend_sums[m], pend_counts[m])
+            for a in np.flatnonzero(pend_counts[m]):
+                server = mab.server_merge_mab(server, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
             pend_sums[m][:] = 0.0
             pend_counts[m][:] = 0
         if at_sync:
@@ -211,27 +212,23 @@ def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
             comm += 2 * m_agents
         else:
             init_comm += 2 * m_agents
-        if at_sync and g > warmup:
-            i, _j, b = lin.stopping_linear(
-                server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-            )
-            if b <= cfg.epsilon:
-                stopped = True
-                best_est = i
-                break
-        if int(server.counts.min()) > 0:
-            c = lin.c_scalar(
-                server.counts_total, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-            )
-            new_target, fb, _q = lin.select_target(
-                server, contexts, c, cfg.arm_select, cfg.greedy_sense, lp_memo
-            )
-            fallbacks += int(fb)
-            for m in range(m_agents):
-                downloads += 1
-                if targets[m] is not None and targets[m] != new_target:
-                    switches += 1
-                targets[m] = new_target
+        # no target is defined until every arm has a server observation
+        if int(server.counts.min()) == 0:
+            continue
+        stop = lin.stopping_linear(
+            server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
+        )
+        if at_sync and g > warmup and stop.b <= cfg.epsilon:
+            stopped = True
+            best_est = stop.i
+            break
+        new_target, fb, _q = lin.select_target(server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo)
+        fallbacks += int(fb)
+        for m in range(m_agents):
+            downloads += 1
+            if targets[m] is not None and targets[m] != new_target:
+                switches += 1
+            targets[m] = new_target
 
     if not stopped:
         theta = lin.rls_estimate(server.cov, server.resp)

@@ -202,6 +202,14 @@ def cmd_run(args) -> int:
 
     audit = _audit_enabled()
     new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
+    if not new_file:
+        # rows may only follow the v1 header and a complete last line
+        with open(args.out, "rb") as fh:
+            header = next(csv.reader([fh.readline().decode("utf-8")]), None)
+            fh.seek(-1, os.SEEK_END)
+            if header != CSV_COLUMNS or fh.read(1) != b"\n":
+                print(f"error: {args.out} is not a v1 results CSV ending in a newline", file=sys.stderr)
+                return 2
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

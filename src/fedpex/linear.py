@@ -5,9 +5,10 @@ ellipsoid bonuses, LP/greedy informative-arm selection, and stopping.
 An agent's snapshot is the (cov, resp, counts) triple last downloaded from
 the server; local buffers accumulate the outer products, responses and
 counts of pulls not yet uploaded. Snapshots freeze between downloads, so
-pair selection, the informative-arm choice and the target's quadratic form
-x^T V^{-1} x (which puts the determinant trigger in closed form) happen once
-per download, from one Cholesky factor of the server covariance.
+the informative-arm choice and the target's quadratic form x^T V^{-1} x
+(which puts the determinant trigger in closed form) happen once per
+download, from the pair and the Cholesky factor of the server covariance
+that the stop check of the same server state computed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,16 @@ class LinServerState:
     resp: np.ndarray
     counts: np.ndarray
     counts_total: int
+
+
+class StopCheck(NamedTuple):
+    """A server state's pair (i, j) (1-based), stopping score B and Cholesky
+    factor of its covariance, which a download from that state reuses."""
+
+    i: int
+    j: int
+    b: float
+    lower: np.ndarray
 
 
 def rls_estimate(cov: np.ndarray, resp: np.ndarray) -> np.ndarray:
@@ -172,8 +184,8 @@ def stopping_linear(
     gamma2,
     n_agents: int,
     c_override: float | None = None,
-) -> tuple[int, int, float]:
-    """Server-side pair (i, j) and the stopping score B.
+) -> StopCheck:
+    """Server-side pair (i, j), the stopping score B and the factor of cov.
 
     B = (x_j - x_i).theta_ser + ||x_i - x_j||_{cov^{-1}} * C_ser; the run
     stops when B <= epsilon. c_override replaces the radius scalar (test hook).
@@ -184,7 +196,7 @@ def stopping_linear(
     if c is None:
         c = c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
     i, j, b = _pair(contexts @ theta, contexts, lower, c)
-    return i + 1, j + 1, b
+    return StopCheck(i + 1, j + 1, b, lower)
 
 
 def choose_informative_arm(
@@ -225,19 +237,17 @@ def choose_informative_arm(
 def select_target(
     server: LinServerState,
     contexts: np.ndarray,
-    c: float,
+    stop: StopCheck,
     arm_select: str,
     greedy_sense: str,
     lp_memo: dict | None = None,
 ) -> tuple[int, bool, float]:
     """Target arm for a server state: (arm, fell_back_to_greedy, x^T cov^{-1} x).
 
-    server.cov is factored once; theta, the pair, the greedy scores and the
-    target's quadratic form all use that factor.
+    `stop` is the state's stop check; its pair and Cholesky factor serve the
+    greedy scores and the target's quadratic form.
     """
-    lower = linalg.cholesky(server.cov)
-    theta = linalg.solve_factored(lower, server.resp)
-    i, j = select_pair_linear(theta, contexts, server.cov, c, lower)
+    i, j, _b, lower = stop
     target, fallback = choose_informative_arm(
         server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, lower=lower, lp_memo=lp_memo
     )
@@ -264,24 +274,16 @@ def _snapshot(server: LinServerState, contexts: np.ndarray, target: int, target_
 
 
 def download_linear(
-    agent: LinAgentState,
     server: LinServerState,
     contexts: np.ndarray,
-    dim: int,
-    delta: float,
-    sigma: float,
-    ridge: float,
-    gamma1,
-    gamma2,
-    n_agents: int,
+    stop: StopCheck,
     arm_select: str,
     greedy_sense: str,
     lp_memo: dict | None = None,
 ) -> tuple[LinAgentState, bool]:
-    """Replace the agent's snapshot with the server's; see download_mab."""
-    del agent
-    c = c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
-    target, fallback, q = select_target(server, contexts, c, arm_select, greedy_sense, lp_memo)
+    """An agent's fresh snapshot of `server`, whose stop check is `stop`:
+    buffers cleared, target recomputed from the stop check's pair."""
+    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
     return _snapshot(server, contexts, target, q), fallback
 
 
@@ -313,7 +315,7 @@ def init_states_linear(
         cov += np.outer(x, x)
         resp += init_rewards[a] * x
     server = LinServerState(cov=cov, resp=resp, counts=np.ones(k, dtype=np.int64), counts_total=k)
-    c = c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
-    target, fallback, q = select_target(server, contexts, c, arm_select, greedy_sense, lp_memo)
+    stop = stopping_linear(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
+    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
     agents = [_snapshot(server, contexts, target, q) for _ in range(n_agents)]
     return server, agents, n_agents * int(fallback)

@@ -2,10 +2,11 @@
 algorithm: sampling rule, count-ratio upload trigger, server merge,
 breaking-index stopping rule, and download synchronization.
 
-Agents keep the server snapshot they last downloaded (mean_est, counts)
-plus not-yet-uploaded local buffers (pending_sums, pending_counts). The
-snapshot is frozen between downloads, so the targeted arm is recomputed
-only at download events.
+An agent keeps the server snapshot it last downloaded (references to the
+server's arrays, which merges never mutate) and pulls only the target
+derived from it until its next download. Its whole pending buffer is
+therefore (target, n, reward sum), and its upload trigger is the integer
+limit n > trigger_limit fixed at download.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class MabAgentState:
-    mean_est: np.ndarray  # last-downloaded server estimates, length K
-    counts: np.ndarray  # last-downloaded server counts, int64
-    pending_sums: np.ndarray  # local not-yet-uploaded reward sums
-    pending_counts: np.ndarray  # local not-yet-uploaded pull counts
+    mean_est: np.ndarray  # last-downloaded server estimates, length K (shared, read-only)
+    counts: np.ndarray  # last-downloaded server counts, int64 (shared, read-only)
+    counts_total: int  # sum(counts), fixed between downloads
     current_target: int  # 1-based arm pulled while the snapshot is frozen
-    counts_total: int  # cached sum(counts), fixed between downloads
-    pending_total: int  # cached sum(pending_counts)
+    trigger_limit: int  # the upload fires once pending_total exceeds it
+    pending_total: int = 0  # pulls of current_target not yet uploaded
+    pending_sum: float = 0.0  # their reward sum, accumulated in pull order
 
 
 @dataclass
@@ -61,10 +62,13 @@ def select_pair_mab(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int
     i maximizes the mean estimate; j maximizes estimated-gap-to-i plus the
     pair bonus. Ties go to the lowest arm index (np.argmax convention).
     """
-    i = int(np.argmax(mean_est))
-    scores = mean_est - mean_est[i] + bonuses[i] + bonuses
+    i = int(mean_est.argmax())
+    # mean_est - mean_est[i] + bonuses[i] + bonuses, in that order, in place
+    scores = mean_est - mean_est[i]
+    scores += bonuses[i]
+    scores += bonuses
     scores[i] = -np.inf
-    j = int(np.argmax(scores))
+    j = int(scores.argmax())
     return i + 1, j + 1
 
 
@@ -82,33 +86,36 @@ def agent_target_mab(
     return select_arm_mab(i, j, bon)
 
 
-def check_trigger_mab(agent: MabAgentState, gamma) -> bool:
-    """True when pending local data exceeds the gamma fraction of the snapshot.
+def trigger_limit_mab(counts_total: int, gamma) -> int:
+    """Largest pending count that does not trigger an upload.
 
-    Condition sum(counts + pending) > (1+gamma) * sum(counts), evaluated in
-    exact integer arithmetic (gamma enters as an exact rational; floats
-    convert exactly), so boundary cases are deterministic.
+    The trigger condition (C + n) > (1+gamma) C, with gamma = num/den
+    exactly (floats convert exactly), is n*den > num*C, which for integer n
+    is n > floor(num*C / den).
     """
     g = gamma if type(gamma) is Fraction else Fraction(gamma)
-    lhs = (agent.counts_total + agent.pending_total) * g.denominator
-    rhs = (g.denominator + g.numerator) * agent.counts_total
-    return lhs > rhs
+    return (g.numerator * counts_total) // g.denominator
 
 
-def server_merge_mab(server: MabServerState, pending_sums: np.ndarray, pending_counts: np.ndarray) -> MabServerState:
-    """Fold one agent's local buffers into the server estimates.
+def check_trigger_mab(agent: MabAgentState) -> bool:
+    """True when pending local data exceeds the gamma fraction of the snapshot."""
+    return agent.pending_total > agent.trigger_limit
 
-    Arms with no pending observations keep their estimate bit-identical.
-    """
-    new_counts = server.counts + pending_counts
+
+def server_merge_mab(server: MabServerState, arm: int, n: int, reward_sum: float) -> MabServerState:
+    """Fold an agent's n pulls of `arm` with the given reward sum into a new
+    server state; the old state's arrays are left as they are, and every
+    other arm keeps its estimate bit-identical. An empty buffer changes
+    nothing."""
+    if n == 0:
+        return server
+    a = arm - 1
     mean = server.mean_est.copy()
-    touched = pending_counts > 0
-    mean[touched] = (server.mean_est[touched] * server.counts[touched] + pending_sums[touched]) / new_counts[touched]
-    return MabServerState(
-        mean_est=mean,
-        counts=new_counts,
-        counts_total=server.counts_total + int(pending_counts.sum()),
-    )
+    counts = server.counts.copy()
+    c_old = int(counts[a])
+    mean[a] = (float(mean[a]) * c_old + reward_sum) / (c_old + n)
+    counts[a] = c_old + n
+    return MabServerState(mean_est=mean, counts=counts, counts_total=server.counts_total + n)
 
 
 def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int, float]:
@@ -121,36 +128,27 @@ def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int,
     return i, j, b
 
 
-def _snapshot(server: MabServerState, delta: float, sigma: float, gamma_m: float) -> MabAgentState:
-    k = len(server.mean_est)
-    target = agent_target_mab(server.mean_est, server.counts, server.counts_total, delta, sigma, gamma_m)
+def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma) -> MabAgentState:
+    """An agent's fresh state after downloading `server`: empty buffer,
+    target and trigger limit fixed. `bonuses` and (i, j) are the stop
+    check's for this same server state, so the target is the one
+    agent_target_mab derives from the snapshot."""
     return MabAgentState(
-        mean_est=server.mean_est.copy(),
-        counts=server.counts.copy(),
-        pending_sums=np.zeros(k),
-        pending_counts=np.zeros(k, dtype=np.int64),
-        current_target=target,
-        counts_total=server.counts_total,
-        pending_total=0,
+        server.mean_est,
+        server.counts,
+        server.counts_total,
+        select_arm_mab(i, j, bonuses),
+        trigger_limit_mab(server.counts_total, gamma),
     )
 
 
-def download_mab(
-    agent: MabAgentState, server: MabServerState, delta: float, sigma: float, gamma_m: float
-) -> MabAgentState:
-    """Replace the agent's snapshot with the server's: buffers cleared,
-    target recomputed. The previous state is discarded entirely; the switch
-    happened iff the returned target differs from agent.current_target."""
-    del agent  # superseded wholesale by the fresh snapshot
-    return _snapshot(server, delta, sigma, gamma_m)
-
-
 def init_states_mab(
-    init_rewards: np.ndarray, n_agents: int, delta: float, sigma: float, gamma_m: float
+    init_rewards: np.ndarray, n_agents: int, delta: float, sigma: float, gamma
 ) -> tuple[MabServerState, list[MabAgentState]]:
     """Post-initialization states: arm k was pulled once with reward init_rewards[k-1]."""
     k = len(init_rewards)
-    counts = np.ones(k, dtype=np.int64)
-    server = MabServerState(mean_est=np.array(init_rewards, dtype=float), counts=counts.copy(), counts_total=k)
-    agents = [_snapshot(server, delta, sigma, gamma_m) for _ in range(n_agents)]
+    server = MabServerState(np.array(init_rewards, dtype=float), np.ones(k, dtype=np.int64), k)
+    target = agent_target_mab(server.mean_est, server.counts, k, delta, sigma, float(gamma) * n_agents)
+    limit = trigger_limit_mab(k, gamma)
+    agents = [MabAgentState(server.mean_est, server.counts, k, target, limit) for _ in range(n_agents)]
     return server, agents

@@ -61,8 +61,7 @@ class AuditRecord:
     t: int
     agent: int  # 1-based
     arm: int  # 1-based
-    triggered: bool
-    uploaded: bool
+    triggered: bool  # the agent uploaded this round
     stopped: bool
     breaking_value: float | None
 
@@ -93,15 +92,18 @@ def linear_comm_bound(n_agents: int, gamma1, gamma2, ridge: float, dim: int, tau
 
 def _audit_mab(server, agents, true_pulls, gamma, delta, sigma, gamma_m):
     # count conservation: server + pending buffers = every pull ever made
-    held = server.counts.copy()
+    held = [int(c) for c in server.counts]
     for ag in agents:
-        held = held + ag.pending_counts
-    if not np.array_equal(held, true_pulls):
+        held[ag.current_target - 1] += ag.pending_total
+    if held != true_pulls:
         raise AuditError(f"count conservation violated: {held} != {true_pulls}")
+    num, den = gamma.numerator, gamma.denominator
     for idx, ag in enumerate(agents):
-        if ag.counts_total != int(ag.counts.sum()) or ag.pending_total != int(ag.pending_counts.sum()):
+        total = ag.counts_total
+        if total != int(ag.counts.sum()) or ag.trigger_limit != mab.trigger_limit_mab(total, gamma):
             raise AuditError(f"agent {idx + 1} cached totals diverged")
-        if mab.check_trigger_mab(ag, gamma):
+        # trigger negation by the exact rational rule, not by the cached limit
+        if (total + ag.pending_total) * den > (den + num) * total:
             raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
         want = mab.agent_target_mab(ag.mean_est, ag.counts, ag.counts_total, delta, sigma, gamma_m)
         if want != ag.current_target:
@@ -134,8 +136,8 @@ def run_famabpe(
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
     # an attribution that affects no statistic)
     init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
-    server, agents = mab.init_states_mab(init_rewards, m_agents, cfg.delta, instance.sigma, gamma_m)
-    pulls = np.ones(k, dtype=np.int64)
+    server, agents = mab.init_states_mab(init_rewards, m_agents, cfg.delta, instance.sigma, gamma)
+    pulls = [1] * k
     init_comm = k + m_agents
     comm = 0
     switches = 0
@@ -150,36 +152,31 @@ def run_famabpe(
         m = schedule.next_agent(rng)
         ag = agents[m]
         arm = ag.current_target
-        reward = sample_reward_mab(instance, arm, rng)
-        ag.pending_sums[arm - 1] += reward
-        ag.pending_counts[arm - 1] += 1
+        ag.pending_sum += sample_reward_mab(instance, arm, rng)
         ag.pending_total += 1
         pulls[arm - 1] += 1
 
-        triggered = comm_every_round or mab.check_trigger_mab(ag, gamma)
+        triggered = comm_every_round or mab.check_trigger_mab(ag)
         b_value = None
         if triggered:
             comm += 1  # upload
-            server = mab.server_merge_mab(server, ag.pending_sums, ag.pending_counts)
+            server = mab.server_merge_mab(server, arm, ag.pending_total, ag.pending_sum)
             bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, _j, b_value = mab.breaking_index(server.mean_est, bon)
+            i, j, b_value = mab.breaking_index(server.mean_est, bon)
             if b_value <= cfg.epsilon:
                 stopped = True
                 best_est = i
             else:
                 comm += 1  # download
                 downloads += 1
-                old_target = ag.current_target
-                agents[m] = mab.download_mab(ag, server, cfg.delta, instance.sigma, gamma_m)
-                if agents[m].current_target != old_target:
+                agents[m] = mab.download_mab(server, bon, i, j, gamma)
+                if agents[m].current_target != arm:
                     switches += 1
 
         if audit and not stopped:
             _audit_mab(server, agents, pulls, gamma, cfg.delta, instance.sigma, gamma_m)
         if audit_log is not None:
-            audit_log.append(
-                AuditRecord(tau, m + 1, arm, triggered, triggered, stopped, b_value)
-            )
+            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
 
     if not stopped:
         best_est = int(np.argmax(server.mean_est)) + 1
@@ -198,7 +195,7 @@ def run_famabpe(
         comm_cost=comm,
         init_comm=init_comm,
         switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
+        pulls_per_arm=tuple(pulls),
         terminated=stopped,
         n_downloads=downloads,
     )
@@ -303,7 +300,7 @@ def run_falinpe(
         if triggered:
             comm += 1
             server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, ag.pending_counts)
-            i, _j, b_value = lin.stopping_linear(
+            stop = lin.stopping_linear(
                 server,
                 contexts,
                 dim,
@@ -314,36 +311,24 @@ def run_falinpe(
                 cfg.gamma2,
                 m_agents,
             )
+            b_value = stop.b
             if b_value <= cfg.epsilon:
                 stopped = True
-                best_est = i
+                best_est = stop.i
             else:
                 comm += 1
                 downloads += 1
-                old_target = ag.current_target
                 agents[m], fb = lin.download_linear(
-                    ag,
-                    server,
-                    contexts,
-                    dim,
-                    cfg.delta,
-                    instance.sigma,
-                    cfg.ridge,
-                    cfg.gamma1,
-                    cfg.gamma2,
-                    m_agents,
-                    cfg.arm_select,
-                    cfg.greedy_sense,
-                    lp_memo,
+                    server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo
                 )
                 fallbacks += int(fb)
-                if agents[m].current_target != old_target:
+                if agents[m].current_target != arm:
                     switches += 1
 
         if audit and not stopped:
             _audit_linear(server, agents, global_cov, global_resp, pulls, cfg)
         if audit_log is not None:
-            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, triggered, stopped, b_value))
+            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
 
     if not stopped:
         theta = lin.rls_estimate(server.cov, server.resp)

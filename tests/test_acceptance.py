@@ -384,7 +384,7 @@ def test_criterion_08_frozen_target_and_switching():
         for rec in log:
             if expected.get(rec.agent) is not None:
                 assert rec.arm == expected[rec.agent]
-            downloaded = rec.uploaded and not rec.stopped
+            downloaded = rec.triggered and not rec.stopped
             expected[rec.agent] = None if downloaded else rec.arm
         assert res.switch_cost <= res.n_downloads
         assert res.n_downloads <= res.comm_cost

@@ -109,6 +109,31 @@ class TestRun:
         assert len(rows) == 3 and rows[0] == CSV_COLUMNS
         assert rows[1][:3] == rows[2][:3]
 
+    @pytest.mark.parametrize(
+        "existing",
+        [
+            "algo,instance,seed,tau\n1,2,3,4\n",  # an older, shorter schema
+            ",".join(reversed(CSV_COLUMNS)) + "\n",  # same names, wrong order
+            "not a csv file\n",
+            "\n" + ",".join(CSV_COLUMNS) + "\n",  # header not on the first line
+            ",".join(CSV_COLUMNS),  # a row would be glued to the header
+        ],
+        ids=["other-schema", "reordered", "text", "blank-first-line", "no-final-newline"],
+    )
+    def test_append_to_foreign_csv_exit_2(self, tmp_path, existing):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",
+              "--out", str(inst)])
+        out = tmp_path / "res.csv"
+        out.write_text(existing)
+        proc = run_cli(["run", "--algo", "famabpe", "--instance", str(inst), "--reps", "1",
+                        "--agents", "2", "--out", str(out)])
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert proc.stdout == ""  # no run started
+        assert out.read_text() == existing
+
     def test_incompatible_algo_instance_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",

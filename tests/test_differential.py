@@ -1,24 +1,34 @@
-"""Differential tests: every fast path of the linear layers against the slow
-path it replaced.
+"""Differential tests: every fast path against the slow path it replaced.
 
-The reference functions below are the former pure-Python kernels and
-per-arm loops, kept here only as oracles: the loop Cholesky and triangular
+The reference functions below are the former implementations, kept here
+only as oracles. For the linear layers: the loop Cholesky and triangular
 solves, the log-determinant trigger, per-arm width scoring, and the greedy
-rule that refactors cov + x x^T for every arm. Snapshots are random SPD
-matrices at d = 2, 5, 10.
+rule that refactors cov + x x^T for every arm, on random SPD snapshots at
+d = 2, 5, 10. For famabpe: the driver with K-length pending arrays per
+agent, the exact rational trigger, the masked server merge, and a download
+that recomputes the target from the snapshot.
 """
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fedpex import linear as lin
-from fedpex.core import RunConfig, gen_gap_instance_linear, make_rng
-from fedpex.baselines import SyncConfig, run_synchronous
+from fedpex import mab
+from fedpex.core import (
+    RunConfig,
+    RunResult,
+    gen_gap_instance_linear,
+    gen_gap_instance_mab,
+    make_rng,
+    sample_reward_mab,
+)
+from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
 from fedpex.linalg import NotPositiveDefiniteError, cholesky, quad_form_inv, solve
-from fedpex.runner import run_falinpe
+from fedpex.runner import ActivationSchedule, AuditRecord, mab_comm_bound, run_falinpe, run_famabpe
 
 DIMS = (2, 5, 10)
 
@@ -259,7 +269,9 @@ class TestBatchedWidths:
             cov, resp, contexts = snapshot(rng, d)
             c = float(rng.uniform(0.0, 3.0))
             server = lin.LinServerState(cov, resp, np.ones(len(contexts), dtype=np.int64), len(contexts))
-            i, j, b = lin.stopping_linear(server, contexts, d, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
+            i, j, b, _lower = lin.stopping_linear(
+                server, contexts, d, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c
+            )
             ri, rj, rb = ref_stopping(cov, resp, contexts, c)
             assert (i, j) == (ri, rj)
             assert b == pytest.approx(rb, rel=1e-9, abs=1e-12)
@@ -356,3 +368,215 @@ class TestLpMemo:
             )
             assert fell_back and arm == lin.select_arm_greedy(np.eye(2), contexts, np.zeros(2))
         assert len(lp_calls) == 1 and memo == {(1, 2): None}
+
+
+# ---------------------------------------------------------------------------
+# Linear stop check reused by the download
+# ---------------------------------------------------------------------------
+
+
+class TestStopCheckReuse:
+    @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
+    def test_target_equals_a_fresh_factorization(self, arm_select):
+        rng = np.random.default_rng(600)
+        for _ in range(30):
+            cov, resp, contexts = snapshot(rng, 5)
+            counts = rng.integers(1, 20, size=len(contexts))
+            server = lin.LinServerState(cov, resp, counts, int(counts.sum()))
+            c = float(rng.uniform(0.0, 3.0))
+            stop = lin.stopping_linear(server, contexts, 5, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
+            got = lin.select_target(server, contexts, stop, arm_select, "min", {})
+            # the former download: factor again, re-solve theta, re-score the pair
+            i, j = lin.select_pair_linear(ref_solve(cov, resp), contexts, cov, c)
+            arm, fallback = lin.choose_informative_arm(cov, server.counts, contexts, i, j, arm_select, "min")
+            assert (stop.i, stop.j) == (i, j)
+            assert got[:2] == (arm, fallback)
+            assert got[2] == pytest.approx(quad_form_inv(cov, contexts[arm - 1]), rel=1e-12)
+
+    @pytest.mark.parametrize("algo", ["async", "sync"])
+    def test_one_factorization_per_server_state(self, algo, monkeypatch):
+        calls = []
+        original = lin.linalg.cholesky
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(lin.linalg, "cholesky", counted)
+        inst = gen_gap_instance_linear(3, 4, 0.3, make_rng(42))
+        if algo == "async":
+            res = run_falinpe(inst, RunConfig(n_agents=4, seed=6, epsilon=0.05))
+            uploads = (res.comm_cost + 1) // 2  # the last upload stops the run
+            assert len(calls) == 1 + uploads  # the initial state, then one per upload
+        else:
+            res = run_synchronous(inst, SyncConfig(n_agents=4, seed=6, epsilon=0.05, episode_len=5))
+            syncs = res.comm_cost // (2 * 4)
+            assert len(calls) == 1 + syncs  # the warm-up boundary, then one per sync
+        assert res.terminated
+
+
+# ---------------------------------------------------------------------------
+# famabpe: array buffers against the frozen-arm buffer
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RefMabAgent:
+    mean_est: np.ndarray
+    counts: np.ndarray
+    pending_sums: np.ndarray
+    pending_counts: np.ndarray
+    current_target: int
+    counts_total: int
+    pending_total: int
+
+
+def ref_snapshot(server, delta, sigma, gamma_m):
+    k = len(server.mean_est)
+    target = mab.agent_target_mab(server.mean_est, server.counts, server.counts_total, delta, sigma, gamma_m)
+    return RefMabAgent(
+        mean_est=server.mean_est.copy(),
+        counts=server.counts.copy(),
+        pending_sums=np.zeros(k),
+        pending_counts=np.zeros(k, dtype=np.int64),
+        current_target=target,
+        counts_total=server.counts_total,
+        pending_total=0,
+    )
+
+
+def ref_trigger_mab(counts_total, pending_total, gamma):
+    """sum(counts + pending) > (1 + gamma) sum(counts) in exact rationals."""
+    g = Fraction(gamma)
+    return (counts_total + pending_total) * g.denominator > (g.denominator + g.numerator) * counts_total
+
+
+def ref_merge_mab(server, pending_sums, pending_counts):
+    new_counts = server.counts + pending_counts
+    mean = server.mean_est.copy()
+    touched = pending_counts > 0
+    old = server.mean_est[touched] * server.counts[touched]
+    mean[touched] = (old + pending_sums[touched]) / new_counts[touched]
+    return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()))
+
+
+def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
+    """The famabpe driver with K-length pending arrays per agent."""
+    cfg = config.resolved(instance.k_arms)
+    k, m_agents, gamma = instance.k_arms, cfg.n_agents, cfg.gamma
+    gamma_m = float(gamma) * m_agents
+    rng = make_rng(cfg.seed)
+    init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
+    server = mab.MabServerState(init_rewards, np.ones(k, dtype=np.int64), k)
+    agents = [ref_snapshot(server, cfg.delta, instance.sigma, gamma_m) for _ in range(m_agents)]
+    pulls = np.ones(k, dtype=np.int64)
+    comm = switches = downloads = 0
+    tau = k
+    schedule = ActivationSchedule(cfg.activation, m_agents)
+    stopped = False
+    best_est = 0
+    while not stopped and tau < cfg.max_rounds:
+        tau += 1
+        m = schedule.next_agent(rng)
+        ag = agents[m]
+        arm = ag.current_target
+        ag.pending_sums[arm - 1] += sample_reward_mab(instance, arm, rng)
+        ag.pending_counts[arm - 1] += 1
+        ag.pending_total += 1
+        pulls[arm - 1] += 1
+        triggered = comm_every_round or ref_trigger_mab(ag.counts_total, ag.pending_total, gamma)
+        b_value = None
+        if triggered:
+            comm += 1
+            server = ref_merge_mab(server, ag.pending_sums, ag.pending_counts)
+            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
+            i, _j, b_value = mab.breaking_index(server.mean_est, bon)
+            if b_value <= cfg.epsilon:
+                stopped = True
+                best_est = i
+            else:
+                comm += 1
+                downloads += 1
+                agents[m] = ref_snapshot(server, cfg.delta, instance.sigma, gamma_m)
+                switches += agents[m].current_target != arm
+        audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+    if not stopped:
+        best_est = int(np.argmax(server.mean_est)) + 1
+    if stopped and not comm_every_round:
+        assert comm <= mab_comm_bound(m_agents, gamma, tau)
+    return RunResult(
+        best_arm_est=best_est,
+        best_arm_true=instance.best_arm(),
+        correct=instance.gap(best_est) <= cfg.epsilon,
+        tau=tau,
+        comm_cost=comm,
+        init_comm=k + m_agents,
+        switch_cost=switches,
+        pulls_per_arm=tuple(int(x) for x in pulls),
+        terminated=stopped,
+        n_downloads=downloads,
+    )
+
+
+def assert_same_famabpe(instance, config, audit=False, comm_every_round=False):
+    ref_log, log = [], []
+    want = ref_run_famabpe(instance, config, ref_log, comm_every_round)
+    got = run_famabpe(instance, config, audit=audit, audit_log=log, comm_every_round=comm_every_round)
+    assert got.to_json() == want.to_json()
+    assert log == ref_log
+    return got
+
+
+MAB_SHAPES = [(m, k) for m in (1, 3, 10, 100) for k in (2, 5, 50)]
+
+
+class TestFamabpeAgainstArrayBuffers:
+    @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
+    @pytest.mark.parametrize("m,k", MAB_SHAPES, ids=[f"M{m}-K{k}" for m, k in MAB_SHAPES])
+    def test_identical_results_and_logs(self, m, k, activation):
+        inst = gen_gap_instance_mab(k, 0.3, make_rng(700 + 7 * m + k), sigma=0.3)
+        cap = 200 * k + 2000  # most runs stop well before it
+        base = RunConfig(n_agents=m, seed=m + k, activation=activation, max_rounds=cap)
+        configs = [
+            base,
+            # a float gamma: its exact rational has a 2^55 denominator
+            replace(base, seed=m + k + 1, epsilon=0.1, gamma=0.1),
+            replace(base, seed=m + k + 2, gamma=Fraction(3, 7)),
+            # stopped by the round cap
+            replace(base, seed=m + k + 3, max_rounds=k + 15),
+        ]
+        results = [assert_same_famabpe(inst, cfg, audit=m * k <= 50) for cfg in configs]
+        assert not results[-1].terminated
+        assert any(r.terminated for r in results)
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (1, 5), (1, 50), (3, 5), (10, 2)])
+    def test_comm_every_round(self, m, k):
+        inst = gen_gap_instance_mab(k, 0.4, make_rng(800 + m + k), sigma=0.3)
+        cfg = RunConfig(n_agents=m, seed=k, max_rounds=20_000)
+        res = assert_same_famabpe(inst, cfg, comm_every_round=True)
+        assert res.comm_cost == 2 * (res.tau - k) - res.terminated
+
+    def test_the_single_agent_baseline_runs_through_the_same_path(self):
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(9), sigma=0.3)
+        cfg = RunConfig(seed=4, epsilon=0.05)
+        want = ref_run_famabpe(inst, cfg, [], comm_every_round=True)
+        assert run_single_agent(inst, cfg).to_json() == want.to_json()
+
+
+class TestIntegerTriggerLimit:
+    @pytest.mark.parametrize(
+        "gamma",
+        [Fraction(1, 100), Fraction(1, 3), Fraction(7, 2), Fraction(1, 10_000), 0.1, 1 / 3, 0.01, 2.5],
+        ids=lambda g: repr(g),
+    )
+    def test_limit_and_its_successor_agree_with_the_exact_rule(self, gamma):
+        g = Fraction(gamma)
+        totals = list(range(1, 2_000)) + [g.denominator * q + r for q in (1, 3, 10**6) for r in (-1, 0, 1)]
+        for total in totals:
+            if total < 1:
+                continue
+            limit = mab.trigger_limit_mab(total, gamma)
+            for n in (limit, limit + 1):
+                agent = mab.MabAgentState(np.zeros(1), np.zeros(1), total, 1, limit, pending_total=n)
+                assert mab.check_trigger_mab(agent) == ref_trigger_mab(total, n, gamma), (total, n)
+            assert not ref_trigger_mab(total, limit, gamma) and ref_trigger_mab(total, limit + 1, gamma)

@@ -206,7 +206,7 @@ class TestStoppingLinear:
         server = LinServerState(
             10 * np.eye(2), 10 * np.array([0.9, 0.1]), np.array([5, 5], dtype=np.int64), 10
         )
-        _i, _j, b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=0.0)
+        b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=0.0).b
         assert b < 0.0
 
     def test_duplicate_best_contexts_keep_running(self):
@@ -214,7 +214,7 @@ class TestStoppingLinear:
         server = LinServerState(
             10 * np.eye(2), 10 * np.array([0.9, 0.0]), np.array([4, 3, 3], dtype=np.int64), 10
         )
-        _i, _j, b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10)
+        b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10).b
         assert b > 0.0
 
     def test_composition_matches_audited_pieces(self):
@@ -223,7 +223,7 @@ class TestStoppingLinear:
         cov = np.array([[6.0, 1.0], [1.0, 4.0]])
         resp = np.array([3.0, 1.0])
         server = LinServerState(cov, resp, np.array([6, 3], dtype=np.int64), 9)
-        i, j, b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.02, 10)
+        i, j, b, _lower = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.02, 10)
         theta = rls_estimate(cov, resp)
         rewards = contexts @ theta
         i0 = int(np.argmax(rewards))

@@ -18,21 +18,23 @@ from fedpex.mab import (
     select_arm_mab,
     select_pair_mab,
     server_merge_mab,
+    trigger_limit_mab,
 )
 
 
-def make_agent(counts, pending_counts, mean_est=None, pending_sums=None, target=1):
+def make_agent(counts, pending_total, gamma, mean_est=None, pending_sum=0.0, target=1):
+    """An agent that downloaded a snapshot with these counts and then pulled
+    its target pending_total times."""
     counts = np.asarray(counts, dtype=np.int64)
-    pending = np.asarray(pending_counts, dtype=np.int64)
-    k = len(counts)
+    total = int(counts.sum())
     return MabAgentState(
-        mean_est=np.asarray(mean_est if mean_est is not None else np.zeros(k), dtype=float),
+        mean_est=np.asarray(mean_est if mean_est is not None else np.zeros(len(counts)), dtype=float),
         counts=counts,
-        pending_sums=np.asarray(pending_sums if pending_sums is not None else np.zeros(k), dtype=float),
-        pending_counts=pending,
+        counts_total=total,
         current_target=target,
-        counts_total=int(counts.sum()),
-        pending_total=int(pending.sum()),
+        trigger_limit=trigger_limit_mab(total, gamma),
+        pending_total=pending_total,
+        pending_sum=pending_sum,
     )
 
 
@@ -90,46 +92,49 @@ class TestSelectArm:
 
 class TestTrigger:
     def test_fires_above_threshold(self):
-        agent = make_agent([5, 5], [1, 0])
-        assert check_trigger_mab(agent, 0.01)  # 11 > 10.1
+        agent = make_agent([5, 5], 1, 0.01)
+        assert check_trigger_mab(agent)  # 11 > 10.1
 
     def test_quiet_below_threshold(self):
-        agent = make_agent([100, 100], [1, 0])
-        assert not check_trigger_mab(agent, 0.01)  # 201 <= 202
+        agent = make_agent([100, 100], 1, 0.01)
+        assert not check_trigger_mab(agent)  # 201 <= 202
 
     def test_strict_inequality_at_zero(self):
-        agent = make_agent([10, 10], [0, 0])
-        assert not check_trigger_mab(agent, 0.5)
+        agent = make_agent([10, 10], 0, 0.5)
+        assert not check_trigger_mab(agent)
 
     def test_exact_boundary_is_quiet(self):
         # pending exactly gamma * counts must not fire (strict >)
-        agent = make_agent([50, 50], [1, 0])
-        assert not check_trigger_mab(agent, Fraction(1, 100))
-        agent = make_agent([50, 50], [1, 1])
-        assert check_trigger_mab(agent, Fraction(1, 100))
+        agent = make_agent([50, 50], 1, Fraction(1, 100))
+        assert agent.trigger_limit == 1
+        assert not check_trigger_mab(agent)
+        agent = make_agent([50, 50], 2, Fraction(1, 100))
+        assert check_trigger_mab(agent)
 
 
 class TestServerMerge:
     def test_consistent_mean(self):
         server = MabServerState(np.array([0.5]), np.array([2], dtype=np.int64), 2)
-        out = server_merge_mab(server, np.array([1.0]), np.array([2], dtype=np.int64))
+        out = server_merge_mab(server, 1, 2, 1.0)
         assert out.mean_est[0] == pytest.approx(0.5) and out.counts[0] == 4
 
     def test_dilution(self):
         server = MabServerState(np.array([1.0]), np.array([1], dtype=np.int64), 1)
-        out = server_merge_mab(server, np.array([0.0]), np.array([1], dtype=np.int64))
+        out = server_merge_mab(server, 1, 1, 0.0)
         assert out.mean_est[0] == pytest.approx(0.5) and out.counts[0] == 2
 
     def test_untouched_arm_bit_identical(self):
         mean = np.array([1 / 3, 0.77])
         server = MabServerState(mean.copy(), np.array([3, 5], dtype=np.int64), 8)
-        out = server_merge_mab(server, np.array([0.9, 0.0]), np.array([1, 0], dtype=np.int64))
+        out = server_merge_mab(server, 1, 1, 0.9)
         assert out.mean_est[1] == mean[1]
         assert out.counts_total == 9
+        # the merged state is new; a snapshot of the old one stays as it was
+        assert np.array_equal(server.mean_est, mean) and list(server.counts) == [3, 5]
 
     def test_zero_merge_is_identity(self):
-        server = MabServerState(np.array([0.4, 0.6]), np.array([2, 3], dtype=np.int64), 5)
-        out = server_merge_mab(server, np.zeros(2), np.zeros(2, dtype=np.int64))
+        server = MabServerState(np.array([0.1, 0.6]), np.array([3, 3], dtype=np.int64), 6)
+        out = server_merge_mab(server, 1, 0, 0.0)
         assert np.array_equal(out.mean_est, server.mean_est)
         assert np.array_equal(out.counts, server.counts)
 
@@ -151,24 +156,30 @@ class TestBreakingIndex:
 
 
 class TestDownload:
+    @staticmethod
+    def download(server, gamma=Fraction(1, 10)):
+        """download_mab as the driver calls it, with the stop check's bonuses and pair."""
+        bon = bonuses_mab(server.counts, server.counts_total, 0.05, 0.3, 0.1)
+        i, j, _b = breaking_index(server.mean_est, bon)
+        return download_mab(server, bon, i, j, gamma)
+
     def test_copies_server_and_clears_buffers(self):
         server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
-        agent = make_agent([1, 1], [3, 2], mean_est=[0.0, 0.0], pending_sums=[1.5, 0.3])
-        out = download_mab(agent, server, 0.05, 0.3, 0.1)
+        out = self.download(server)
         assert np.array_equal(out.mean_est, server.mean_est)
         assert np.array_equal(out.counts, server.counts)
-        assert out.pending_total == 0 and np.all(out.pending_counts == 0)
-        assert np.all(out.pending_sums == 0.0)
+        assert out.counts_total == 11 and out.trigger_limit == 1  # floor(11 / 10)
+        assert out.pending_total == 0 and out.pending_sum == 0.0
 
     def test_idempotent_target(self):
         server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
-        agent = make_agent([1, 1], [0, 0])
-        once = download_mab(agent, server, 0.05, 0.3, 0.1)
-        twice = download_mab(once, server, 0.05, 0.3, 0.1)
+        once = self.download(server)
+        again = MabServerState(once.mean_est, once.counts, once.counts_total)
+        twice = self.download(again)
         assert once.current_target == twice.current_target
 
     def test_target_matches_selection_rules(self):
         server = MabServerState(np.array([0.9, 0.1, 0.5]), np.array([9, 2, 5], dtype=np.int64), 16)
-        out = download_mab(make_agent([1, 1, 1], [0, 0, 0]), server, 0.05, 0.3, 0.1)
+        out = self.download(server)
         want = agent_target_mab(server.mean_est, server.counts, 16, 0.05, 0.3, 0.1)
         assert out.current_target == want

@@ -111,7 +111,7 @@ class TestRunFamabpe:
             if expected.get(rec.agent) is not None:
                 assert rec.arm == expected[rec.agent]
             # a download (upload without stop) refreshes the frozen choice
-            downloaded = rec.uploaded and not rec.stopped
+            downloaded = rec.triggered and not rec.stopped
             expected[rec.agent] = None if downloaded else rec.arm
 
 
