@@ -25,6 +25,7 @@ from .core import (
     MabInstance,
     RunConfig,
     RunResult,
+    arm_means_linear,
     make_rng,
     sample_reward_linear,
     sample_reward_mab,
@@ -56,123 +57,49 @@ def run_single_agent(instance, config: RunConfig) -> RunResult:
     return run_falinpe(instance, cfg, comm_every_round=True)
 
 
+# After the warm-up every agent pulls the common frozen target, so the pulls
+# up to the next episode boundary or the round cap are drawn as one
+# (rounds, M) block of normals: the same stream, round by round and agent by
+# agent, as one draw per pull. A block holds at most _MAX_BLOCK rounds, which
+# bounds memory at long episodes.
+_MAX_BLOCK = 1024
+
+
+def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """start + terms[0] + terms[1] + ..., added in that order, so the result is
+    bit-equal to a per-pull `+=` loop from `start`."""
+    return np.add.accumulate(np.concatenate((start[None], terms)))[-1]
+
+
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     """Synchronous baseline with full sharing every episode_len global rounds."""
-    if isinstance(instance, MabInstance):
-        return _run_sync_mab(instance, sync_config)
-    return _run_sync_linear(instance, sync_config)
-
-
-def _run_sync_mab(instance: MabInstance, config: SyncConfig) -> RunResult:
-    cfg = config.resolved(instance.k_arms)
+    linear = isinstance(instance, LinearInstance)
     k = instance.k_arms
+    cfg = sync_config.resolved(k, instance.sigma) if linear else sync_config.resolved(k)
     m_agents = cfg.n_agents
-    episode = config.episode_len
+    episode = cfg.episode_len
     gamma_m = float(cfg.gamma) * m_agents
-    rng = make_rng(cfg.seed)
-    warmup = math.ceil(k / m_agents)
-
-    server = mab.MabServerState(
-        mean_est=np.zeros(k), counts=np.zeros(k, dtype=np.int64), counts_total=0
-    )
-    pend_sums = [np.zeros(k) for _ in range(m_agents)]
-    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
-    targets: list[int | None] = [None] * m_agents
-    pulls = np.zeros(k, dtype=np.int64)
-    tau = 0
-    g = 0
-    comm = 0
-    init_comm = 0
-    switches = 0
-    downloads = 0
-    stopped = False
-    best_est = 0
-
-    while not stopped and tau + m_agents <= cfg.max_rounds:
-        g += 1
-        for m in range(m_agents):
-            if g <= warmup:
-                arm = ((g - 1) * m_agents + m) % k + 1
-            else:
-                arm = targets[m]
-            reward = sample_reward_mab(instance, arm, rng)
-            pend_sums[m][arm - 1] += reward
-            pend_counts[m][arm - 1] += 1
-            pulls[arm - 1] += 1
-            tau += 1
-
-        at_sync = g % episode == 0
-        at_init = g == warmup
-        if not (at_sync or at_init):
-            continue
-        for m in range(m_agents):
-            for a in np.flatnonzero(pend_counts[m]):
-                server = mab.server_merge_mab(server, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
-            pend_sums[m][:] = 0.0
-            pend_counts[m][:] = 0
-        if at_sync:
-            comm += 2 * m_agents
-        else:
-            init_comm += 2 * m_agents
-        # the warm-up boundary never stop-checks, even when it coincides with
-        # an episode boundary; this keeps episode_len=1, M=1 pull-for-pull
-        # identical to the single-agent baseline
-        if at_sync and g > warmup:
-            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, _j, b = mab.breaking_index(server.mean_est, bon)
-            if b <= cfg.epsilon:
-                stopped = True
-                best_est = i
-                break
-        # every agent downloads the merged state and re-freezes its target
-        # (undefined until every arm has a server observation)
-        if int(server.counts.min()) > 0:
-            new_target = mab.agent_target_mab(
-                server.mean_est, server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m
-            )
-            for m in range(m_agents):
-                downloads += 1
-                if targets[m] is not None and targets[m] != new_target:
-                    switches += 1
-                targets[m] = new_target
-
-    if not stopped:
-        best_est = int(np.argmax(server.mean_est)) + 1
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=init_comm,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-    )
-
-
-def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
-    cfg = config.resolved(instance.k_arms, instance.sigma)
-    k = instance.k_arms
-    dim = instance.dim
-    contexts = np.asarray(instance.contexts, dtype=float)
-    m_agents = cfg.n_agents
-    episode = config.episode_len
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
     lp_memo: dict = {}
 
-    server = lin.LinServerState(
-        cov=cfg.ridge * np.eye(dim),
-        resp=np.zeros(dim),
-        counts=np.zeros(k, dtype=np.int64),
-        counts_total=0,
-    )
-    pend_cov = [np.zeros((dim, dim)) for _ in range(m_agents)]
-    pend_resp = [np.zeros(dim) for _ in range(m_agents)]
-    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
-    targets: list[int | None] = [None] * m_agents
+    if linear:
+        contexts = np.asarray(instance.contexts, dtype=float)
+        dim = instance.dim
+        means = arm_means_linear(instance)
+        sample = sample_reward_linear
+        server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
+        pend_cov = np.zeros((m_agents, dim, dim))
+        pend_resp = np.zeros((m_agents, dim))
+        buffers = (pend_cov, pend_resp)
+    else:
+        means = instance.means
+        sample = sample_reward_mab
+        server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0)
+        pend_sums = np.zeros((m_agents, k))
+        buffers = (pend_sums,)
+    pend_counts = np.zeros((m_agents, k), dtype=np.int64)
+    target: int | None = None  # the common frozen target of every agent
     pulls = np.zeros(k, dtype=np.int64)
     tau = 0
     g = 0
@@ -185,29 +112,48 @@ def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
     best_est = 0
 
     while not stopped and tau + m_agents <= cfg.max_rounds:
-        g += 1
-        for m in range(m_agents):
-            if g <= warmup:
+        if g < warmup:
+            g += 1
+            for m in range(m_agents):
                 arm = ((g - 1) * m_agents + m) % k + 1
+                reward = sample(instance, arm, rng)
+                if linear:
+                    x = contexts[arm - 1]
+                    pend_cov[m] += np.outer(x, x)
+                    pend_resp[m] += reward * x
+                else:
+                    pend_sums[m, arm - 1] += reward
+                pend_counts[m, arm - 1] += 1
+                pulls[arm - 1] += 1
+            tau += m_agents
+        else:
+            rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, _MAX_BLOCK)
+            rewards = means[target - 1] + instance.sigma * rng.standard_normal((rounds, m_agents))
+            if linear:
+                x = contexts[target - 1]
+                # every agent's buffer has held the same x x^T terms since the last merge
+                pend_cov[:] = _fold(pend_cov[0], np.broadcast_to(np.outer(x, x), (rounds, dim, dim)))
+                pend_resp[:] = _fold(pend_resp, rewards[:, :, None] * x)
             else:
-                arm = targets[m]
-            x = contexts[arm - 1]
-            reward = sample_reward_linear(instance, arm, rng)
-            pend_cov[m] += np.outer(x, x)
-            pend_resp[m] += reward * x
-            pend_counts[m][arm - 1] += 1
-            pulls[arm - 1] += 1
-            tau += 1
+                pend_sums[:, target - 1] = _fold(pend_sums[:, target - 1], rewards)
+            pend_counts[:, target - 1] += rounds
+            pulls[target - 1] += rounds * m_agents
+            tau += rounds * m_agents
+            g += rounds
 
         at_sync = g % episode == 0
         at_init = g == warmup
         if not (at_sync or at_init):
             continue
         for m in range(m_agents):
-            server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m])
-            pend_cov[m][:] = 0.0
-            pend_resp[m][:] = 0.0
-            pend_counts[m][:] = 0
+            if linear:
+                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m])
+            else:
+                for a in np.flatnonzero(pend_counts[m]):
+                    n, total = int(pend_counts[m, a]), float(pend_sums[m, a])
+                    server = mab.server_merge_mab(server, a + 1, n, total)
+        for buf in (*buffers, pend_counts):
+            buf[:] = 0
         if at_sync:
             comm += 2 * m_agents
         else:
@@ -215,24 +161,41 @@ def _run_sync_linear(instance: LinearInstance, config: SyncConfig) -> RunResult:
         # no target is defined until every arm has a server observation
         if int(server.counts.min()) == 0:
             continue
-        stop = lin.stopping_linear(
-            server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-        )
-        if at_sync and g > warmup and stop.b <= cfg.epsilon:
+        # the warm-up boundary never stop-checks, even when it coincides with
+        # an episode boundary; this keeps episode_len=1, M=1 pull-for-pull
+        # identical to the single-agent baseline
+        check = at_sync and g > warmup
+        if linear:
+            stop = lin.stopping_linear(
+                server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
+            )
+            best, b = stop.i, stop.b
+        elif check:
+            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
+            best, _j, b = mab.breaking_index(server.mean_est, bon)
+        if check and b <= cfg.epsilon:
             stopped = True
-            best_est = stop.i
+            best_est = best
             break
-        new_target, fb, _q = lin.select_target(server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo)
-        fallbacks += int(fb)
-        for m in range(m_agents):
-            downloads += 1
-            if targets[m] is not None and targets[m] != new_target:
-                switches += 1
-            targets[m] = new_target
+        # every agent downloads the merged state and re-freezes its target
+        if linear:
+            new_target, fb, _q = lin.select_target(
+                server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo
+            )
+            fallbacks += int(fb)
+        else:
+            new_target = mab.agent_target_mab(
+                server.mean_est, server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m
+            )
+        downloads += m_agents
+        if target is not None and target != new_target:
+            switches += m_agents
+        target = new_target
 
-    if not stopped:
-        theta = lin.rls_estimate(server.cov, server.resp)
-        best_est = int(np.argmax(contexts @ theta)) + 1
+    if not stopped and linear:
+        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
+    elif not stopped:
+        best_est = int(np.argmax(server.mean_est)) + 1
     return RunResult(
         best_arm_est=best_est,
         best_arm_true=instance.best_arm(),

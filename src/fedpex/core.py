@@ -107,9 +107,10 @@ class LinearInstance:
             raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if np.linalg.norm(th) > 1 + _NORM_TOL:
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below
+            theta_norm, norms = np.linalg.norm(th), np.linalg.norm(ctx, axis=1)
+        if theta_norm > 1 + _NORM_TOL:
             raise ValueError("theta norm must be <= 1")
-        norms = np.linalg.norm(ctx, axis=1)
         if np.any(norms > 1 + _NORM_TOL):
             raise ValueError("every context norm must be <= 1")
         rewards = ctx @ th
@@ -161,6 +162,12 @@ def sample_reward_linear(inst: LinearInstance, arm: int, rng: Rng) -> float:
         raise IndexError(f"arm {arm} out of range 1..{inst.k_arms}")
     mean = float(inst.contexts[arm - 1] @ inst.theta)
     return mean + inst.sigma * rng.standard_normal()
+
+
+def arm_means_linear(inst: LinearInstance) -> list[float]:
+    """Every arm's mean exactly as sample_reward_linear computes it (one dot
+    product per row; `contexts @ theta` may round differently)."""
+    return [float(x @ inst.theta) for x in inst.contexts]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +401,8 @@ class RunResult:
 
 
 def _num(x: float) -> str:
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" parses as the integer 0
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -409,6 +417,14 @@ def instance_to_json(inst: Instance) -> str:
     )
 
 
+def _is_numbers(value, depth: int) -> bool:
+    """Whether a parsed JSON value is a number (depth 0) or an array of
+    depth-1 values; booleans and numeric strings are not numbers."""
+    if depth == 0:
+        return type(value) in (int, float)
+    return type(value) is list and all(_is_numbers(v, depth - 1) for v in value)
+
+
 def instance_from_json(text: str) -> Instance:
     """Parse an instance; a missing field or a malformed value is a ValueError."""
     obj = json.loads(text)
@@ -417,18 +433,23 @@ def instance_from_json(text: str) -> Instance:
     kind = obj.get("type")
     if kind not in ("mab", "linear"):
         raise ValueError(f"unknown instance type {kind!r}")
+    depths = {"means": 1, "sigma": 0} if kind == "mab" else {"dim": 0, "contexts": 2, "theta": 1, "sigma": 0}
+    for field, depth in depths.items():
+        if field not in obj:
+            raise ValueError(f"{kind} instance is missing field {field!r}")
+        if not _is_numbers(obj[field], depth):
+            shape = ("a number", "an array of numbers", "an array of number arrays")[depth]
+            raise ValueError(f"{kind} instance field {field!r} must be {shape}")
     try:
         if kind == "mab":
             return MabInstance(means=tuple(obj["means"]), sigma=obj["sigma"])
         contexts = np.array(obj["contexts"], dtype=float)
         if contexts.ndim != 2:
             raise ValueError("contexts must be a (K, d) matrix")
-        if contexts.shape[1] != int(obj["dim"]):
+        if contexts.shape[1] != obj["dim"]:
             raise ValueError("dim field does not match context width")
         return LinearInstance(contexts=contexts, theta=np.array(obj["theta"], dtype=float), sigma=obj["sigma"])
-    except KeyError as exc:
-        raise ValueError(f"{kind} instance is missing field {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"malformed {kind} instance: {exc}") from None
 
 

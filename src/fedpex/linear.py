@@ -87,11 +87,6 @@ def c_scalar(
     return math.sqrt(ridge) + coef * sigma * math.sqrt(dim * math.log((2.0 / delta) * inner))
 
 
-def bonus_linear(cov: np.ndarray, y: np.ndarray, c: float) -> float:
-    """Width ||y||_{cov^{-1}} * c of the gap estimate along direction y."""
-    return math.sqrt(linalg.quad_form_inv(cov, y)) * c
-
-
 def pair_widths(lower: np.ndarray, contexts: np.ndarray, i: int) -> np.ndarray:
     """||x_i - x_k||_{V^{-1}} for every arm k (0-based i), V = lower lower^T,
     from one triangular solve against the d x K difference matrix."""

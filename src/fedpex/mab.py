@@ -36,21 +36,13 @@ class MabServerState:
     counts_total: int
 
 
-def bonus_mab(t_k: int, t_sum: int, n_arms: int, delta: float, sigma: float, gamma_m: float) -> float:
-    """Confidence width of one arm's mean estimate.
+def bonuses_mab(counts: np.ndarray, t_sum: int, delta: float, sigma: float, gamma_m: float) -> np.ndarray:
+    """Confidence widths of every arm's mean estimate:
 
     sigma * sqrt( (2/t_k) * log( (4K/delta) * ((1+gamma_m) * t_sum)^2 ) )
     where t_k is the arm's count and t_sum the total count behind the
-    estimate; gamma_m is the trigger parameter times the agent count.
+    estimates; gamma_m is the trigger parameter times the agent count.
     """
-    if t_k <= 0:
-        raise ZeroDivisionError("bonus undefined before the arm's first pull")
-    arg = (4.0 * n_arms / delta) * ((1.0 + gamma_m) * t_sum) ** 2
-    return sigma * math.sqrt((2.0 / t_k) * math.log(arg))
-
-
-def bonuses_mab(counts: np.ndarray, t_sum: int, delta: float, sigma: float, gamma_m: float) -> np.ndarray:
-    """Vector of bonus_mab over all arms (shared log argument)."""
     n_arms = len(counts)
     arg = (4.0 * n_arms / delta) * ((1.0 + gamma_m) * t_sum) ** 2
     return sigma * np.sqrt((2.0 / counts) * math.log(arg))

@@ -23,6 +23,7 @@ from .core import (
     RunConfig,
     RunResult,
     Rng,
+    arm_means_linear,
     make_rng,
     sample_reward_linear,
     sample_reward_mab,
@@ -36,24 +37,42 @@ class ActivationSchedule:
     uniform-random draws from the run's rng; round-robin cycles 1..M.
     With one agent the choice is vacuous and consumes no randomness, which
     keeps single-agent reward streams aligned across harnesses.
+
+    The uniform draw replicates `int(rng.integers(M))` value for value and
+    word for word: for M < 2^32 numpy maps one `next_uint32` word w to
+    (w M) >> 32 and redraws while the low 32 bits of w M fall below
+    2^32 mod M (Lemire's nearly-divisionless rejection). Calling the bit
+    generator through its ctypes interface skips the Generator call.
     """
 
     def __init__(self, policy: str, n_agents: int):
         if policy not in ("uniform-random", "round-robin"):
             raise ValueError(f"unknown activation policy {policy!r}")
+        if policy == "uniform-random" and n_agents >= 1 << 32:
+            raise ValueError("uniform-random activation needs fewer than 2^32 agents")
         self.policy = policy
         self.n_agents = n_agents
         self._next = 0
+        self._threshold = ((1 << 32) - n_agents) % n_agents
+        self._rng = None
 
     def next_agent(self, rng: Rng) -> int:
         """0-based index of the active agent."""
-        if self.n_agents == 1:
+        m = self.n_agents
+        if m == 1:
             return 0
-        if self.policy == "uniform-random":
-            return int(rng.integers(self.n_agents))
-        m = self._next
-        self._next = (m + 1) % self.n_agents
-        return m
+        if self.policy == "round-robin":
+            a = self._next
+            self._next = (a + 1) % m
+            return a
+        if rng is not self._rng:  # holding rng keeps its state pointer valid
+            iface = rng.bit_generator.ctypes
+            self._rng, self._word, self._state = rng, iface.next_uint32, iface.state
+        prod = self._word(self._state) * m
+        if prod & 0xFFFFFFFF < m:
+            while prod & 0xFFFFFFFF < self._threshold:
+                prod = self._word(self._state) * m
+        return prod >> 32
 
 
 @dataclass(frozen=True)
@@ -143,16 +162,19 @@ def run_famabpe(
     switches = 0
     downloads = 0
     tau = k
-    schedule = ActivationSchedule(cfg.activation, m_agents)
+    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
+    # drivers pull only arms they chose: the draw is sample_reward_mab's
+    # without its range check
+    means, sigma, normal = instance.means, instance.sigma, rng.standard_normal
     stopped = False
     best_est = 0
 
     while not stopped and tau < cfg.max_rounds:
         tau += 1
-        m = schedule.next_agent(rng)
+        m = next_agent(rng)
         ag = agents[m]
         arm = ag.current_target
-        ag.pending_sum += sample_reward_mab(instance, arm, rng)
+        ag.pending_sum += means[arm - 1] + sigma * normal()
         ag.pending_total += 1
         pulls[arm - 1] += 1
 
@@ -273,7 +295,9 @@ def run_falinpe(
     switches = 0
     downloads = 0
     tau = k
-    schedule = ActivationSchedule(cfg.activation, m_agents)
+    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
+    # the draw is sample_reward_linear's, with each arm's mean computed once
+    means, sigma, normal = arm_means_linear(instance), instance.sigma, rng.standard_normal
     stopped = False
     best_est = 0
     if audit:
@@ -282,10 +306,10 @@ def run_falinpe(
 
     while not stopped and tau < cfg.max_rounds:
         tau += 1
-        m = schedule.next_agent(rng)
+        m = next_agent(rng)
         ag = agents[m]
         arm = ag.current_target
-        reward = sample_reward_linear(instance, arm, rng)
+        reward = means[arm - 1] + sigma * normal()
         ag.pending_cov += ag.target_outer
         ag.pending_resp += reward * ag.target_context
         ag.pending_counts[arm - 1] += 1

@@ -1,6 +1,7 @@
 """Instances, generators, reward sampling, config resolution, and JSON I/O."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,11 @@ class TestInstanceJson:
         assert np.array_equal(again.contexts, lin.contexts)
         assert np.array_equal(again.theta, lin.theta)
 
+    def test_negative_zero_keeps_its_sign(self):
+        inst = MabInstance(means=(1.0, -0.0), sigma=0.0)
+        again = instance_from_json(instance_to_json(inst))
+        assert math.copysign(1.0, again.means[1]) == -1.0 and again.sigma == 0.0
+
     def test_serialization_precision(self):
         inst = MabInstance(means=(1 / 3, 0.2), sigma=0.3)
         text = instance_to_json(inst)
@@ -286,6 +292,12 @@ class TestInstanceJson:
             '{"type":"mab","means":[1.0,0.5],"sigma":Infinity}',
             '{"type":"mab","means":[1.0,NaN],"sigma":0.1}',
             '[1, 2]',
+            # strings and booleans are not numbers, even where float() takes them
+            '{"type":"mab","means":"12","sigma":0.1}',
+            '{"type":"mab","means":[1.0,0.5],"sigma":false}',
+            '{"type":"mab","means":[1.0,"0.5"],"sigma":0.1}',
+            '{"type":"linear","dim":"2","contexts":[[1,0],[0,1]],"theta":[1,0],"sigma":0.1}',
+            '{"type":"linear","dim":2,"contexts":[[1,0],[0,1]],"theta":[true,0],"sigma":0.1}',
         ],
     )
     def test_wrong_shape_or_value_is_a_value_error(self, text):

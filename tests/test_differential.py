@@ -6,7 +6,10 @@ solves, the log-determinant trigger, per-arm width scoring, and the greedy
 rule that refactors cov + x x^T for every arm, on random SPD snapshots at
 d = 2, 5, 10. For famabpe: the driver with K-length pending arrays per
 agent, the exact rational trigger, the masked server merge, and a download
-that recomputes the target from the snapshot.
+that recomputes the target from the snapshot. For the pull path: drivers
+that draw every activation with `rng.integers` and every reward with
+`sample_reward_*`, one pull at a time, including the per-round synchronous
+loops that the block-drawn episodes replaced.
 """
 
 import math
@@ -16,19 +19,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fedpex import baselines
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
+    MabInstance,
     RunConfig,
     RunResult,
     gen_gap_instance_linear,
     gen_gap_instance_mab,
     make_rng,
+    sample_reward_linear,
     sample_reward_mab,
 )
 from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
 from fedpex.linalg import NotPositiveDefiniteError, cholesky, quad_form_inv, solve
-from fedpex.runner import ActivationSchedule, AuditRecord, mab_comm_bound, run_falinpe, run_famabpe
+from fedpex.runner import (
+    ActivationSchedule,
+    AuditRecord,
+    linear_comm_bound,
+    mab_comm_bound,
+    run_falinpe,
+    run_famabpe,
+)
 
 DIMS = (2, 5, 10)
 
@@ -460,6 +473,15 @@ def ref_merge_mab(server, pending_sums, pending_counts):
     return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()))
 
 
+def ref_next_agent(activation, m_agents, tau, k, rng):
+    """The active agent of round tau > K, drawn by the Generator itself."""
+    if m_agents == 1:
+        return 0
+    if activation == "uniform-random":
+        return int(rng.integers(m_agents))
+    return (tau - k - 1) % m_agents
+
+
 def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     """The famabpe driver with K-length pending arrays per agent."""
     cfg = config.resolved(instance.k_arms)
@@ -472,12 +494,11 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     pulls = np.ones(k, dtype=np.int64)
     comm = switches = downloads = 0
     tau = k
-    schedule = ActivationSchedule(cfg.activation, m_agents)
     stopped = False
     best_est = 0
     while not stopped and tau < cfg.max_rounds:
         tau += 1
-        m = schedule.next_agent(rng)
+        m = ref_next_agent(cfg.activation, m_agents, tau, k, rng)
         ag = agents[m]
         arm = ag.current_target
         ag.pending_sums[arm - 1] += sample_reward_mab(instance, arm, rng)
@@ -580,3 +601,356 @@ class TestIntegerTriggerLimit:
                 agent = mab.MabAgentState(np.zeros(1), np.zeros(1), total, 1, limit, pending_total=n)
                 assert mab.check_trigger_mab(agent) == ref_trigger_mab(total, n, gamma), (total, n)
             assert not ref_trigger_mab(total, limit, gamma) and ref_trigger_mab(total, limit + 1, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Activation: the Lemire replica against Generator.integers
+# ---------------------------------------------------------------------------
+
+
+class TestActivationReplica:
+    @pytest.mark.parametrize(
+        "m_agents",
+        # 2^31 + 1 redraws about half its words; 2^32 - 1 is the largest
+        # bound on numpy's 32-bit path
+        [2, 3, 7, 10, 100, 2**31 + 1, 2**32 - 1],
+    )
+    def test_same_values_and_stream_as_integers(self, m_agents):
+        schedule = ActivationSchedule("uniform-random", m_agents)
+        rng, ref = make_rng(m_agents % 1000), make_rng(m_agents % 1000)
+        for t in range(3000):
+            assert schedule.next_agent(rng) == int(ref.integers(m_agents)), t
+            if t % 3 == 0:
+                assert rng.standard_normal() == ref.standard_normal()
+            if t % 7 == 0:
+                assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_new_generator_is_followed(self):
+        schedule = ActivationSchedule("uniform-random", 5)
+        for seed in (1, 2, 1):
+            rng, ref = make_rng(seed), make_rng(seed)
+            assert [schedule.next_agent(rng) for _ in range(50)] == [int(ref.integers(5)) for _ in range(50)]
+
+    def test_bounds_numpy_draws_otherwise_are_refused(self):
+        for m_agents in (2**32, 2**40):
+            with pytest.raises(ValueError):
+                ActivationSchedule("uniform-random", m_agents)
+        ActivationSchedule("round-robin", 2**32)  # draws nothing
+
+
+# ---------------------------------------------------------------------------
+# falinpe: one sample_reward_linear call per pull
+# ---------------------------------------------------------------------------
+
+
+def ref_run_falinpe(instance, config, audit_log):
+    """The falinpe driver with one activation and one reward call per pull."""
+    cfg = config.resolved(instance.k_arms, instance.sigma)
+    k, dim, m_agents = instance.k_arms, instance.dim, cfg.n_agents
+    contexts = np.asarray(instance.contexts, dtype=float)
+    rng = make_rng(cfg.seed)
+    memo: dict = {}
+    init_rewards = np.array([sample_reward_linear(instance, a, rng) for a in range(1, k + 1)])
+    server, agents, fallbacks = lin.init_states_linear(
+        contexts, init_rewards, cfg.ridge, m_agents, dim, cfg.delta, instance.sigma,
+        cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo,
+    )
+    pulls = np.ones(k, dtype=np.int64)
+    comm = switches = downloads = 0
+    tau, stopped, best_est = k, False, 0
+    while not stopped and tau < cfg.max_rounds:
+        tau += 1
+        m = ref_next_agent(cfg.activation, m_agents, tau, k, rng)
+        ag = agents[m]
+        arm = ag.current_target
+        reward = sample_reward_linear(instance, arm, rng)
+        ag.pending_cov += ag.target_outer
+        ag.pending_resp += reward * ag.target_context
+        ag.pending_counts[arm - 1] += 1
+        ag.pending_total += 1
+        pulls[arm - 1] += 1
+        triggered = lin.check_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
+        b_value = None
+        if triggered:
+            comm += 1
+            server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, ag.pending_counts)
+            stop = lin.stopping_linear(
+                server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
+            )
+            b_value = stop.b
+            if stop.b <= cfg.epsilon:
+                stopped, best_est = True, stop.i
+            else:
+                comm += 1
+                downloads += 1
+                agents[m], fb = lin.download_linear(
+                    server, contexts, stop, cfg.arm_select, cfg.greedy_sense, memo
+                )
+                fallbacks += int(fb)
+                switches += agents[m].current_target != arm
+        audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+    if not stopped:
+        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
+    else:
+        assert comm <= linear_comm_bound(m_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, dim, tau)
+    return RunResult(
+        best_arm_est=best_est,
+        best_arm_true=instance.best_arm(),
+        correct=instance.gap(best_est) <= cfg.epsilon,
+        tau=tau,
+        comm_cost=comm,
+        init_comm=k + m_agents,
+        switch_cost=switches,
+        pulls_per_arm=tuple(int(x) for x in pulls),
+        terminated=stopped,
+        n_downloads=downloads,
+        lp_fallbacks=fallbacks,
+    )
+
+
+class TestFalinpeAgainstPerPullDraws:
+    @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_identical_results(self, m, activation):
+        inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(900 + m), sigma=0.2)
+        base = RunConfig(n_agents=m, seed=m, activation=activation, epsilon=0.05, max_rounds=20_000)
+        configs = [base, replace(base, arm_select="greedy", seed=m + 1), replace(base, max_rounds=40)]
+        results = []
+        for cfg in configs:
+            # the logged stop scores B compare every server state bit for bit
+            ref_log, log = [], []
+            want = ref_run_falinpe(inst, cfg, ref_log)
+            results.append(run_falinpe(inst, cfg, audit_log=log))
+            assert results[-1].to_json() == want.to_json()
+            assert log == ref_log
+        assert results[0].terminated and not results[-1].terminated
+
+
+# ---------------------------------------------------------------------------
+# Synchronous baselines: the per-round loops against block-drawn episodes
+# ---------------------------------------------------------------------------
+
+
+def ref_run_sync_mab(instance, config):
+    """The synchronous MAB loop with one sample_reward_mab call per pull."""
+    cfg = config.resolved(instance.k_arms)
+    k, m_agents, episode = instance.k_arms, cfg.n_agents, config.episode_len
+    gamma_m = float(cfg.gamma) * m_agents
+    rng = make_rng(cfg.seed)
+    warmup = math.ceil(k / m_agents)
+    server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0)
+    pend_sums = [np.zeros(k) for _ in range(m_agents)]
+    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
+    targets = [None] * m_agents
+    pulls = np.zeros(k, dtype=np.int64)
+    tau = g = comm = init_comm = switches = downloads = 0
+    stopped, best_est = False, 0
+    while not stopped and tau + m_agents <= cfg.max_rounds:
+        g += 1
+        for m in range(m_agents):
+            arm = ((g - 1) * m_agents + m) % k + 1 if g <= warmup else targets[m]
+            pend_sums[m][arm - 1] += sample_reward_mab(instance, arm, rng)
+            pend_counts[m][arm - 1] += 1
+            pulls[arm - 1] += 1
+            tau += 1
+        at_sync, at_init = g % episode == 0, g == warmup
+        if not (at_sync or at_init):
+            continue
+        for m in range(m_agents):
+            for a in np.flatnonzero(pend_counts[m]):
+                server = mab.server_merge_mab(server, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
+            pend_sums[m][:] = 0.0
+            pend_counts[m][:] = 0
+        if at_sync:
+            comm += 2 * m_agents
+        else:
+            init_comm += 2 * m_agents
+        if at_sync and g > warmup:
+            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
+            i, _j, b = mab.breaking_index(server.mean_est, bon)
+            if b <= cfg.epsilon:
+                stopped, best_est = True, i
+                break
+        if int(server.counts.min()) > 0:
+            new_target = mab.agent_target_mab(
+                server.mean_est, server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m
+            )
+            for m in range(m_agents):
+                downloads += 1
+                switches += targets[m] is not None and targets[m] != new_target
+                targets[m] = new_target
+    if not stopped:
+        best_est = int(np.argmax(server.mean_est)) + 1
+    return sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads)
+
+
+def ref_run_sync_linear(instance, config):
+    """The synchronous linear loop with one sample_reward_linear call per pull."""
+    cfg = config.resolved(instance.k_arms, instance.sigma)
+    k, dim, m_agents, episode = instance.k_arms, instance.dim, cfg.n_agents, config.episode_len
+    contexts = np.asarray(instance.contexts, dtype=float)
+    rng = make_rng(cfg.seed)
+    warmup = math.ceil(k / m_agents)
+    memo: dict = {}
+    server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
+    pend_cov = [np.zeros((dim, dim)) for _ in range(m_agents)]
+    pend_resp = [np.zeros(dim) for _ in range(m_agents)]
+    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
+    targets = [None] * m_agents
+    pulls = np.zeros(k, dtype=np.int64)
+    tau = g = comm = init_comm = switches = downloads = fallbacks = 0
+    stopped, best_est = False, 0
+    while not stopped and tau + m_agents <= cfg.max_rounds:
+        g += 1
+        for m in range(m_agents):
+            arm = ((g - 1) * m_agents + m) % k + 1 if g <= warmup else targets[m]
+            x = contexts[arm - 1]
+            reward = sample_reward_linear(instance, arm, rng)
+            pend_cov[m] += np.outer(x, x)
+            pend_resp[m] += reward * x
+            pend_counts[m][arm - 1] += 1
+            pulls[arm - 1] += 1
+            tau += 1
+        at_sync, at_init = g % episode == 0, g == warmup
+        if not (at_sync or at_init):
+            continue
+        for m in range(m_agents):
+            server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m])
+            pend_cov[m][:] = 0.0
+            pend_resp[m][:] = 0.0
+            pend_counts[m][:] = 0
+        if at_sync:
+            comm += 2 * m_agents
+        else:
+            init_comm += 2 * m_agents
+        if int(server.counts.min()) == 0:
+            continue
+        stop = lin.stopping_linear(
+            server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
+        )
+        if at_sync and g > warmup and stop.b <= cfg.epsilon:
+            stopped, best_est = True, stop.i
+            break
+        new_target, fb, _q = lin.select_target(server, contexts, stop, cfg.arm_select, cfg.greedy_sense, memo)
+        fallbacks += int(fb)
+        for m in range(m_agents):
+            downloads += 1
+            switches += targets[m] is not None and targets[m] != new_target
+            targets[m] = new_target
+    if not stopped:
+        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
+    return sync_result(
+        instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads, fallbacks
+    )
+
+
+def sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads, fb=0):
+    return RunResult(
+        best_arm_est=best_est,
+        best_arm_true=instance.best_arm(),
+        correct=instance.gap(best_est) <= cfg.epsilon,
+        tau=tau,
+        comm_cost=comm,
+        init_comm=init_comm,
+        switch_cost=switches,
+        pulls_per_arm=tuple(int(x) for x in pulls),
+        terminated=stopped,
+        n_downloads=downloads,
+        lp_fallbacks=fb,
+    )
+
+
+@pytest.fixture
+def server_states(monkeypatch):
+    """Logs the bytes of every server state the synchronous stop checks and
+    target choices see, so that a difference in the last bit of one reward
+    sum fails a comparison even where it changes no decision."""
+    log = []
+
+    def logged(name, original):
+        def wrapper(*args, **kwargs):
+            state = args[0]
+            arrays = (state.cov, state.resp, state.counts) if name == "stopping_linear" else args[:2]
+            log.append((name, tuple(a.tobytes() for a in arrays)))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((mab, "breaking_index"), (mab, "agent_target_mab"), (lin, "stopping_linear")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    return log
+
+
+def assert_same_sync(instance, config, states):
+    ref = ref_run_sync_mab if isinstance(instance, MabInstance) else ref_run_sync_linear
+    want = ref(instance, config)
+    ref_states = states[:]
+    states.clear()
+    got = run_synchronous(instance, config)
+    assert got.to_json() == want.to_json()
+    assert states == ref_states and states
+    states.clear()
+    return got
+
+
+EPISODES = (1, 3, 7, 100)
+SYNC_SHAPES = [(m, k, e) for m in (1, 3, 10) for k in (2, 5, 8) for e in EPISODES]
+
+
+class TestSyncAgainstPerRoundLoops:
+    @pytest.mark.parametrize("m,k,e", SYNC_SHAPES, ids=[f"M{m}-K{k}-E{e}" for m, k, e in SYNC_SHAPES])
+    def test_mab(self, m, k, e, server_states):
+        inst = gen_gap_instance_mab(k, 0.3, make_rng(1000 + 7 * m + k), sigma=0.3)
+        base = SyncConfig(n_agents=m, seed=m + k + e, episode_len=e, max_rounds=50_000)
+        results = [
+            assert_same_sync(inst, base, server_states),
+            assert_same_sync(inst, replace(base, seed=base.seed + 1, epsilon=0.1), server_states),
+            # noiseless: every reward is its arm's mean plus 0 * z
+            assert_same_sync(replace(inst, sigma=0.0), replace(base, epsilon=0.05), server_states),
+            # cut part-way into an episode (or the warm-up)
+            assert_same_sync(inst, replace(base, max_rounds=k + m * (e + e // 2 + 2) + 1), server_states),
+        ]
+        assert not results[-1].terminated and any(r.terminated for r in results)
+
+    @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("e", EPISODES)
+    def test_linear(self, e, m, arm_select, server_states):
+        inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1100 + m + e), sigma=0.2)
+        base = SyncConfig(n_agents=m, seed=m + e, episode_len=e, arm_select=arm_select, epsilon=0.05,
+                          max_rounds=20_000)
+        results = [
+            assert_same_sync(inst, base, server_states),
+            assert_same_sync(replace(inst, sigma=0.0), replace(base, seed=base.seed + 1), server_states),
+            assert_same_sync(inst, replace(base, max_rounds=5 + m * (e + e // 2 + 2) + 1), server_states),
+        ]
+        assert not results[-1].terminated and results[0].terminated
+
+    def test_warm_up_longer_than_an_episode(self, server_states):
+        # K=8, M=1: eight warm-up rounds span two episode boundaries of E=3
+        inst = gen_gap_instance_mab(8, 0.3, make_rng(1200), sigma=0.3)
+        for cap in (9, 10, 14, 50_000):
+            cfg = SyncConfig(n_agents=1, seed=2, episode_len=3, max_rounds=cap)
+            assert_same_sync(inst, cfg, server_states)
+        lin_inst = gen_gap_instance_linear(3, 8, 0.3, make_rng(1201), sigma=0.2)
+        assert_same_sync(lin_inst, SyncConfig(n_agents=1, seed=2, episode_len=3, epsilon=0.05), server_states)
+
+    def test_signed_zero_rewards(self, server_states):
+        # sigma = 0 with means of -0.0 and 0.0: rewards are -0.0 or 0.0 by the sign of z
+        inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2), sigma=0.0)
+        for e in (1, 3, 100):
+            cfg = SyncConfig(n_agents=3, seed=e, episode_len=e, epsilon=0.1)
+            assert_same_sync(inst, cfg, server_states)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_blocks_shorter_than_an_episode(self, block, monkeypatch, server_states):
+        monkeypatch.setattr(baselines, "_MAX_BLOCK", block)
+        mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1300), sigma=0.3)
+        lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1301), sigma=0.2)
+        for m, e in ((1, 7), (3, 100), (10, 12)):
+            assert_same_sync(mab_inst, SyncConfig(n_agents=m, seed=e, episode_len=e), server_states)
+            cut = SyncConfig(n_agents=m, seed=e, episode_len=e, max_rounds=5 + 2 * m * e)
+            assert_same_sync(mab_inst, cut, server_states)
+            lin_cfg = SyncConfig(n_agents=m, seed=e, episode_len=e, epsilon=0.05)
+            assert_same_sync(lin_inst, lin_cfg, server_states)

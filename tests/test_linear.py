@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedpex.linalg import quad_form_inv
+from fedpex.linalg import cholesky, quad_form_inv
 from fedpex.linear import (
     LinAgentState,
     LinServerState,
-    bonus_linear,
     c_scalar,
     check_trigger_hybrid,
+    pair_widths,
     rls_estimate,
     select_arm_greedy,
     select_pair_linear,
@@ -90,17 +90,23 @@ class TestCScalar:
         assert v == pytest.approx(6.123322415212311, abs=1e-12)
 
 
+def width(cov, y, c):
+    """c * ||y||_{cov^-1}: the width pair_widths gives arm 1 against arm 0 at x_0 - x_1 = y."""
+    contexts = np.vstack([y, np.zeros_like(y)])
+    return pair_widths(cholesky(np.asarray(cov, dtype=float)), contexts, 0)[1] * c
+
+
 class TestBonusLinear:
     def test_identity_cov(self):
-        assert bonus_linear(np.eye(2), np.array([3.0, 4.0]), 2.0) == pytest.approx(10.0)
+        assert width(np.eye(2), np.array([3.0, 4.0]), 2.0) == pytest.approx(10.0)
 
     def test_zero_direction(self):
-        assert bonus_linear(np.eye(2), np.zeros(2), 5.0) == 0.0
+        assert width(np.eye(2), np.zeros(2), 5.0) == 0.0
 
     def test_linear_in_radius(self):
         y = np.array([0.3, -0.7])
         cov = np.array([[2.0, 0.1], [0.1, 1.0]])
-        assert bonus_linear(cov, y, 4.0) == pytest.approx(2 * bonus_linear(cov, y, 2.0))
+        assert width(cov, y, 4.0) == pytest.approx(2 * width(cov, y, 2.0))
 
 
 class TestSelectPairLinear:

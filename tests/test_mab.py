@@ -1,6 +1,7 @@
 """MAB state-machine operations: bonus values, pair/arm selection, the
 count-ratio trigger, server merges, the breaking index, and downloads."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from fedpex.mab import (
     MabAgentState,
     MabServerState,
     agent_target_mab,
-    bonus_mab,
     bonuses_mab,
     breaking_index,
     check_trigger_mab,
@@ -38,35 +38,40 @@ def make_agent(counts, pending_total, gamma, mean_est=None, pending_sum=0.0, tar
     )
 
 
+def closed_form(t_k, t_sum, n_arms, delta, sigma, gamma_m):
+    """sigma * sqrt( (2/t_k) * log( (4K/delta) * ((1+gamma_m) * t_sum)^2 ) )"""
+    return sigma * math.sqrt((2.0 / t_k) * math.log((4.0 * n_arms / delta) * ((1.0 + gamma_m) * t_sum) ** 2))
+
+
 class TestBonus:
     def test_reference_value(self):
         # frozen from independent high-precision evaluation of the closed form:
         # argument = 400 * (1.1*5)^2 = 12100, ln = 9.40096, *2, sqrt, *0.3
-        v = bonus_mab(1, 5, 5, 0.05, 0.3, 0.1)
-        assert v == pytest.approx(1.3008354744875579, abs=1e-12)
-        assert v == pytest.approx(1.3009, abs=1e-3)
+        v = bonuses_mab(np.ones(5, dtype=np.int64), 5, 0.05, 0.3, 0.1)
+        assert v[0] == pytest.approx(1.3008354744875579, abs=1e-12)
+        assert v[0] == pytest.approx(1.3009, abs=1e-3)
 
     def test_quartering_count_halves_width(self):
-        lo = bonus_mab(4, 20, 5, 0.05, 0.3, 0.1)
-        hi = bonus_mab(1, 20, 5, 0.05, 0.3, 0.1)
+        lo, hi = bonuses_mab(np.array([4, 1, 5, 5, 5]), 20, 0.05, 0.3, 0.1)[:2]
         assert lo == pytest.approx(0.5 * hi, rel=1e-12)
 
     def test_decreasing_in_delta(self):
-        values = [bonus_mab(3, 30, 5, d, 0.3, 0.1) for d in (0.01, 0.05, 0.2, 0.5)]
+        counts = np.array([3, 3, 8, 8, 8])
+        values = [bonuses_mab(counts, 30, d, 0.3, 0.1)[0] for d in (0.01, 0.05, 0.2, 0.5)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            bonus_mab(0, 5, 5, 0.05, 0.3, 0.1)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            bonuses_mab(np.array([0, 1, 1, 1, 2]), 5, 0.05, 0.3, 0.1)
 
     def test_vectorized_matches_scalar(self):
         counts = np.array([1, 4, 9], dtype=np.int64)
         vec = bonuses_mab(counts, 14, 0.05, 0.3, 0.1)
         for k in range(3):
-            assert vec[k] == pytest.approx(bonus_mab(int(counts[k]), 14, 3, 0.05, 0.3, 0.1))
+            assert vec[k] == pytest.approx(closed_form(int(counts[k]), 14, 3, 0.05, 0.3, 0.1))
 
     def test_strictly_positive(self):
-        assert bonus_mab(1000, 5000, 2, 0.5, 0.1, 0.01) > 0.0
+        assert bonuses_mab(np.array([1000, 4000]), 5000, 0.5, 0.1, 0.01)[0] > 0.0
 
 
 class TestSelectPair:
