@@ -22,7 +22,7 @@ from .core import (
     save_instance,
 )
 from .design_lp import L1Solution, informative_arm_lp, solve_l1
-from .linalg import NotPositiveDefiniteError, cholesky, logdet, quad_form_inv, solve
+from .linalg import NotPositiveDefiniteError, cholesky, quad_form_inv, solve
 from .runner import (
     AuditError,
     AuditRecord,
@@ -55,7 +55,6 @@ __all__ = [
     "instance_to_json",
     "linear_comm_bound",
     "load_instance",
-    "logdet",
     "mab_comm_bound",
     "make_rng",
     "quad_form_inv",

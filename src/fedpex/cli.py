@@ -200,6 +200,7 @@ def cmd_run(args) -> int:
         print("error: --reps must be >= 1", file=sys.stderr)
         return 2
 
+    _make_config(args, args.seed_base)  # a bad config fails before the CSV is touched
     audit = _audit_enabled()
     new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     if not new_file:

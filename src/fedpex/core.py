@@ -311,6 +311,8 @@ class RunConfig:
             raise ValueError("greedy_sense must be 'min' or 'max'")
         if self.activation not in ("uniform-random", "round-robin"):
             raise ValueError("activation must be 'uniform-random' or 'round-robin'")
+        if self.activation == "uniform-random" and self.n_agents >= 1 << 32:
+            raise ValueError("uniform-random activation needs fewer than 2^32 agents")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
 

@@ -3,12 +3,12 @@ algorithm: regularized least squares, hybrid determinant+count trigger,
 ellipsoid bonuses, LP/greedy informative-arm selection, and stopping.
 
 An agent's snapshot is the (cov, resp, counts) triple last downloaded from
-the server; local buffers accumulate the outer products, responses and
-counts of pulls not yet uploaded. Snapshots freeze between downloads, so
-the informative-arm choice and the target's quadratic form x^T V^{-1} x
-(which puts the determinant trigger in closed form) happen once per
-download, from the pair and the Cholesky factor of the server covariance
-that the stop check of the same server state computed.
+the server, held by reference (merges allocate new arrays); local buffers
+accumulate the pulls not yet uploaded. Each server state is whitened once:
+its stop check factors cov = L L^T and solves Z = L^{-1} [X^T | resp], and
+the rewards, pair widths, greedy scores and the target's x^T cov^{-1} x
+(the closed-form determinant trigger) are all read from Z. So B can differ
+in its last bits from an evaluation by separate solves (see the README).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_l
 
 @dataclass
 class LinAgentState:
-    cov: np.ndarray  # ridge*I + downloaded outer products, d x d SPD, frozen until the next download
+    cov: np.ndarray  # downloaded server cov, held by reference and never written; d x d SPD
     resp: np.ndarray  # downloaded response vector, length d
     counts: np.ndarray  # downloaded per-arm counts, int64
     pending_cov: np.ndarray  # outer products not yet uploaded: n x x^T for n pulls of the target x
@@ -49,13 +49,13 @@ class LinServerState:
 
 
 class StopCheck(NamedTuple):
-    """A server state's pair (i, j) (1-based), stopping score B and Cholesky
-    factor of its covariance, which a download from that state reuses."""
+    """A server state's pair (i, j) (1-based), stopping score B and whitened
+    contexts zx = L^{-1} X^T (cov = L L^T), which its downloads reuse."""
 
     i: int
     j: int
     b: float
-    lower: np.ndarray
+    zx: np.ndarray
 
 
 def rls_estimate(cov: np.ndarray, resp: np.ndarray) -> np.ndarray:
@@ -87,55 +87,51 @@ def c_scalar(
     return math.sqrt(ridge) + coef * sigma * math.sqrt(dim * math.log((2.0 / delta) * inner))
 
 
-def pair_widths(lower: np.ndarray, contexts: np.ndarray, i: int) -> np.ndarray:
-    """||x_i - x_k||_{V^{-1}} for every arm k (0-based i), V = lower lower^T,
-    from one triangular solve against the d x K difference matrix."""
-    z = linalg.forward_sub(lower, (contexts[i] - contexts).T)
-    return np.sqrt(np.einsum("ij,ij->j", z, z))
+def pair_widths(zx: np.ndarray, i: int) -> np.ndarray:
+    """||x_i - x_k||_{V^{-1}} for every arm k (0-based i), as the norms of the
+    column differences of the whitened contexts zx = L^{-1} X^T, V = L L^T."""
+    diff = zx[:, i, None] - zx
+    return np.sqrt((diff * diff).sum(0))
 
 
-def _pair(rewards: np.ndarray, contexts: np.ndarray, lower: np.ndarray, c: float) -> tuple[int, int, float]:
+def _pair(rewards: np.ndarray, zx: np.ndarray, c: float) -> tuple[int, int, float]:
     """0-based empirical best arm i, challenger j and j's score."""
-    i = int(np.argmax(rewards))
-    scores = rewards - rewards[i] + pair_widths(lower, contexts, i) * c
+    i = int(rewards.argmax())
+    scores = rewards - rewards[i] + pair_widths(zx, i) * c
     scores[i] = -np.inf
-    j = int(np.argmax(scores))
+    j = int(scores.argmax())
     return i, j, float(scores[j])
 
 
-def select_pair_linear(
-    theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndarray, c: float, lower: np.ndarray | None = None
-) -> tuple[int, int]:
+def select_pair_linear(theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndarray, c: float) -> tuple[int, int]:
     """Empirical best arm i and most ambiguous challenger j (1-based).
 
     j maximizes (x_k - x_i).theta_hat + ||x_i - x_k||_{cov^{-1}} * c over
-    k != i; ties break to the lowest index. `lower` is the Cholesky factor
-    of cov when the caller already has it.
+    k != i; ties break to the lowest index.
     """
-    if lower is None:
-        lower = linalg.cholesky(cov)
-    i, j, _score = _pair(contexts @ theta_hat, contexts, lower, c)
+    zx = linalg.forward_sub(linalg.cholesky(cov), contexts.T)
+    i, j, _score = _pair(contexts @ theta_hat, zx, c)
     return i + 1, j + 1
 
 
 def select_arm_greedy(
-    cov: np.ndarray, contexts: np.ndarray, y: np.ndarray, sense: str = "min", lower: np.ndarray | None = None
+    cov: np.ndarray, contexts: np.ndarray, y: np.ndarray, sense: str = "min", whitened: tuple | None = None
 ) -> int:
     """Arm whose extra observation most shrinks y^T (cov + x x^T)^{-1} y.
 
     Every arm is scored at once by Sherman-Morrison,
-    y^T V^{-1} y - (x^T V^{-1} y)^2 / (1 + x^T V^{-1} x), from one triangular
-    solve against [y, X^T]. sense="min" picks the uncertainty-minimizing arm;
-    sense="max" keeps the literal maximizing form for comparison runs. Ties
-    break to the lowest index; y = 0 returns arm 1. `lower` is the Cholesky
-    factor of cov when the caller already has it.
+    y^T V^{-1} y - (x^T V^{-1} y)^2 / (1 + x^T V^{-1} x), from the whitened
+    zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T), which `whitened` holds when
+    the caller already has them. sense="min" picks the uncertainty-minimizing
+    arm; sense="max" keeps the literal maximizing form for comparison runs.
+    Ties break to the lowest index; y = 0 returns arm 1.
     """
-    if lower is None:
-        lower = linalg.cholesky(cov)
-    z = linalg.forward_sub(lower, np.column_stack((y, contexts.T)))
-    zy, zx = z[:, 0], z[:, 1:]
-    vals = zy @ zy - (zy @ zx) ** 2 / (1.0 + np.einsum("ij,ij->j", zx, zx))
-    best = int(np.argmin(vals)) if sense == "min" else int(np.argmax(vals))
+    if whitened is None:
+        z = linalg.forward_sub(linalg.cholesky(cov), np.column_stack((y, contexts.T)))
+        whitened = z[:, 0], z[:, 1:]
+    zy, zx = whitened
+    vals = zy @ zy - (zy @ zx) ** 2 / (1.0 + (zx * zx).sum(0))
+    best = int(vals.argmin()) if sense == "min" else int(vals.argmax())
     return best + 1
 
 
@@ -180,18 +176,19 @@ def stopping_linear(
     n_agents: int,
     c_override: float | None = None,
 ) -> StopCheck:
-    """Server-side pair (i, j), the stopping score B and the factor of cov.
+    """Server-side pair (i, j), the stopping score B and the whitened contexts.
 
     B = (x_j - x_i).theta_ser + ||x_i - x_j||_{cov^{-1}} * C_ser; the run
-    stops when B <= epsilon. c_override replaces the radius scalar (test hook).
+    stops when B <= epsilon. With Z = L^{-1} [X^T | resp], X theta_ser is
+    Z_x^T z_r. c_override replaces the radius scalar (test hook).
     """
-    lower = linalg.cholesky(server.cov)
-    theta = linalg.solve_factored(lower, server.resp)
+    z = linalg.forward_sub(linalg.cholesky(server.cov), np.concatenate((contexts, server.resp[None])).T)
+    zx = z[:, :-1]
     c = c_override
     if c is None:
         c = c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
-    i, j, b = _pair(contexts @ theta, contexts, lower, c)
-    return StopCheck(i + 1, j + 1, b, lower)
+    i, j, b = _pair(z[:, -1] @ zx, zx, c)
+    return StopCheck(i + 1, j + 1, b, zx)
 
 
 def choose_informative_arm(
@@ -202,7 +199,7 @@ def choose_informative_arm(
     j: int,
     arm_select: str,
     greedy_sense: str,
-    lower: np.ndarray | None = None,
+    zx: np.ndarray | None = None,
     lp_memo: dict | None = None,
 ) -> tuple[int, bool]:
     """Arm to pull for the pair (i, j); returns (arm, fell_back_to_greedy).
@@ -211,7 +208,8 @@ def choose_informative_arm(
     (duplicate contexts) or outside the span; both are impossible for
     generated instances but guarded so runs stay alive. The LP depends only
     on the contexts and (i, j), so a run passes one `lp_memo` dict that keeps
-    each pair's solution (None for a fallback) for the rest of the run.
+    each pair's solution (None for a fallback) for the rest of the run. `zx`
+    is the whitened contexts of agent_cov when the caller already has them.
     """
     y = contexts[i - 1] - contexts[j - 1]
     if arm_select == "lp":
@@ -225,8 +223,8 @@ def choose_informative_arm(
         sol = lp_memo[(i, j)]
         if sol is not None:
             return informative_arm_lp(agent_counts, sol.p), False
-        return select_arm_greedy(agent_cov, contexts, y, greedy_sense, lower), True
-    return select_arm_greedy(agent_cov, contexts, y, greedy_sense, lower), False
+    whitened = None if zx is None else (zx[:, i - 1] - zx[:, j - 1], zx)
+    return select_arm_greedy(agent_cov, contexts, y, greedy_sense, whitened), arm_select == "lp"
 
 
 def select_target(
@@ -237,25 +235,23 @@ def select_target(
     greedy_sense: str,
     lp_memo: dict | None = None,
 ) -> tuple[int, bool, float]:
-    """Target arm for a server state: (arm, fell_back_to_greedy, x^T cov^{-1} x).
-
-    `stop` is the state's stop check; its pair and Cholesky factor serve the
-    greedy scores and the target's quadratic form.
-    """
-    i, j, _b, lower = stop
+    """Target arm for a server state: (arm, fell_back_to_greedy, x^T cov^{-1} x),
+    read from its stop check's pair and whitened contexts without a solve."""
+    i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
-        server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, lower=lower, lp_memo=lp_memo
+        server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, zx=zx, lp_memo=lp_memo
     )
-    return target, fallback, linalg.quad_form_inv_factored(lower, contexts[target - 1])
+    z = zx[:, target - 1]
+    return target, fallback, float(z @ z)
 
 
 def _snapshot(server: LinServerState, contexts: np.ndarray, target: int, target_q: float) -> LinAgentState:
     dim = server.cov.shape[0]
     x = contexts[target - 1]
     return LinAgentState(
-        cov=server.cov.copy(),
-        resp=server.resp.copy(),
-        counts=server.counts.copy(),
+        cov=server.cov,
+        resp=server.resp,
+        counts=server.counts,
         pending_cov=np.zeros((dim, dim)),
         pending_resp=np.zeros(dim),
         pending_counts=np.zeros(len(server.counts), dtype=np.int64),
@@ -263,7 +259,7 @@ def _snapshot(server: LinServerState, contexts: np.ndarray, target: int, target_
         counts_total=server.counts_total,
         pending_total=0,
         target_context=x,
-        target_outer=np.outer(x, x),
+        target_outer=x[:, None] * x,
         target_q=target_q,
     )
 
@@ -299,7 +295,7 @@ def init_states_linear(
     """Post-initialization states after pulling each arm once.
 
     Every agent downloads the same server state, so the target is chosen
-    once and each agent gets its own copy of the snapshot. Returns (server,
+    once and each agent gets its own snapshot and buffers. Returns (server,
     agents, lp_fallbacks_during_seeding), one fallback per agent.
     """
     k = len(init_rewards)

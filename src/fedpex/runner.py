@@ -39,17 +39,16 @@ class ActivationSchedule:
     keeps single-agent reward streams aligned across harnesses.
 
     The uniform draw replicates `int(rng.integers(M))` value for value and
-    word for word: for M < 2^32 numpy maps one `next_uint32` word w to
-    (w M) >> 32 and redraws while the low 32 bits of w M fall below
-    2^32 mod M (Lemire's nearly-divisionless rejection). Calling the bit
-    generator through its ctypes interface skips the Generator call.
+    word for word: for M < 2^32 (RunConfig refuses more) numpy maps one
+    `next_uint32` word w to (w M) >> 32 and redraws while the low 32 bits of
+    w M fall below 2^32 mod M (Lemire's nearly-divisionless rejection).
+    Calling the bit generator through its ctypes interface skips the
+    Generator call.
     """
 
     def __init__(self, policy: str, n_agents: int):
         if policy not in ("uniform-random", "round-robin"):
             raise ValueError(f"unknown activation policy {policy!r}")
-        if policy == "uniform-random" and n_agents >= 1 << 32:
-            raise ValueError("uniform-random activation needs fewer than 2^32 agents")
         self.policy = policy
         self.n_agents = n_agents
         self._next = 0

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from fedpex import cli
 from fedpex.cli import CSV_COLUMNS, main
 
 
@@ -133,6 +134,23 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert proc.stdout == ""  # no run started
         assert out.read_text() == existing
+
+    @pytest.mark.parametrize("algo", ["famabpe", "ugapec-sync"])
+    def test_agents_beyond_the_activation_draw_exit_2(self, tmp_path, capsys, monkeypatch, algo):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",
+              "--out", str(inst)])
+        capsys.readouterr()
+        # 2^32 agents must never be built, also when the check regresses
+        monkeypatch.setattr(cli, "_dispatch", lambda *args: pytest.fail("a run was started"))
+        out = tmp_path / "res.csv"
+        code = main(["run", "--algo", algo, "--instance", str(inst), "--agents", "4294967296",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_incompatible_algo_instance_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"

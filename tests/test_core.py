@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fedpex.baselines import SyncConfig
 from fedpex.core import (
     LinearInstance,
     MabInstance,
@@ -163,6 +164,15 @@ class TestRunConfig:
             RunConfig(gamma=0.0)
         with pytest.raises(ValueError):
             RunConfig(arm_select="nope")
+
+    def test_uniform_activation_agent_limit(self):
+        # the uniform draw is defined for M < 2^32; the config refuses more
+        # agents, so no driver allocates their states first
+        RunConfig(n_agents=2**32 - 1)
+        RunConfig(n_agents=2**32, activation="round-robin")
+        for cls in (RunConfig, SyncConfig):
+            with pytest.raises(ValueError, match="2\\^32"):
+                cls(n_agents=2**32)
 
     def test_default_triggers_are_exact_fractions(self):
         cfg = RunConfig(n_agents=10).resolved(5)

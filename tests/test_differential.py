@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedpex import baselines
+from fedpex import baselines, linalg
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
@@ -33,7 +33,7 @@ from fedpex.core import (
     sample_reward_mab,
 )
 from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
-from fedpex.linalg import NotPositiveDefiniteError, cholesky, quad_form_inv, solve
+from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
     ActivationSchedule,
     AuditRecord,
@@ -270,10 +270,10 @@ class TestBatchedWidths:
         rng = np.random.default_rng(300 + d)
         for _ in range(30):
             cov, _resp, contexts = snapshot(rng, d)
-            lower = cholesky(cov)
+            zx = forward_sub(cholesky(cov), contexts.T)
             i = int(rng.integers(len(contexts)))
             want = [math.sqrt(quad_form_inv(cov, contexts[i] - x)) for x in contexts]
-            np.testing.assert_allclose(lin.pair_widths(lower, contexts, i), want, rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(lin.pair_widths(zx, i), want, rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_pair_and_stop_scores_match_loop(self, d):
@@ -426,6 +426,129 @@ class TestStopCheckReuse:
             syncs = res.comm_cost // (2 * 4)
             assert len(calls) == 1 + syncs  # the warm-up boundary, then one per sync
         assert res.terminated
+
+
+# ---------------------------------------------------------------------------
+# One forward solve per server state against the per-solve path
+# ---------------------------------------------------------------------------
+
+RTOL = 1e-12
+
+
+def close(got, want, scale):
+    """Agreement within RTOL of each value, or of `scale` for values near zero."""
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+def stop_at(cov, resp, contexts, c, counts=None):
+    counts = np.ones(len(contexts), dtype=np.int64) if counts is None else counts
+    server = lin.LinServerState(cov, resp, counts, int(counts.sum()))
+    d = len(resp)
+    return server, lin.stopping_linear(server, contexts, d, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
+
+
+class TestOneSolvePath:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_rewards_pair_and_b(self, d):
+        rng = np.random.default_rng(700 + d)
+        for _ in range(30):
+            cov, resp, contexts = snapshot(rng, d)
+            lower = ref_cholesky(cov)
+            want_zx = np.column_stack([ref_forward_sub(lower, x) for x in contexts])
+            rewards = contexts @ ref_solve(cov, resp)
+            # at c = 0, B is the reward gap of the two best arms
+            for c in (0.0, float(rng.uniform(0.0, 3.0))):
+                _server, stop = stop_at(cov, resp, contexts, c)
+                close(stop.zx, want_zx, np.abs(want_zx).max())
+                close(stop.zx.T @ ref_forward_sub(lower, resp), rewards, np.abs(rewards).max())
+                ri, rj, rb = ref_stopping(cov, resp, contexts, c)
+                assert (stop.i, stop.j) == (ri, rj)
+                widths = [math.sqrt(ref_quad_form_inv(cov, contexts[ri - 1] - x)) for x in contexts]
+                close(stop.b, rb, np.abs(rewards).max() + c * max(widths))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_pair_widths(self, d):
+        rng = np.random.default_rng(800 + d)
+        for _ in range(30):
+            cov, resp, contexts = snapshot(rng, d)
+            _server, stop = stop_at(cov, resp, contexts, 1.0)
+            i = int(rng.integers(len(contexts)))
+            want = np.array([math.sqrt(ref_quad_form_inv(cov, contexts[i] - x)) for x in contexts])
+            close(lin.pair_widths(stop.zx, i), want, want.max())
+            assert lin.pair_widths(stop.zx, i)[i] == 0.0
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_greedy_scores(self, d, sense):
+        rng = np.random.default_rng(900 + d)
+        pick = np.argmin if sense == "min" else np.argmax
+        for _ in range(30):
+            cov, resp, contexts = snapshot(rng, d)
+            _server, stop = stop_at(cov, resp, contexts, 1.0)
+            zx = stop.zx
+            a, b = rng.choice(len(contexts), size=2, replace=False)
+            y = contexts[a] - contexts[b]
+            got = lin.select_arm_greedy(cov, contexts, y, sense, (zx[:, a] - zx[:, b], zx))
+            assert got == ref_greedy(cov, contexts, y, sense)
+            vals = np.array([ref_quad_form_inv(cov + np.outer(x, x), y) for x in contexts])
+            close(vals[got - 1], vals[pick(vals)], vals.max())
+            # a zero direction scores every arm 0 and picks arm 1
+            zero = lin.select_arm_greedy(cov, contexts, np.zeros(d), sense, (zx[:, a] - zx[:, a], zx))
+            assert zero == 1 == ref_greedy(cov, contexts, np.zeros(d), sense)
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_duplicate_pair_falls_back_to_arm_1(self, sense):
+        rng = np.random.default_rng(11)
+        cov, resp, contexts = snapshot(rng, 5, k_arms=7)
+        contexts[5] = contexts[2]
+        _server, stop = stop_at(cov, resp, contexts, 1.0)
+        counts = np.ones(7, dtype=np.int64)
+        got = lin.choose_informative_arm(cov, counts, contexts, 3, 6, "lp", sense, zx=stop.zx, lp_memo={})
+        assert got == lin.choose_informative_arm(cov, counts, contexts, 3, 6, "lp", sense) == (1, True)
+
+    @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_target_q(self, d, arm_select):
+        rng = np.random.default_rng(1000 + d)
+        for _ in range(20):
+            cov, resp, contexts = snapshot(rng, d)
+            counts = rng.integers(1, 20, size=len(contexts))
+            server, stop = stop_at(cov, resp, contexts, float(rng.uniform(0.0, 3.0)), counts)
+            arm, fallback, q = lin.select_target(server, contexts, stop, arm_select, "min", {})
+            # the per-solve path: the greedy rule factors cov and solves again
+            want = lin.choose_informative_arm(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
+            assert (arm, fallback) == want
+            assert q == pytest.approx(ref_quad_form_inv(cov, contexts[arm - 1]), rel=RTOL)
+
+
+class TestGufuncsAgainstPublicCalls:
+    """numpy's LAPACK gufuncs, called directly, against the public calls that
+    replace them when numpy lacks the private module."""
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_bit_equal_factors_and_solves(self, d):
+        rng = np.random.default_rng(1100 + d)
+        for _ in range(20):
+            cov, resp, contexts = snapshot(rng, d)
+            lower = cholesky(cov)
+            assert lower.tobytes() == np.linalg.cholesky(cov).tobytes()
+            for b in (resp, contexts.T, np.concatenate((contexts, resp[None])).T):
+                assert forward_sub(lower, b).tobytes() == np.linalg.solve(lower, b).tobytes()
+                assert back_sub(lower, b).tobytes() == np.linalg.solve(lower.T, b).tobytes()
+
+    def test_runs_identical_on_the_fallback(self, monkeypatch):
+        inst = gen_gap_instance_linear(3, 4, 0.3, make_rng(43))
+
+        def go():
+            runs = [run_falinpe(inst, RunConfig(n_agents=4, seed=7, epsilon=0.05, arm_select=sel))
+                    for sel in ("lp", "greedy")]
+            runs.append(run_synchronous(inst, SyncConfig(n_agents=4, seed=7, epsilon=0.05, episode_len=5)))
+            return [r.to_json() for r in runs]
+
+        fast = go()
+        monkeypatch.setattr(linalg, "_cholesky_lo", np.linalg.cholesky)
+        monkeypatch.setattr(linalg, "_solve", np.linalg.solve)
+        assert go() == fast
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +756,11 @@ class TestActivationReplica:
             assert [schedule.next_agent(rng) for _ in range(50)] == [int(ref.integers(5)) for _ in range(50)]
 
     def test_bounds_numpy_draws_otherwise_are_refused(self):
+        # the config refuses them, before a driver builds any agent state
         for m_agents in (2**32, 2**40):
             with pytest.raises(ValueError):
-                ActivationSchedule("uniform-random", m_agents)
-        ActivationSchedule("round-robin", 2**32)  # draws nothing
+                RunConfig(n_agents=m_agents)
+        RunConfig(n_agents=2**32, activation="round-robin")  # draws nothing
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,28 @@
-"""SPD kernel tests: reconstruction/residual oracles and monotonicity laws.
+"""SPD kernel tests: reconstruction/residual oracles, monotonicity laws and
+the NotPositiveDefiniteError contract.
 
-numpy.linalg and a hand-rolled cofactor expansion serve as the independent
-oracles; the kernel itself never calls them.
+A hand-rolled cofactor expansion serves as the independent determinant
+oracle. The error contract is checked under both kernels the module can
+run on: numpy's LAPACK gufuncs and the public np.linalg fallback.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from fedpex import linalg
 from fedpex.linalg import (
     NotPositiveDefiniteError,
     cholesky,
-    logdet,
     quad_form_inv,
     solve,
 )
+
+
+def logdet(a):
+    """log det(A) from the diagonal of its Cholesky factor."""
+    return 2.0 * float(np.sum(np.log(np.diag(cholesky(a)))))
 
 
 def random_spd(rng, d, lam=0.5, n_vecs=None):
@@ -142,3 +151,66 @@ class TestQuadFormInv:
             before = quad_form_inv(a, y)
             after = quad_form_inv(a + np.outer(x, x), y)
             assert after <= before + 1e-10
+
+
+# The kernels cholesky can run on: numpy's LAPACK gufunc and the public call
+# that replaces it when numpy lacks the private module.
+KERNELS = {"gufunc": linalg._cholesky_lo, "public": np.linalg.cholesky}
+
+# 2^-48 has the exact square root 2^-24, so this diagonal's second pivot is
+# exactly 1e-14 * trace.
+_AT_PIVOT = 2.0**-48
+_AT_REST = _AT_PIVOT / 1e-14 - _AT_PIVOT
+
+
+class TestNotPositiveDefiniteContract:
+    """Every rejected matrix raises the documented error, with warnings as
+    errors and under a raising numpy errstate, and no factor is returned."""
+
+    @pytest.fixture(params=sorted(KERNELS))
+    def kernel(self, request, monkeypatch):
+        monkeypatch.setattr(linalg, "_cholesky_lo", KERNELS[request.param])
+        return request.param
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            -np.eye(3),
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.zeros((2, 2)),
+            np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.diag([1.0, np.nan]),
+            np.full((2, 2), np.nan),
+            np.diag([np.inf, 1.0]),
+            np.diag([1.0, 5e-15]),
+            np.diag([_AT_REST, _AT_PIVOT]),
+        ],
+        ids=[
+            "indefinite", "negative", "singular", "zero", "rank-one", "nan-offdiagonal",
+            "nan-diagonal", "all-nan", "inf", "pivot-below-threshold", "pivot-at-threshold",
+        ],
+    )
+    @pytest.mark.parametrize("fp_errors", ["warn", "raise"])
+    def test_raises_not_positive_definite(self, kernel, a, fp_errors):
+        with warnings.catch_warnings(), np.errstate(all=fp_errors):
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                cholesky(a)
+
+    def test_threshold_case_is_exact(self):
+        assert np.sqrt(_AT_PIVOT) ** 2 == _AT_PIVOT == 1e-14 * (_AT_REST + _AT_PIVOT)
+
+    def test_asymmetric_is_a_plain_value_error(self, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        assert type(info.value) is ValueError
+
+    def test_accepted_factor_is_finite(self, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower = cholesky(np.diag([1.0, 3e-14]))
+        assert np.isfinite(lower).all()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedpex.linalg import cholesky, quad_form_inv
+from fedpex.linalg import cholesky, forward_sub, quad_form_inv
 from fedpex.linear import (
     LinAgentState,
     LinServerState,
@@ -93,7 +93,8 @@ class TestCScalar:
 def width(cov, y, c):
     """c * ||y||_{cov^-1}: the width pair_widths gives arm 1 against arm 0 at x_0 - x_1 = y."""
     contexts = np.vstack([y, np.zeros_like(y)])
-    return pair_widths(cholesky(np.asarray(cov, dtype=float)), contexts, 0)[1] * c
+    zx = forward_sub(cholesky(np.asarray(cov, dtype=float)), contexts.T)
+    return pair_widths(zx, 0)[1] * c
 
 
 class TestBonusLinear:
