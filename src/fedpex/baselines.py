@@ -20,17 +20,8 @@ import numpy as np
 
 from . import linear as lin
 from . import mab
-from .core import (
-    LinearInstance,
-    MabInstance,
-    RunConfig,
-    RunResult,
-    arm_means_linear,
-    make_rng,
-    sample_reward_linear,
-    sample_reward_mab,
-)
-from .runner import run_falinpe, run_famabpe
+from .core import MabInstance, RunConfig, RunResult, make_rng, sample_reward_linear, sample_reward_mab
+from .runner import bandit_family, run_falinpe, run_famabpe
 
 
 @dataclass(frozen=True)
@@ -73,27 +64,22 @@ def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     """Synchronous baseline with full sharing every episode_len global rounds."""
-    linear = isinstance(instance, LinearInstance)
+    fam = bandit_family(instance, sync_config)
+    cfg, linear, means = fam.cfg, fam.linear, fam.means
     k = instance.k_arms
-    cfg = sync_config.resolved(k, instance.sigma) if linear else sync_config.resolved(k)
     m_agents = cfg.n_agents
     episode = cfg.episode_len
-    gamma_m = float(cfg.gamma) * m_agents
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
-    lp_memo: dict = {}
 
     if linear:
-        contexts = np.asarray(instance.contexts, dtype=float)
-        dim = instance.dim
-        means = arm_means_linear(instance)
+        contexts, dim = fam.contexts, instance.dim
         sample = sample_reward_linear
         server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
         pend_cov = np.zeros((m_agents, dim, dim))
         pend_resp = np.zeros((m_agents, dim))
         buffers = (pend_cov, pend_resp)
     else:
-        means = instance.means
         sample = sample_reward_mab
         server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0)
         pend_sums = np.zeros((m_agents, k))
@@ -101,17 +87,11 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     pend_counts = np.zeros((m_agents, k), dtype=np.int64)
     target: int | None = None  # the common frozen target of every agent
     pulls = np.zeros(k, dtype=np.int64)
-    tau = 0
-    g = 0
-    comm = 0
-    init_comm = 0
-    switches = 0
-    downloads = 0
-    fallbacks = 0
+    tau = g = synced = 0  # synced: the global round of the last merge
+    comm = init_comm = switches = downloads = fallbacks = 0
     stopped = False
-    best_est = 0
 
-    while not stopped and tau + m_agents <= cfg.max_rounds:
+    while tau + m_agents <= cfg.max_rounds:
         if g < warmup:
             g += 1
             for m in range(m_agents):
@@ -145,13 +125,14 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         at_init = g == warmup
         if not (at_sync or at_init):
             continue
+        # every agent pulled once per global round since the last merge
+        n, synced = g - synced, g
         for m in range(m_agents):
             if linear:
-                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m])
+                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m], n)
             else:
                 for a in np.flatnonzero(pend_counts[m]):
-                    n, total = int(pend_counts[m, a]), float(pend_sums[m, a])
-                    server = mab.server_merge_mab(server, a + 1, n, total)
+                    server = mab.server_merge_mab(server, a + 1, int(pend_counts[m, a]), float(pend_sums[m, a]))
         for buf in (*buffers, pend_counts):
             buf[:] = 0
         if at_sync:
@@ -164,38 +145,19 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         # the warm-up boundary never stop-checks, even when it coincides with
         # an episode boundary; this keeps episode_len=1, M=1 pull-for-pull
         # identical to the single-agent baseline
-        check = at_sync and g > warmup
-        if linear:
-            stop = lin.stopping_linear(
-                server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-            )
-            best, b = stop.i, stop.b
-        elif check:
-            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            best, _j, b = mab.breaking_index(server.mean_est, bon)
-        if check and b <= cfg.epsilon:
+        check = fam.stop(server) if at_sync and g > warmup else None
+        if check is not None and check[2] <= cfg.epsilon:
             stopped = True
-            best_est = best
             break
         # every agent downloads the merged state and re-freezes its target
-        if linear:
-            new_target, fb, _q = lin.select_target(
-                server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo
-            )
-            fallbacks += int(fb)
-        else:
-            new_target = mab.agent_target_mab(
-                server.mean_est, server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m
-            )
+        new_target, fallback = fam.target(server, check)
+        fallbacks += fallback
         downloads += m_agents
         if target is not None and target != new_target:
             switches += m_agents
         target = new_target
 
-    if not stopped and linear:
-        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
-    elif not stopped:
-        best_est = int(np.argmax(server.mean_est)) + 1
+    best_est = check[0] if stopped else fam.best_arm(server)
     return RunResult(
         best_arm_est=best_est,
         best_arm_true=instance.best_arm(),

@@ -2,13 +2,15 @@
 algorithm: regularized least squares, hybrid determinant+count trigger,
 ellipsoid bonuses, LP/greedy informative-arm selection, and stopping.
 
-An agent's snapshot is the (cov, resp, counts) triple last downloaded from
-the server, held by reference (merges allocate new arrays); local buffers
-accumulate the pulls not yet uploaded. Each server state is whitened once:
-its stop check factors cov = L L^T and solves Z = L^{-1} [X^T | resp], and
-the rewards, pair widths, greedy scores and the target's x^T cov^{-1} x
-(the closed-form determinant trigger) are all read from Z. So B can differ
-in its last bits from an evaluation by separate solves (see the README).
+An agent's snapshot is the (cov, counts) pair last downloaded from the
+server, held by reference (merges allocate new arrays); local buffers
+accumulate the pulls of its frozen target not yet uploaded, so the hybrid
+trigger is the integer test n > trigger_limit, the limit fixed at download.
+Each server state is whitened once: its stop check factors cov = L L^T and
+solves Z = L^{-1} [X^T | resp], and the rewards, pair widths, greedy scores
+and the target's x^T cov^{-1} x (the closed-form determinant trigger) are
+all read from Z. So B can differ in its last bits from an evaluation by
+separate solves (see the README).
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import numpy as np
 
 from . import linalg
 from .design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_lp, solve_l1
+from .mab import trigger_limit_mab
 
 
 @dataclass
 class LinAgentState:
     cov: np.ndarray  # downloaded server cov, held by reference and never written; d x d SPD
-    resp: np.ndarray  # downloaded response vector, length d
     counts: np.ndarray  # downloaded per-arm counts, int64
     pending_cov: np.ndarray  # outer products not yet uploaded: n x x^T for n pulls of the target x
     pending_resp: np.ndarray
@@ -38,6 +40,7 @@ class LinAgentState:
     target_context: np.ndarray  # context x of current_target
     target_outer: np.ndarray  # x x^T, added to pending_cov on every pull
     target_q: float  # x^T cov^{-1} x; det(cov + n x x^T) = det(cov) (1 + n target_q)
+    trigger_limit: int  # the upload fires once pending_total exceeds it
 
 
 @dataclass
@@ -152,15 +155,37 @@ def check_trigger_hybrid(agent: LinAgentState, gamma1, gamma2) -> bool:
     return agent.pending_total * agent.target_q > float(gamma1)
 
 
+def trigger_limit_linear(counts_total: int, q: float, gamma1, gamma2) -> int:
+    """Largest pending count n that fires neither rule of check_trigger_hybrid
+    for a downloaded total C and target_q = q. The count rule is the MAB
+    trigger's, quiet up to floor(gamma2 * C). Since fl(n*q) does not
+    decrease as n grows, the determinant rule is quiet up to the largest n
+    with fl(n*q) <= float(gamma1), found from int(gamma1/q) by steps of one.
+    The count limit alone applies when gamma1/q is infinite (q = 0 included)
+    or beyond it, or beyond 2^52 pulls, which no run reaches."""
+    limit = trigger_limit_mab(counts_total, gamma2)
+    g1 = float(gamma1)
+    ratio = g1 / q if q > 0.0 else math.inf
+    # ratio >= limit + 2 leaves fl(limit*q) <= g1 through the rounding of both
+    if ratio < min(limit, 1 << 52) + 2:
+        n = int(ratio)
+        while n * q > g1:
+            n -= 1
+        while (n + 1) * q <= g1:
+            n += 1
+        limit = min(limit, n)
+    return limit
+
+
 def server_merge_linear(
-    server: LinServerState, pending_cov: np.ndarray, pending_resp: np.ndarray, pending_counts: np.ndarray
+    server: LinServerState, pending_cov: np.ndarray, pending_resp: np.ndarray, pending_counts: np.ndarray, n: int
 ) -> LinServerState:
-    """Fold one agent's local matrices/vector/counts into the server state."""
+    """Fold one agent's local matrices/vector/counts (n pulls) into the server state."""
     return LinServerState(
         cov=server.cov + pending_cov,
         resp=server.resp + pending_resp,
         counts=server.counts + pending_counts,
-        counts_total=server.counts_total + int(pending_counts.sum()),
+        counts_total=server.counts_total + n,
     )
 
 
@@ -245,12 +270,13 @@ def select_target(
     return target, fallback, float(z @ z)
 
 
-def _snapshot(server: LinServerState, contexts: np.ndarray, target: int, target_q: float) -> LinAgentState:
+def _snapshot(
+    server: LinServerState, contexts: np.ndarray, target: int, target_q: float, gamma1, gamma2
+) -> LinAgentState:
     dim = server.cov.shape[0]
     x = contexts[target - 1]
     return LinAgentState(
         cov=server.cov,
-        resp=server.resp,
         counts=server.counts,
         pending_cov=np.zeros((dim, dim)),
         pending_resp=np.zeros(dim),
@@ -261,6 +287,7 @@ def _snapshot(server: LinServerState, contexts: np.ndarray, target: int, target_
         target_context=x,
         target_outer=x[:, None] * x,
         target_q=target_q,
+        trigger_limit=trigger_limit_linear(server.counts_total, target_q, gamma1, gamma2),
     )
 
 
@@ -268,31 +295,35 @@ def download_linear(
     server: LinServerState,
     contexts: np.ndarray,
     stop: StopCheck,
-    arm_select: str,
-    greedy_sense: str,
-    lp_memo: dict | None = None,
-) -> tuple[LinAgentState, bool]:
-    """An agent's fresh snapshot of `server`, whose stop check is `stop`:
-    buffers cleared, target recomputed from the stop check's pair."""
-    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
-    return _snapshot(server, contexts, target, q), fallback
-
-
-def init_states_linear(
-    contexts: np.ndarray,
-    init_rewards: np.ndarray,
-    ridge: float,
-    n_agents: int,
-    dim: int,
-    delta: float,
-    sigma: float,
     gamma1,
     gamma2,
     arm_select: str,
     greedy_sense: str,
     lp_memo: dict | None = None,
+) -> tuple[LinAgentState, bool]:
+    """An agent's fresh snapshot of `server`, whose stop check is `stop`:
+    buffers cleared, target recomputed from the stop check's pair, trigger
+    limit fixed."""
+    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
+    return _snapshot(server, contexts, target, q, gamma1, gamma2), fallback
+
+
+def init_states_linear(
+    init_rewards: np.ndarray,
+    contexts: np.ndarray,
+    dim: int,
+    delta: float,
+    sigma: float,
+    ridge: float,
+    gamma1,
+    gamma2,
+    n_agents: int,
+    arm_select: str,
+    greedy_sense: str,
+    lp_memo: dict | None = None,
 ) -> tuple[LinServerState, list[LinAgentState], int]:
-    """Post-initialization states after pulling each arm once.
+    """Post-initialization states after pulling each arm once (the arguments
+    after the rewards are stopping_linear's, then select_target's).
 
     Every agent downloads the same server state, so the target is chosen
     once and each agent gets its own snapshot and buffers. Returns (server,
@@ -308,5 +339,5 @@ def init_states_linear(
     server = LinServerState(cov=cov, resp=resp, counts=np.ones(k, dtype=np.int64), counts_total=k)
     stop = stopping_linear(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
     target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
-    agents = [_snapshot(server, contexts, target, q) for _ in range(n_agents)]
+    agents = [_snapshot(server, contexts, target, q, gamma1, gamma2) for _ in range(n_agents)]
     return server, agents, n_agents * int(fallback)

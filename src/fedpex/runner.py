@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg, mab
 from . import linear as lin
-from . import mab
 from .core import (
     LinearInstance,
     MabInstance,
@@ -104,30 +104,247 @@ def linear_comm_bound(n_agents: int, gamma1, gamma2, ridge: float, dim: int, tau
 
 
 # ---------------------------------------------------------------------------
-# FAMABPE
+# Bandit families: what the drivers need of each state machine
 # ---------------------------------------------------------------------------
 
 
-def _audit_mab(server, agents, true_pulls, gamma, delta, sigma, gamma_m):
-    # count conservation: server + pending buffers = every pull ever made
-    held = [int(c) for c in server.counts]
-    for ag in agents:
-        held[ag.current_target - 1] += ag.pending_total
-    if held != true_pulls:
-        raise AuditError(f"count conservation violated: {held} != {true_pulls}")
-    num, den = gamma.numerator, gamma.denominator
-    for idx, ag in enumerate(agents):
-        total = ag.counts_total
-        if total != int(ag.counts.sum()) or ag.trigger_limit != mab.trigger_limit_mab(total, gamma):
-            raise AuditError(f"agent {idx + 1} cached totals diverged")
-        # trigger negation by the exact rational rule, not by the cached limit
-        if (total + ag.pending_total) * den > (den + num) * total:
-            raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-        want = mab.agent_target_mab(ag.mean_est, ag.counts, ag.counts_total, delta, sigma, gamma_m)
-        if want != ag.current_target:
-            raise AuditError(f"agent {idx + 1} target not frozen: {ag.current_target} vs {want}")
-    if server.counts_total != int(server.counts.sum()):
-        raise AuditError("server cached total diverged")
+class MabFamily:
+    """famabpe's hooks for the drivers. They call the state machine through
+    the `mab` module, so that a function replaced there (by a tracer or a
+    test) is the one that runs."""
+
+    linear = False
+
+    def __init__(self, instance: MabInstance, config: RunConfig):
+        self.instance, self.means = instance, instance.means
+        self.cfg = cfg = config.resolved(instance.k_arms)
+        # the confidence widths' arguments after the counts and their total
+        self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
+
+    def init(self, rng: Rng):
+        """Server and agent states after one pull of every arm, and the fallback count."""
+        inst, cfg = self.instance, self.cfg
+        rewards = np.array([sample_reward_mab(inst, a, rng) for a in range(1, inst.k_arms + 1)])
+        return (*mab.init_states_mab(rewards, cfg.n_agents, cfg.delta, inst.sigma, cfg.gamma), 0)
+
+    def merge(self, server, ag):
+        return mab.server_merge_mab(server, ag.current_target, ag.pending_total, ag.pending_sum)
+
+    def stop(self, server):
+        """(i, j, B, bonuses) of a server state."""
+        bon = mab.bonuses_mab(server.counts, server.counts_total, *self.widths)
+        return (*mab.breaking_index(server.mean_est, bon), bon)
+
+    def download(self, server, check):
+        """A fresh agent state for `server`, and whether its target fell back."""
+        i, j, _b, bon = check
+        return mab.download_mab(server, bon, i, j, self.cfg.gamma), False
+
+    def target(self, server, check):
+        """The next common target of a synchronous run, from the snapshot alone, and no fallback."""
+        return mab.agent_target_mab(server.mean_est, server.counts, server.counts_total, *self.widths), False
+
+    def best_arm(self, server) -> int:
+        return int(np.argmax(server.mean_est)) + 1
+
+    def comm_bound(self, tau: int) -> float:
+        return mab_comm_bound(self.cfg.n_agents, self.cfg.gamma, tau)
+
+    def audit(self, server, agents, true_pulls, ag, reward):
+        # count conservation: server + pending buffers = every pull ever made
+        held = [int(c) for c in server.counts]
+        for a in agents:
+            held[a.current_target - 1] += a.pending_total
+        if held != true_pulls:
+            raise AuditError(f"count conservation violated: {held} != {true_pulls}")
+        gamma = self.cfg.gamma
+        num, den = gamma.numerator, gamma.denominator
+        for idx, a in enumerate(agents):
+            total = a.counts_total
+            if total != int(a.counts.sum()) or a.trigger_limit != mab.trigger_limit_mab(total, gamma):
+                raise AuditError(f"agent {idx + 1} cached totals diverged")
+            # trigger negation by the exact rational rule, not by the cached limit
+            if (total + a.pending_total) * den > (den + num) * total:
+                raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
+            want = mab.agent_target_mab(a.mean_est, a.counts, total, *self.widths)
+            if want != a.current_target:
+                raise AuditError(f"agent {idx + 1} target not frozen: {a.current_target} vs {want}")
+        if server.counts_total != int(server.counts.sum()):
+            raise AuditError("server cached total diverged")
+
+
+class LinearFamily:
+    """falinpe's hooks for the drivers (see MabFamily); a run's LP memo and,
+    for the audit, its global sums live here."""
+
+    linear = True
+
+    def __init__(self, instance: LinearInstance, config: RunConfig):
+        # each arm's mean is computed once, as sample_reward_linear computes it
+        self.instance, self.means = instance, arm_means_linear(instance)
+        self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma)
+        self.contexts = np.asarray(instance.contexts, dtype=float)
+        self.lp_memo: dict = {}
+        # the arguments of stopping_linear after the server state, and of
+        # select_target after the stop check
+        self.stop_args = (self.contexts, instance.dim, cfg.delta, instance.sigma, cfg.ridge)
+        self.stop_args += (cfg.gamma1, cfg.gamma2, cfg.n_agents)
+        self.select_args = (cfg.arm_select, cfg.greedy_sense, self.lp_memo)
+
+    def init(self, rng: Rng):
+        inst = self.instance
+        rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, inst.k_arms + 1)])
+        out = lin.init_states_linear(rewards, *self.stop_args, *self.select_args)
+        self.global_cov, self.global_resp = out[0].cov.copy(), out[0].resp.copy()
+        return out
+
+    def merge(self, server, ag):
+        return lin.server_merge_linear(
+            server, ag.pending_cov, ag.pending_resp, ag.pending_counts, ag.pending_total
+        )
+
+    def stop(self, server):
+        """The StopCheck (i, j, B, whitened contexts) of a server state."""
+        return lin.stopping_linear(server, *self.stop_args)
+
+    def download(self, server, check):
+        cfg = self.cfg
+        return lin.download_linear(server, self.contexts, check, cfg.gamma1, cfg.gamma2, *self.select_args)
+
+    def target(self, server, check):
+        check = self.stop(server) if check is None else check
+        return lin.select_target(server, self.contexts, check, *self.select_args)[:2]
+
+    def best_arm(self, server) -> int:
+        return int(np.argmax(self.contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
+
+    def comm_bound(self, tau: int) -> float:
+        cfg = self.cfg
+        return linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, self.instance.dim, tau)
+
+    def audit(self, server, agents, true_pulls, ag, reward):
+        """The invariants after a round in which `ag` pulled `reward`."""
+        self.global_cov += ag.target_outer
+        self.global_resp += reward * ag.target_context
+        cov_held = sum((a.pending_cov for a in agents), server.cov)
+        resp_held = sum((a.pending_resp for a in agents), server.resp)
+        counts_held = sum((a.pending_counts for a in agents), server.counts)
+        if np.abs(cov_held - self.global_cov).max() > 1e-9:
+            raise AuditError("covariance conservation violated")
+        if np.abs(resp_held - self.global_resp).max() > 1e-9:
+            raise AuditError("response conservation violated")
+        if not np.array_equal(counts_held, true_pulls):
+            raise AuditError("count conservation violated")
+        g1, g2 = self.cfg.gamma1, self.cfg.gamma2
+        for idx, a in enumerate(agents):
+            if a.counts_total != int(a.counts.sum()) or a.pending_total != int(a.pending_counts.sum()):
+                raise AuditError(f"agent {idx + 1} cached totals diverged")
+            if a.trigger_limit != lin.trigger_limit_linear(a.counts_total, a.target_q, g1, g2):
+                raise AuditError(f"agent {idx + 1} cached trigger limit diverged")
+            # trigger negation by the hybrid rule itself, not by the cached limit
+            if lin.check_trigger_hybrid(a, g1, g2):
+                raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
+            # the snapshot (and hence the frozen target derived from it) must not
+            # have drifted since the last download; the tolerance only absorbs
+            # the rounding of a second factorization of the same matrix
+            q = linalg.quad_form_inv(a.cov, a.target_context)
+            if abs(q - a.target_q) > 1e-12 * (1.0 + q):
+                raise AuditError(f"agent {idx + 1} snapshot changed between downloads")
+
+
+def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
+    """The family object of an instance, its config resolved against it."""
+    if isinstance(instance, LinearInstance):
+        return LinearFamily(instance, config)
+    return MabFamily(instance, config)
+
+
+# ---------------------------------------------------------------------------
+# The asynchronous driver (famabpe and falinpe)
+# ---------------------------------------------------------------------------
+
+
+def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool) -> RunResult:
+    """One asynchronous event-triggered run of either bandit family.
+
+    Each round the active agent pulls its frozen target, adds the reward to
+    its buffer inline and uploads once its pending count exceeds the
+    trigger limit fixed at its last download. The server merges, and the
+    run stops at B <= epsilon or the agent downloads the merged state.
+    """
+    inst, cfg = fam.instance, fam.cfg
+    k, m_agents = inst.k_arms, cfg.n_agents
+    rng = make_rng(cfg.seed)
+    # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
+    # an attribution that affects no statistic)
+    server, agents, fallbacks = fam.init(rng)
+    linear = fam.linear
+    pulls = [1] * k
+    comm = switches = downloads = 0
+    tau = k
+    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
+    # drivers pull only arms they chose: the draw is sample_reward_*'s
+    # without its range check
+    means, sigma, normal = fam.means, inst.sigma, rng.standard_normal
+    stopped = False
+
+    while not stopped and tau < cfg.max_rounds:
+        tau += 1
+        m = next_agent(rng)
+        ag = agents[m]
+        arm = ag.current_target
+        reward = means[arm - 1] + sigma * normal()
+        if linear:
+            ag.pending_cov += ag.target_outer
+            ag.pending_resp += reward * ag.target_context
+            ag.pending_counts[arm - 1] += 1
+        else:
+            ag.pending_sum += reward
+        ag.pending_total += 1
+        pulls[arm - 1] += 1
+
+        triggered = comm_every_round or ag.pending_total > ag.trigger_limit
+        b_value = None
+        if triggered:
+            comm += 1  # upload
+            server = fam.merge(server, ag)
+            check = fam.stop(server)
+            b_value = check[2]
+            if b_value <= cfg.epsilon:
+                stopped = True
+            else:
+                comm += 1  # download
+                downloads += 1
+                agents[m], fallback = fam.download(server, check)
+                fallbacks += fallback
+                if agents[m].current_target != arm:
+                    switches += 1
+
+        if audit and not stopped:
+            fam.audit(server, agents, pulls, ag, reward)
+        if audit_log is not None:
+            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+
+    best_est = check[0] if stopped else fam.best_arm(server)
+    # the cap governs the event-triggered protocol, not forced communication
+    if stopped and not comm_every_round:
+        bound = fam.comm_bound(tau)
+        if comm > bound:
+            raise AuditError(f"communication bound violated: {comm} > {bound:.3f}")
+
+    return RunResult(
+        best_arm_est=best_est,
+        best_arm_true=inst.best_arm(),
+        correct=inst.gap(best_est) <= cfg.epsilon,
+        tau=tau,
+        comm_cost=comm,
+        init_comm=k + m_agents,
+        switch_cost=switches,
+        pulls_per_arm=tuple(pulls),
+        terminated=stopped,
+        n_downloads=downloads,
+        lp_fallbacks=fallbacks,
+    )
 
 
 def run_famabpe(
@@ -144,116 +361,7 @@ def run_famabpe(
     Auditing validates conservation, trigger-negation and frozen-target
     invariants after every round and never changes the result.
     """
-    cfg = config.resolved(instance.k_arms)
-    k = instance.k_arms
-    m_agents = cfg.n_agents
-    gamma = cfg.gamma
-    gamma_m = float(gamma) * m_agents
-    rng = make_rng(cfg.seed)
-
-    # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
-    # an attribution that affects no statistic)
-    init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
-    server, agents = mab.init_states_mab(init_rewards, m_agents, cfg.delta, instance.sigma, gamma)
-    pulls = [1] * k
-    init_comm = k + m_agents
-    comm = 0
-    switches = 0
-    downloads = 0
-    tau = k
-    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
-    # drivers pull only arms they chose: the draw is sample_reward_mab's
-    # without its range check
-    means, sigma, normal = instance.means, instance.sigma, rng.standard_normal
-    stopped = False
-    best_est = 0
-
-    while not stopped and tau < cfg.max_rounds:
-        tau += 1
-        m = next_agent(rng)
-        ag = agents[m]
-        arm = ag.current_target
-        ag.pending_sum += means[arm - 1] + sigma * normal()
-        ag.pending_total += 1
-        pulls[arm - 1] += 1
-
-        triggered = comm_every_round or mab.check_trigger_mab(ag)
-        b_value = None
-        if triggered:
-            comm += 1  # upload
-            server = mab.server_merge_mab(server, arm, ag.pending_total, ag.pending_sum)
-            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, j, b_value = mab.breaking_index(server.mean_est, bon)
-            if b_value <= cfg.epsilon:
-                stopped = True
-                best_est = i
-            else:
-                comm += 1  # download
-                downloads += 1
-                agents[m] = mab.download_mab(server, bon, i, j, gamma)
-                if agents[m].current_target != arm:
-                    switches += 1
-
-        if audit and not stopped:
-            _audit_mab(server, agents, pulls, gamma, cfg.delta, instance.sigma, gamma_m)
-        if audit_log is not None:
-            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
-
-    if not stopped:
-        best_est = int(np.argmax(server.mean_est)) + 1
-    # the cap governs the event-triggered protocol, not forced communication
-    if stopped and not comm_every_round:
-        bound = mab_comm_bound(m_agents, gamma, tau)
-        if comm > bound:
-            raise AuditError(f"communication bound violated: {comm} > {bound:.3f}")
-
-    true_best = instance.best_arm()
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=true_best,
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=init_comm,
-        switch_cost=switches,
-        pulls_per_arm=tuple(pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-    )
-
-
-# ---------------------------------------------------------------------------
-# FALinPE
-# ---------------------------------------------------------------------------
-
-
-def _audit_linear(server, agents, global_cov, global_resp, true_pulls, cfg):
-    from . import linalg
-
-    cov_held = server.cov.copy()
-    resp_held = server.resp.copy()
-    counts_held = server.counts.copy()
-    for ag in agents:
-        cov_held = cov_held + ag.pending_cov
-        resp_held = resp_held + ag.pending_resp
-        counts_held = counts_held + ag.pending_counts
-    if np.abs(cov_held - global_cov).max() > 1e-9:
-        raise AuditError("covariance conservation violated")
-    if np.abs(resp_held - global_resp).max() > 1e-9:
-        raise AuditError("response conservation violated")
-    if not np.array_equal(counts_held, true_pulls):
-        raise AuditError("count conservation violated")
-    for idx, ag in enumerate(agents):
-        if ag.counts_total != int(ag.counts.sum()) or ag.pending_total != int(ag.pending_counts.sum()):
-            raise AuditError(f"agent {idx + 1} cached totals diverged")
-        if lin.check_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2):
-            raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-        # the snapshot (and hence the frozen target derived from it) must not
-        # have drifted since the last download; the tolerance only absorbs
-        # the rounding of a second factorization of the same matrix
-        q = linalg.quad_form_inv(ag.cov, ag.target_context)
-        if abs(q - ag.target_q) > 1e-12 * (1.0 + q):
-            raise AuditError(f"agent {idx + 1} snapshot changed between downloads")
+    return _run_async(MabFamily(instance, config), audit, audit_log, comm_every_round)
 
 
 def run_falinpe(
@@ -265,115 +373,7 @@ def run_falinpe(
     comm_every_round: bool = False,
 ) -> RunResult:
     """One full asynchronous federated linear pure-exploration run."""
-    cfg = config.resolved(instance.k_arms, instance.sigma)
-    k = instance.k_arms
-    dim = instance.dim
-    contexts = np.asarray(instance.contexts, dtype=float)
-    m_agents = cfg.n_agents
-    rng = make_rng(cfg.seed)
-    lp_memo: dict = {}
-
-    init_rewards = np.array([sample_reward_linear(instance, a, rng) for a in range(1, k + 1)])
-    server, agents, fallbacks = lin.init_states_linear(
-        contexts,
-        init_rewards,
-        cfg.ridge,
-        m_agents,
-        dim,
-        cfg.delta,
-        instance.sigma,
-        cfg.gamma1,
-        cfg.gamma2,
-        cfg.arm_select,
-        cfg.greedy_sense,
-        lp_memo,
-    )
-    pulls = np.ones(k, dtype=np.int64)
-    init_comm = k + m_agents
-    comm = 0
-    switches = 0
-    downloads = 0
-    tau = k
-    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
-    # the draw is sample_reward_linear's, with each arm's mean computed once
-    means, sigma, normal = arm_means_linear(instance), instance.sigma, rng.standard_normal
-    stopped = False
-    best_est = 0
-    if audit:
-        global_cov = server.cov.copy()
-        global_resp = server.resp.copy()
-
-    while not stopped and tau < cfg.max_rounds:
-        tau += 1
-        m = next_agent(rng)
-        ag = agents[m]
-        arm = ag.current_target
-        reward = means[arm - 1] + sigma * normal()
-        ag.pending_cov += ag.target_outer
-        ag.pending_resp += reward * ag.target_context
-        ag.pending_counts[arm - 1] += 1
-        ag.pending_total += 1
-        pulls[arm - 1] += 1
-        if audit:
-            global_cov += ag.target_outer
-            global_resp += reward * ag.target_context
-
-        triggered = comm_every_round or lin.check_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
-        b_value = None
-        if triggered:
-            comm += 1
-            server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, ag.pending_counts)
-            stop = lin.stopping_linear(
-                server,
-                contexts,
-                dim,
-                cfg.delta,
-                instance.sigma,
-                cfg.ridge,
-                cfg.gamma1,
-                cfg.gamma2,
-                m_agents,
-            )
-            b_value = stop.b
-            if b_value <= cfg.epsilon:
-                stopped = True
-                best_est = stop.i
-            else:
-                comm += 1
-                downloads += 1
-                agents[m], fb = lin.download_linear(
-                    server, contexts, stop, cfg.arm_select, cfg.greedy_sense, lp_memo
-                )
-                fallbacks += int(fb)
-                if agents[m].current_target != arm:
-                    switches += 1
-
-        if audit and not stopped:
-            _audit_linear(server, agents, global_cov, global_resp, pulls, cfg)
-        if audit_log is not None:
-            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
-
-    if not stopped:
-        theta = lin.rls_estimate(server.cov, server.resp)
-        best_est = int(np.argmax(contexts @ theta)) + 1
-    if stopped and not comm_every_round:
-        bound = linear_comm_bound(m_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, dim, tau)
-        if comm > bound:
-            raise AuditError(f"communication bound violated: {comm} > {bound:.3f}")
-
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=init_comm,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-        lp_fallbacks=fallbacks,
-    )
+    return _run_async(LinearFamily(instance, config), audit, audit_log, comm_every_round)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +392,25 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
     at eps = 0.
     """
     eps = config.epsilon
-    report: dict = {"epsilon": eps}
-    if isinstance(instance, MabInstance):
-        cfg = config.resolved(instance.k_arms)
-        gaps = [instance.gap(a) for a in range(1, instance.k_arms + 1)]
-        report["type"] = "mab"
-        report["per_arm_gaps"] = gaps
+    fam = bandit_family(instance, config)
+    k = instance.k_arms
+    gaps = [instance.gap(a) for a in range(1, k + 1)]
+    report: dict = {"epsilon": eps, "type": "linear" if fam.linear else "mab", "per_arm_gaps": gaps}
+    if fam.linear:
+        contexts = fam.contexts
+        best_per_arm = np.zeros(k)
+        for i in range(k):
+            for j in range(k):
+                y = contexts[i] - contexts[j]
+                if np.abs(y).max() == 0.0:
+                    continue
+                sol = solve_l1(contexts, y)
+                denom = max((gaps[i] + eps) / 3.0, (gaps[j] + eps) / 3.0, eps)
+                contrib = sol.rho * sol.p / denom**2
+                best_per_arm = np.maximum(best_per_arm, contrib)
+        report["complexity"] = float(best_per_arm.sum())
+        report["epsilon_zero_flag"] = False
+    else:
         terms = []
         infinite = False
         for g in gaps:
@@ -408,30 +421,6 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
             terms.append(instance.sigma**2 / denom**2)
         report["complexity"] = math.inf if infinite else float(sum(terms))
         report["epsilon_zero_flag"] = infinite
-        if tau is not None:
-            report["comm_bound"] = mab_comm_bound(cfg.n_agents, cfg.gamma, tau)
-        return report
-
-    cfg = config.resolved(instance.k_arms, instance.sigma)
-    contexts = np.asarray(instance.contexts, dtype=float)
-    k = instance.k_arms
-    gaps = [instance.gap(a) for a in range(1, k + 1)]
-    report["type"] = "linear"
-    report["per_arm_gaps"] = gaps
-    best_per_arm = np.zeros(k)
-    for i in range(k):
-        for j in range(k):
-            y = contexts[i] - contexts[j]
-            if np.abs(y).max() == 0.0:
-                continue
-            sol = solve_l1(contexts, y)
-            denom = max((gaps[i] + eps) / 3.0, (gaps[j] + eps) / 3.0, eps)
-            contrib = sol.rho * sol.p / denom**2
-            best_per_arm = np.maximum(best_per_arm, contrib)
-    report["complexity"] = float(best_per_arm.sum())
-    report["epsilon_zero_flag"] = False
     if tau is not None:
-        report["comm_bound"] = linear_comm_bound(
-            cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, instance.dim, tau
-        )
+        report["comm_bound"] = fam.comm_bound(tau)
     return report

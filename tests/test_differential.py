@@ -4,7 +4,8 @@ The reference functions below are the former implementations, kept here
 only as oracles. For the linear layers: the loop Cholesky and triangular
 solves, the log-determinant trigger, per-arm width scoring, and the greedy
 rule that refactors cov + x x^T for every arm, on random SPD snapshots at
-d = 2, 5, 10. For famabpe: the driver with K-length pending arrays per
+d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
+fixed at download. For famabpe: the driver with K-length pending arrays per
 agent, the exact rational trigger, the masked server merge, and a download
 that recomputes the target from the snapshot. For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
@@ -15,6 +16,7 @@ loops that the block-drawn episodes replaced.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,7 +161,6 @@ def snapshot(rng, d, k_arms=None):
 def agent_at(cov, x, counts_total, n):
     return lin.LinAgentState(
         cov=cov,
-        resp=np.zeros(len(x)),
         counts=np.array([counts_total], dtype=np.int64),
         pending_cov=n * np.outer(x, x),
         pending_resp=np.zeros(len(x)),
@@ -170,6 +171,7 @@ def agent_at(cov, x, counts_total, n):
         target_context=x,
         target_outer=np.outer(x, x),
         target_q=quad_form_inv(cov, x),
+        trigger_limit=-1,  # check_trigger_hybrid, the rule under test, does not read it
     )
 
 
@@ -262,6 +264,92 @@ class TestClosedFormTrigger:
         for total, n, g2 in [(100, 1, Fraction(1, 200)), (100, 1, Fraction(1, 50)), (7, 7, 1.0), (7, 8, 1.0)]:
             agent = agent_at(cov, contexts[0], total, n)
             assert lin.check_trigger_hybrid(agent, 1e9, g2) == ref_trigger(agent, 1e9, g2)
+
+
+def limit_agrees(counts_total, q, gamma1, gamma2):
+    """trigger_limit_linear against check_trigger_hybrid at every pending
+    count from limit - 3 to limit + 3; returns the limit."""
+    limit = lin.trigger_limit_linear(counts_total, q, gamma1, gamma2)
+    agent = SimpleNamespace(counts_total=counts_total, pending_total=0, target_q=q)
+    for n in range(max(0, limit - 3), limit + 4):
+        agent.pending_total = n
+        fired = lin.check_trigger_hybrid(agent, gamma1, gamma2)
+        assert fired == (n > limit), (counts_total, q, gamma1, gamma2, n)
+    return limit
+
+
+def count_limit(counts_total, gamma2):
+    g = Fraction(gamma2)
+    return g.numerator * counts_total // g.denominator
+
+
+class TestTriggerLimitLinear:
+    def test_random_cases(self):
+        rng = np.random.default_rng(1400)
+        binds = {"count": 0, "det": 0}
+        for case in range(12_000):
+            total = int(10 ** rng.uniform(0, 7))
+            if case % 3 == 0:
+                gamma2 = Fraction(1, int(rng.integers(1, 2_000)))
+            elif case % 3 == 1:
+                gamma2 = float(10 ** rng.uniform(-4, 0.5))
+            else:
+                gamma2 = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 5_000)))
+            m = int(rng.integers(1, 40))
+            gamma1 = Fraction(1, m * m) if case % 2 else float(10 ** rng.uniform(-4, 1))
+            # the determinant limit gamma1/q lands within a factor 100 of the count limit
+            q = float(gamma1) / (max(count_limit(total, gamma2), 1) * 10 ** rng.uniform(-2, 2))
+            limit = limit_agrees(total, q, gamma1, gamma2)
+            binds["count" if limit == count_limit(total, gamma2) else "det"] += 1
+        assert min(binds.values()) > 2_000, binds
+
+    def test_ratio_near_the_count_limit(self):
+        # gamma1/q at the count limit L (within two ulps of q, where
+        # fl(gamma1/q) >= L can come with fl(L q) > gamma1) or a few units off it
+        rng = np.random.default_rng(1401)
+        for _ in range(2_000):
+            total = int(rng.integers(1, 10**6))
+            gamma2 = Fraction(1, int(rng.integers(1, 100)))
+            gamma1 = float(10 ** rng.uniform(-3, 1))
+            limit = count_limit(total, gamma2)
+            for target in (limit, limit + float(rng.uniform(-3, 3))):
+                if target <= 0:
+                    continue
+                q = gamma1 / target
+                below, above = math.nextafter(q, 0.0), math.nextafter(q, math.inf)
+                for qq in (math.nextafter(below, 0.0), below, q, above, math.nextafter(above, math.inf)):
+                    limit_agrees(total, qq, gamma1, gamma2)
+
+    def test_exact_products(self):
+        # gamma1 == fl(n q) keeps n quiet, one ulp below fires at n; int(gamma1/q)
+        # then often needs a step down or up (the count limit is far off)
+        rng = np.random.default_rng(1402)
+        for _ in range(2_000):
+            q = float(10 ** rng.uniform(-6, 0))
+            n = int(rng.integers(1, 10**5))
+            below, above = math.nextafter(n * q, 0.0), math.nextafter(n * q, math.inf)
+            assert limit_agrees(10**6, q, n * q, Fraction(10**9)) >= n
+            assert limit_agrees(10**6, q, below, Fraction(10**9)) < n
+            limit_agrees(10**6, q, above, 1e9)
+        assert limit_agrees(10**6, 0.25, 1.0, 1e9) == 4
+        assert 3 * 0.1 == 0.30000000000000004
+        assert limit_agrees(10**6, 0.1, 0.30000000000000004, 1e9) == 3
+
+    def test_edge_cases(self):
+        for gamma2 in (Fraction(1, 50), 0.02, 1e9):
+            want = count_limit(100, gamma2)
+            # a zero context: the determinant rule never fires
+            assert limit_agrees(100, 0.0, 0.01, gamma2) == want
+            # subnormal q: gamma1/q overflows to inf, or is finite and huge
+            assert 0.01 / 5e-324 == math.inf
+            assert limit_agrees(100, 5e-324, 0.01, gamma2) == want
+            assert limit_agrees(100, 1e-310, 0.01, gamma2) == want
+        # the count limit binds before the determinant limit, and the reverse
+        assert limit_agrees(100, 1e-3, 1.0, Fraction(1, 50)) == 2
+        assert limit_agrees(100, 1e-3, Fraction(1, 100), Fraction(1, 2)) == 10
+        assert limit_agrees(10**6, 0.01, 0.05, 0.5) == 5
+        # a count limit beyond 2^52 pulls
+        assert limit_agrees(10**7, 1e-20, 1.0, 1e9) == count_limit(10**7, 1e9)
 
 
 class TestBatchedWidths:
@@ -662,12 +750,16 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     )
 
 
-def assert_same_famabpe(instance, config, audit=False, comm_every_round=False):
+def assert_same_famabpe(instance, config, states, audit=False, comm_every_round=False):
     ref_log, log = [], []
     want = ref_run_famabpe(instance, config, ref_log, comm_every_round)
+    ref_states = stop_checks(states)
+    states.clear()
     got = run_famabpe(instance, config, audit=audit, audit_log=log, comm_every_round=comm_every_round)
     assert got.to_json() == want.to_json()
     assert log == ref_log
+    assert stop_checks(states) == ref_states
+    states.clear()
     return got
 
 
@@ -677,7 +769,7 @@ MAB_SHAPES = [(m, k) for m in (1, 3, 10, 100) for k in (2, 5, 50)]
 class TestFamabpeAgainstArrayBuffers:
     @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
     @pytest.mark.parametrize("m,k", MAB_SHAPES, ids=[f"M{m}-K{k}" for m, k in MAB_SHAPES])
-    def test_identical_results_and_logs(self, m, k, activation):
+    def test_identical_results_and_logs(self, m, k, activation, server_states):
         inst = gen_gap_instance_mab(k, 0.3, make_rng(700 + 7 * m + k), sigma=0.3)
         cap = 200 * k + 2000  # most runs stop well before it
         base = RunConfig(n_agents=m, seed=m + k, activation=activation, max_rounds=cap)
@@ -689,15 +781,15 @@ class TestFamabpeAgainstArrayBuffers:
             # stopped by the round cap
             replace(base, seed=m + k + 3, max_rounds=k + 15),
         ]
-        results = [assert_same_famabpe(inst, cfg, audit=m * k <= 50) for cfg in configs]
+        results = [assert_same_famabpe(inst, cfg, server_states, audit=m * k <= 50) for cfg in configs]
         assert not results[-1].terminated
         assert any(r.terminated for r in results)
 
     @pytest.mark.parametrize("m,k", [(1, 2), (1, 5), (1, 50), (3, 5), (10, 2)])
-    def test_comm_every_round(self, m, k):
+    def test_comm_every_round(self, m, k, server_states):
         inst = gen_gap_instance_mab(k, 0.4, make_rng(800 + m + k), sigma=0.3)
         cfg = RunConfig(n_agents=m, seed=k, max_rounds=20_000)
-        res = assert_same_famabpe(inst, cfg, comm_every_round=True)
+        res = assert_same_famabpe(inst, cfg, server_states, comm_every_round=True)
         assert res.comm_cost == 2 * (res.tau - k) - res.terminated
 
     def test_the_single_agent_baseline_runs_through_the_same_path(self):
@@ -777,8 +869,8 @@ def ref_run_falinpe(instance, config, audit_log):
     memo: dict = {}
     init_rewards = np.array([sample_reward_linear(instance, a, rng) for a in range(1, k + 1)])
     server, agents, fallbacks = lin.init_states_linear(
-        contexts, init_rewards, cfg.ridge, m_agents, dim, cfg.delta, instance.sigma,
-        cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo,
+        init_rewards, contexts, dim, cfg.delta, instance.sigma, cfg.ridge,
+        cfg.gamma1, cfg.gamma2, m_agents, cfg.arm_select, cfg.greedy_sense, memo,
     )
     pulls = np.ones(k, dtype=np.int64)
     comm = switches = downloads = 0
@@ -798,7 +890,9 @@ def ref_run_falinpe(instance, config, audit_log):
         b_value = None
         if triggered:
             comm += 1
-            server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, ag.pending_counts)
+            server = lin.server_merge_linear(
+                server, ag.pending_cov, ag.pending_resp, ag.pending_counts, ag.pending_total
+            )
             stop = lin.stopping_linear(
                 server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )
@@ -809,7 +903,7 @@ def ref_run_falinpe(instance, config, audit_log):
                 comm += 1
                 downloads += 1
                 agents[m], fb = lin.download_linear(
-                    server, contexts, stop, cfg.arm_select, cfg.greedy_sense, memo
+                    server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
                 )
                 fallbacks += int(fb)
                 switches += agents[m].current_target != arm
@@ -836,18 +930,22 @@ def ref_run_falinpe(instance, config, audit_log):
 class TestFalinpeAgainstPerPullDraws:
     @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
     @pytest.mark.parametrize("m", [1, 3, 10])
-    def test_identical_results(self, m, activation):
+    def test_identical_results(self, m, activation, server_states):
         inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(900 + m), sigma=0.2)
         base = RunConfig(n_agents=m, seed=m, activation=activation, epsilon=0.05, max_rounds=20_000)
         configs = [base, replace(base, arm_select="greedy", seed=m + 1), replace(base, max_rounds=40)]
         results = []
         for cfg in configs:
-            # the logged stop scores B compare every server state bit for bit
             ref_log, log = [], []
             want = ref_run_falinpe(inst, cfg, ref_log)
-            results.append(run_falinpe(inst, cfg, audit_log=log))
+            ref_states = server_states[:]
+            server_states.clear()
+            results.append(run_falinpe(inst, cfg, audit=m == 3, audit_log=log))
             assert results[-1].to_json() == want.to_json()
             assert log == ref_log
+            # the bytes of every server state, not only its stop score B
+            assert server_states == ref_states and ref_states
+            server_states.clear()
         assert results[0].terminated and not results[-1].terminated
 
 
@@ -940,7 +1038,9 @@ def ref_run_sync_linear(instance, config):
         if not (at_sync or at_init):
             continue
         for m in range(m_agents):
-            server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m])
+            server = lin.server_merge_linear(
+                server, pend_cov[m], pend_resp[m], pend_counts[m], int(pend_counts[m].sum())
+            )
             pend_cov[m][:] = 0.0
             pend_resp[m][:] = 0.0
             pend_counts[m][:] = 0
@@ -987,9 +1087,10 @@ def sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, 
 
 @pytest.fixture
 def server_states(monkeypatch):
-    """Logs the bytes of every server state the synchronous stop checks and
-    target choices see, so that a difference in the last bit of one reward
-    sum fails a comparison even where it changes no decision."""
+    """Logs the bytes of every server state the stop checks and the
+    synchronous target choices see, so that a difference in the last bit of
+    one reward sum, or in the order of the pending adds or merges, fails a
+    comparison even where it changes no decision."""
     log = []
 
     def logged(name, original):
@@ -1004,6 +1105,12 @@ def server_states(monkeypatch):
     for module, name in ((mab, "breaking_index"), (mab, "agent_target_mab"), (lin, "stopping_linear")):
         monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
     return log
+
+
+def stop_checks(states):
+    """The logged server states of the stop checks; an asynchronous run
+    stop-checks the server state of every upload, and nothing else."""
+    return [entry for entry in states if entry[0] != "agent_target_mab"]
 
 
 def assert_same_sync(instance, config, states):

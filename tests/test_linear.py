@@ -33,7 +33,6 @@ def make_agent(cov, x, counts, n_pending, target=1):
     d = cov.shape[0]
     return LinAgentState(
         cov=cov,
-        resp=np.zeros(d),
         counts=counts,
         pending_cov=n_pending * np.outer(x, x),
         pending_resp=np.zeros(d),
@@ -44,6 +43,7 @@ def make_agent(cov, x, counts, n_pending, target=1):
         target_context=x,
         target_outer=np.outer(x, x),
         target_q=quad_form_inv(cov, x),
+        trigger_limit=-1,  # check_trigger_hybrid, the rule under test, does not read it
     )
 
 
@@ -177,15 +177,15 @@ class TestHybridTrigger:
 class TestServerMergeLinear:
     def test_zero_merge_identity(self):
         server = LinServerState(np.eye(2), np.zeros(2), np.array([1, 1], dtype=np.int64), 2)
-        out = server_merge_linear(server, np.zeros((2, 2)), np.zeros(2), np.zeros(2, dtype=np.int64))
+        out = server_merge_linear(server, np.zeros((2, 2)), np.zeros(2), np.zeros(2, dtype=np.int64), 0)
         assert np.array_equal(out.cov, server.cov) and out.counts_total == 2
 
     def test_merges_commute(self):
         rng = np.random.default_rng(3)
         server = LinServerState(np.eye(3), rng.standard_normal(3), np.ones(2, dtype=np.int64), 2)
         xa, xb = rng.standard_normal(3), rng.standard_normal(3)
-        ca = (np.outer(xa, xa), 0.4 * xa, np.array([1, 0], dtype=np.int64))
-        cb = (np.outer(xb, xb), -0.2 * xb, np.array([0, 2], dtype=np.int64))
+        ca = (np.outer(xa, xa), 0.4 * xa, np.array([1, 0], dtype=np.int64), 1)
+        cb = (np.outer(xb, xb), -0.2 * xb, np.array([0, 2], dtype=np.int64), 2)
         ab = server_merge_linear(server_merge_linear(server, *ca), *cb)
         ba = server_merge_linear(server_merge_linear(server, *cb), *ca)
         np.testing.assert_allclose(ab.cov, ba.cov)
@@ -202,7 +202,7 @@ class TestServerMergeLinear:
             x = rng.standard_normal(d)
             total += np.outer(x, x)
             server = server_merge_linear(
-                server, np.outer(x, x), 0.1 * x, np.array([1, 0], dtype=np.int64)
+                server, np.outer(x, x), 0.1 * x, np.array([1, 0], dtype=np.int64), 1
             )
         np.testing.assert_allclose(server.cov, total)
 
