@@ -33,7 +33,6 @@ class LinAgentState:
     counts: np.ndarray  # downloaded per-arm counts, int64
     pending_cov: np.ndarray  # outer products not yet uploaded: n x x^T for n pulls of the target x
     pending_resp: np.ndarray
-    pending_counts: np.ndarray
     current_target: int  # 1-based arm pinned until the next download
     counts_total: int
     pending_total: int
@@ -280,7 +279,6 @@ def _snapshot(
         counts=server.counts,
         pending_cov=np.zeros((dim, dim)),
         pending_resp=np.zeros(dim),
-        pending_counts=np.zeros(len(server.counts), dtype=np.int64),
         current_target=target,
         counts_total=server.counts_total,
         pending_total=0,

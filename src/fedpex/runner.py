@@ -29,49 +29,7 @@ from .core import (
     sample_reward_mab,
 )
 from .design_lp import solve_l1
-
-
-class ActivationSchedule:
-    """Picks the single active agent for each round t >= K+1.
-
-    uniform-random draws from the run's rng; round-robin cycles 1..M.
-    With one agent the choice is vacuous and consumes no randomness, which
-    keeps single-agent reward streams aligned across harnesses.
-
-    The uniform draw replicates `int(rng.integers(M))` value for value and
-    word for word: for M < 2^32 (RunConfig refuses more) numpy maps one
-    `next_uint32` word w to (w M) >> 32 and redraws while the low 32 bits of
-    w M fall below 2^32 mod M (Lemire's nearly-divisionless rejection).
-    Calling the bit generator through its ctypes interface skips the
-    Generator call.
-    """
-
-    def __init__(self, policy: str, n_agents: int):
-        if policy not in ("uniform-random", "round-robin"):
-            raise ValueError(f"unknown activation policy {policy!r}")
-        self.policy = policy
-        self.n_agents = n_agents
-        self._next = 0
-        self._threshold = ((1 << 32) - n_agents) % n_agents
-        self._rng = None
-
-    def next_agent(self, rng: Rng) -> int:
-        """0-based index of the active agent."""
-        m = self.n_agents
-        if m == 1:
-            return 0
-        if self.policy == "round-robin":
-            a = self._next
-            self._next = (a + 1) % m
-            return a
-        if rng is not self._rng:  # holding rng keeps its state pointer valid
-            iface = rng.bit_generator.ctypes
-            self._rng, self._word, self._state = rng, iface.next_uint32, iface.state
-        prod = self._word(self._state) * m
-        if prod & 0xFFFFFFFF < m:
-            while prod & 0xFFFFFFFF < self._threshold:
-                prod = self._word(self._state) * m
-        return prod >> 32
+from .stream import ActivationSchedule
 
 
 @dataclass(frozen=True)
@@ -199,9 +157,10 @@ class LinearFamily:
         return out
 
     def merge(self, server, ag):
-        return lin.server_merge_linear(
-            server, ag.pending_cov, ag.pending_resp, ag.pending_counts, ag.pending_total
-        )
+        # every pending pull was of the frozen target
+        counts = np.zeros_like(server.counts)
+        counts[ag.current_target - 1] = ag.pending_total
+        return lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
 
     def stop(self, server):
         """The StopCheck (i, j, B, whitened contexts) of a server state."""
@@ -228,7 +187,9 @@ class LinearFamily:
         self.global_resp += reward * ag.target_context
         cov_held = sum((a.pending_cov for a in agents), server.cov)
         resp_held = sum((a.pending_resp for a in agents), server.resp)
-        counts_held = sum((a.pending_counts for a in agents), server.counts)
+        counts_held = server.counts.copy()
+        for a in agents:
+            counts_held[a.current_target - 1] += a.pending_total
         if np.abs(cov_held - self.global_cov).max() > 1e-9:
             raise AuditError("covariance conservation violated")
         if np.abs(resp_held - self.global_resp).max() > 1e-9:
@@ -237,7 +198,7 @@ class LinearFamily:
             raise AuditError("count conservation violated")
         g1, g2 = self.cfg.gamma1, self.cfg.gamma2
         for idx, a in enumerate(agents):
-            if a.counts_total != int(a.counts.sum()) or a.pending_total != int(a.pending_counts.sum()):
+            if a.counts_total != int(a.counts.sum()):
                 raise AuditError(f"agent {idx + 1} cached totals diverged")
             if a.trigger_limit != lin.trigger_limit_linear(a.counts_total, a.target_q, g1, g2):
                 raise AuditError(f"agent {idx + 1} cached trigger limit diverged")
@@ -270,7 +231,9 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     Each round the active agent pulls its frozen target, adds the reward to
     its buffer inline and uploads once its pending count exceeds the
     trigger limit fixed at its last download. The server merges, and the
-    run stops at B <= epsilon or the agent downloads the merged state.
+    run stops at B <= epsilon or the agent downloads the merged state. The
+    active agents and reward normals come in blocks from
+    ActivationSchedule.block, equal to per-round draws.
     """
     inst, cfg = fam.instance, fam.cfg
     k, m_agents = inst.k_arms, cfg.n_agents
@@ -282,48 +245,50 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     pulls = [1] * k
     comm = switches = downloads = 0
     tau = k
-    next_agent = ActivationSchedule(cfg.activation, m_agents).next_agent
+    draw = ActivationSchedule(cfg.activation, m_agents).block
+    epsilon, max_rounds = cfg.epsilon, cfg.max_rounds
     # drivers pull only arms they chose: the draw is sample_reward_*'s
     # without its range check
-    means, sigma, normal = fam.means, inst.sigma, rng.standard_normal
+    means, sigma = fam.means, inst.sigma
     stopped = False
 
-    while not stopped and tau < cfg.max_rounds:
-        tau += 1
-        m = next_agent(rng)
-        ag = agents[m]
-        arm = ag.current_target
-        reward = means[arm - 1] + sigma * normal()
-        if linear:
-            ag.pending_cov += ag.target_outer
-            ag.pending_resp += reward * ag.target_context
-            ag.pending_counts[arm - 1] += 1
-        else:
-            ag.pending_sum += reward
-        ag.pending_total += 1
-        pulls[arm - 1] += 1
-
-        triggered = comm_every_round or ag.pending_total > ag.trigger_limit
-        b_value = None
-        if triggered:
-            comm += 1  # upload
-            server = fam.merge(server, ag)
-            check = fam.stop(server)
-            b_value = check[2]
-            if b_value <= cfg.epsilon:
-                stopped = True
+    while not stopped and tau < max_rounds:
+        for m, z in zip(*draw(rng, max_rounds - tau)):
+            tau += 1
+            ag = agents[m]
+            arm = ag.current_target
+            reward = means[arm - 1] + sigma * z
+            if linear:
+                ag.pending_cov += ag.target_outer
+                ag.pending_resp += reward * ag.target_context
             else:
-                comm += 1  # download
-                downloads += 1
-                agents[m], fallback = fam.download(server, check)
-                fallbacks += fallback
-                if agents[m].current_target != arm:
-                    switches += 1
+                ag.pending_sum += reward
+            ag.pending_total += 1
+            pulls[arm - 1] += 1
 
-        if audit and not stopped:
-            fam.audit(server, agents, pulls, ag, reward)
-        if audit_log is not None:
-            audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+            triggered = comm_every_round or ag.pending_total > ag.trigger_limit
+            b_value = None
+            if triggered:
+                comm += 1  # upload
+                server = fam.merge(server, ag)
+                check = fam.stop(server)
+                b_value = check[2]
+                if b_value <= epsilon:
+                    stopped = True
+                else:
+                    comm += 1  # download
+                    downloads += 1
+                    agents[m], fallback = fam.download(server, check)
+                    fallbacks += fallback
+                    if agents[m].current_target != arm:
+                        switches += 1
+
+            if audit and not stopped:
+                fam.audit(server, agents, pulls, ag, reward)
+            if audit_log is not None:
+                audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+            if stopped:
+                break
 
     best_est = check[0] if stopped else fam.best_arm(server)
     # the cap governs the event-triggered protocol, not forced communication

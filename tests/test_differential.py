@@ -14,6 +14,9 @@ loops that the block-drawn episodes replaced.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpex import baselines, linalg
+from fedpex import baselines, linalg, stream
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
@@ -46,6 +49,7 @@ from fedpex.runner import (
 )
 
 DIMS = (2, 5, 10)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,6 @@ def agent_at(cov, x, counts_total, n):
         counts=np.array([counts_total], dtype=np.int64),
         pending_cov=n * np.outer(x, x),
         pending_resp=np.zeros(len(x)),
-        pending_counts=np.array([n], dtype=np.int64),
         current_target=1,
         counts_total=counts_total,
         pending_total=n,
@@ -856,6 +859,187 @@ class TestActivationReplica:
 
 
 # ---------------------------------------------------------------------------
+# Activation and reward blocks against per-round draws
+# ---------------------------------------------------------------------------
+
+STREAM_ROUNDS = 30_000
+
+
+def live_state(rng):
+    """The bit generator's state as later draws read it: numpy leaves the
+    last buffered half behind when it marks the buffer empty, and never
+    reads it."""
+    s = rng.bit_generator.state
+    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+
+
+def per_round_stream(activation, m_agents, rng, n):
+    """n rounds of Generator.integers (or the cycle) and standard_normal."""
+    agents, normals = [], []
+    for t in range(n):
+        agents.append(ref_next_agent(activation, m_agents, t + 1, 0, rng))
+        normals.append(rng.standard_normal())
+    return agents, normals
+
+
+def block_stream(schedule, rng, n, full_starts=None):
+    agents, normals = [], []
+    while len(agents) < n:
+        if full_starts is not None:
+            full_starts.append(rng.bit_generator.state["has_uint32"])
+        a, z = schedule.block(rng, n - len(agents))
+        assert 1 <= len(a) == len(z) <= n - len(agents)
+        agents += a
+        normals += z
+    return agents, normals
+
+
+def assert_same_stream(activation, m_agents, seed, n=STREAM_ROUNDS, lead=0, full_starts=None):
+    """Blocks against per-round draws from the same seed, after `lead`
+    Generator.integers draws on both (an odd lead leaves the buffer full)."""
+    rng, ref = make_rng(seed), make_rng(seed)
+    for _ in range(lead):
+        assert int(rng.integers(m_agents)) == int(ref.integers(m_agents))
+    schedule = ActivationSchedule(activation, m_agents)
+    got = block_stream(schedule, rng, n, full_starts)
+    want = per_round_stream(activation, m_agents, ref, n)
+    assert got[0] == want[0]
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+    assert live_state(rng) == live_state(ref)
+    return got
+
+
+# 2^31 + 1 redraws about half its words, so nearly every round is
+# irregular; 2^32 - 1 is the largest bound on numpy's 32-bit path
+UNIFORM_M = [2, 3, 10, 100, 2**31 + 1, 2**32 - 1]
+
+
+class TestBlockStream:
+    def test_tables_take_the_fast_path(self):
+        # otherwise every round would be irregular and the tests below vacuous
+        _wi, ki = stream._ziggurat_tables()
+        assert (ki > 0).mean() > 0.99
+        schedule, rng = ActivationSchedule("uniform-random", 10), make_rng(1)
+        sizes = [len(schedule.block(rng, 10**6)[0]) for _ in range(200)]
+        assert max(sizes) <= 257 and sum(sizes) > 40 * len(sizes)
+        # about three in four 20-round blocks hold no irregular round
+        sizes = [len(schedule.block(rng, 21)[0]) for _ in range(200)]
+        assert max(sizes) <= 21 and sum(size >= 20 for size in sizes) > 100
+
+    def test_decode_at_every_fast_path_edge(self):
+        # random words hit rabs = ki[idx] with probability 2^-52, so each
+        # (sign, idx) is drawn here at rabs 0, 1, ki - 1, ki and the largest
+        bg = np.random.PCG64(0)
+        gen = np.random.Generator(bg)
+        mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, 0x5851F42D4C957F2D
+
+        def numpy_normal(word):
+            # a state whose successor has high half 0 and low half `word`
+            # outputs `word` (XSL-RR rotates by the top six bits, here 0)
+            state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+            state["state"] = {"state": (word - inc) * pow(mult, -1, 1 << 128) % (1 << 128), "inc": inc}
+            bg.state = state
+            assert int(bg.random_raw()) == word
+            bg.state = state
+            return gen.standard_normal(), bg.state["state"]["state"] == word
+
+        _wi, ki = stream._ziggurat_tables()
+        words = []
+        for low9 in range(512):
+            k = int(ki[low9])
+            words += [r << 9 | low9 for r in {0, 1, max(k - 1, 0), k, (1 << 52) - 1} if r < 1 << 52]
+        words = np.array(words, dtype=np.uint64)
+        normals, fast = stream._decode_normals(words, stream._ziggurat_tables())
+        for w, x, f in zip(words.tolist(), normals.tolist(), fast.tolist()):
+            want, alone = numpy_normal(w)
+            assert f == alone, hex(w)
+            if f:
+                assert x.hex() == want.hex(), hex(w)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m_agents", UNIFORM_M)
+    def test_uniform(self, m_agents, seed):
+        assert_same_stream("uniform-random", m_agents, seed)
+
+    @pytest.mark.parametrize("m_agents", UNIFORM_M)
+    def test_blocks_that_start_with_a_full_buffer(self, m_agents):
+        full_starts = []
+        assert_same_stream("uniform-random", m_agents, 11, lead=1, full_starts=full_starts)
+        # the first block, and the blocks after most irregular even rounds
+        assert full_starts[0] == 1 and sum(full_starts) > 50
+
+    @pytest.mark.parametrize("m_agents", [3, 10, 2**31 + 1])
+    def test_short_requests(self, m_agents):
+        # n = 1 and 2 leave no whole word triplet; n = 3 takes one after a
+        # round from the buffer, or one and a half without it
+        rng, ref = make_rng(5), make_rng(5)
+        schedule = ActivationSchedule("uniform-random", m_agents)
+        for n in [1, 2, 3, 4, 5] * 400:
+            got = block_stream(schedule, rng, n)
+            want = per_round_stream("uniform-random", m_agents, ref, n)
+            assert got[0] == want[0]
+            assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+            assert live_state(rng) == live_state(ref)
+
+    @pytest.mark.parametrize(
+        "activation,m_agents", [("round-robin", 1), ("round-robin", 3), ("round-robin", 10), ("uniform-random", 1)]
+    )
+    def test_round_robin_and_one_agent(self, activation, m_agents):
+        assert_same_stream(activation, m_agents, 4)
+        assert_same_stream(activation, m_agents, 4, n=1001)
+
+    def test_other_bit_generators_draw_per_round(self):
+        rng, ref = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+        schedule = ActivationSchedule("uniform-random", 10)
+        got = [schedule.block(rng, 100) for _ in range(2000)]
+        assert all(len(agents) == 1 for agents, _ in got)
+        want = per_round_stream("uniform-random", 10, ref, 2000)
+        assert [a for agents, _ in got for a in agents] == want[0]
+        assert [z for _, normals in got for z in normals] == want[1]
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("m_agents", [3, 10])
+    def test_every_round_irregular(self, m_agents, monkeypatch):
+        wi, ki = stream._ziggurat_tables()
+        monkeypatch.setattr(stream, "_ziggurat", (wi, np.zeros_like(ki)))
+        rng = make_rng(6)
+        schedule = ActivationSchedule("uniform-random", m_agents)
+        assert all(len(schedule.block(rng, 100)[0]) == 1 for _ in range(100))
+        assert_same_stream("uniform-random", m_agents, 6)
+        assert_same_stream("uniform-random", m_agents, 7, lead=1)
+
+    def test_famabpe_with_every_round_irregular(self, monkeypatch, server_states):
+        wi, ki = stream._ziggurat_tables()
+        monkeypatch.setattr(stream, "_ziggurat", (wi, np.zeros_like(ki)))
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(3), sigma=0.3)
+        assert_same_famabpe(inst, RunConfig(n_agents=10, seed=3), server_states, audit=True)
+
+    def test_failed_self_check_leaves_every_round_irregular(self, monkeypatch):
+        # with a wrong multiplier the crafted words are not the ones drawn
+        monkeypatch.setattr(stream, "_PCG64_MULT", stream._PCG64_MULT + 2)
+        wi, ki = stream._read_ziggurat()
+        assert not ki.any()
+        monkeypatch.setattr(stream, "_ziggurat", (wi, ki))
+        assert_same_stream("uniform-random", 10, 8, n=3000)
+
+    @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
+    def test_famabpe_cut_by_max_rounds_mid_block(self, activation, server_states):
+        # epsilon 0 on a small gap: the round cap, not B, ends every run
+        inst = gen_gap_instance_mab(5, 0.05, make_rng(12), sigma=1.0)
+        for cap in (5 + 1, 5 + 2, 5 + 255, 5 + 256, 5 + 257, 5 + 3 * 256 + 101):
+            cfg = RunConfig(n_agents=10, seed=cap, activation=activation, epsilon=0.0, max_rounds=cap)
+            res = assert_same_famabpe(inst, cfg, server_states, audit=True)
+            assert res.tau == cap and not res.terminated
+
+
+def test_import_builds_no_ziggurat_tables():
+    # the benchmark's setup_s times the import; the tables are read on first use
+    code = "import fedpex, fedpex.stream as s, sys; sys.exit(s._ziggurat is not None)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# ---------------------------------------------------------------------------
 # falinpe: one sample_reward_linear call per pull
 # ---------------------------------------------------------------------------
 
@@ -883,16 +1067,15 @@ def ref_run_falinpe(instance, config, audit_log):
         reward = sample_reward_linear(instance, arm, rng)
         ag.pending_cov += ag.target_outer
         ag.pending_resp += reward * ag.target_context
-        ag.pending_counts[arm - 1] += 1
         ag.pending_total += 1
         pulls[arm - 1] += 1
         triggered = lin.check_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
         b_value = None
         if triggered:
             comm += 1
-            server = lin.server_merge_linear(
-                server, ag.pending_cov, ag.pending_resp, ag.pending_counts, ag.pending_total
-            )
+            counts = np.zeros(k, dtype=np.int64)
+            counts[arm - 1] = ag.pending_total  # every pending pull was of the frozen target
+            server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
             stop = lin.stopping_linear(
                 server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )

@@ -28,15 +28,12 @@ def make_agent(cov, x, counts, n_pending, target=1):
     cov = np.asarray(cov, dtype=float)
     x = np.asarray(x, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
-    pending = np.zeros(len(counts), dtype=np.int64)
-    pending[target - 1] = n_pending
     d = cov.shape[0]
     return LinAgentState(
         cov=cov,
         counts=counts,
         pending_cov=n_pending * np.outer(x, x),
         pending_resp=np.zeros(d),
-        pending_counts=pending,
         current_target=target,
         counts_total=int(counts.sum()),
         pending_total=n_pending,
