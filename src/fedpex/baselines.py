@@ -142,20 +142,20 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         # no target is defined until every arm has a server observation
         if int(server.counts.min()) == 0:
             continue
-        # the warm-up boundary never stop-checks, even when it coincides with
-        # an episode boundary; this keeps episode_len=1, M=1 pull-for-pull
+        check = fam.stop(server)
+        # the warm-up boundary never stops, even when it coincides with an
+        # episode boundary; this keeps episode_len=1, M=1 pull-for-pull
         # identical to the single-agent baseline
-        check = fam.stop(server) if at_sync and g > warmup else None
-        if check is not None and check[2] <= cfg.epsilon:
+        if at_sync and g > warmup and check[2] <= cfg.epsilon:
             stopped = True
             break
         # every agent downloads the merged state and re-freezes its target
-        new_target, fallback = fam.target(server, check)
+        agent, fallback = fam.download(server, check)
         fallbacks += fallback
         downloads += m_agents
-        if target is not None and target != new_target:
+        if target is not None and target != agent.current_target:
             switches += m_agents
-        target = new_target
+        target = agent.current_target
 
     best_est = check[0] if stopped else fam.best_arm(server)
     return RunResult(

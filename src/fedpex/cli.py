@@ -200,7 +200,11 @@ def cmd_run(args) -> int:
         print("error: --reps must be >= 1", file=sys.stderr)
         return 2
 
-    _make_config(args, args.seed_base)  # a bad config fails before the CSV is touched
+    # a bad config fails before the CSV is touched; resolving against each
+    # instance checks max_rounds against its arm count
+    config = _make_config(args, args.seed_base)
+    for _label, inst in jobs:
+        config.resolved(inst.k_arms)
     audit = _audit_enabled()
     new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     if not new_file:

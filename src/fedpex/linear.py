@@ -269,26 +269,6 @@ def select_target(
     return target, fallback, float(z @ z)
 
 
-def _snapshot(
-    server: LinServerState, contexts: np.ndarray, target: int, target_q: float, gamma1, gamma2
-) -> LinAgentState:
-    dim = server.cov.shape[0]
-    x = contexts[target - 1]
-    return LinAgentState(
-        cov=server.cov,
-        counts=server.counts,
-        pending_cov=np.zeros((dim, dim)),
-        pending_resp=np.zeros(dim),
-        current_target=target,
-        counts_total=server.counts_total,
-        pending_total=0,
-        target_context=x,
-        target_outer=x[:, None] * x,
-        target_q=target_q,
-        trigger_limit=trigger_limit_linear(server.counts_total, target_q, gamma1, gamma2),
-    )
-
-
 def download_linear(
     server: LinServerState,
     contexts: np.ndarray,
@@ -303,39 +283,19 @@ def download_linear(
     buffers cleared, target recomputed from the stop check's pair, trigger
     limit fixed."""
     target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
-    return _snapshot(server, contexts, target, q, gamma1, gamma2), fallback
-
-
-def init_states_linear(
-    init_rewards: np.ndarray,
-    contexts: np.ndarray,
-    dim: int,
-    delta: float,
-    sigma: float,
-    ridge: float,
-    gamma1,
-    gamma2,
-    n_agents: int,
-    arm_select: str,
-    greedy_sense: str,
-    lp_memo: dict | None = None,
-) -> tuple[LinServerState, list[LinAgentState], int]:
-    """Post-initialization states after pulling each arm once (the arguments
-    after the rewards are stopping_linear's, then select_target's).
-
-    Every agent downloads the same server state, so the target is chosen
-    once and each agent gets its own snapshot and buffers. Returns (server,
-    agents, lp_fallbacks_during_seeding), one fallback per agent.
-    """
-    k = len(init_rewards)
-    cov = ridge * np.eye(dim)
-    resp = np.zeros(dim)
-    for a in range(k):
-        x = contexts[a]
-        cov += np.outer(x, x)
-        resp += init_rewards[a] * x
-    server = LinServerState(cov=cov, resp=resp, counts=np.ones(k, dtype=np.int64), counts_total=k)
-    stop = stopping_linear(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
-    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
-    agents = [_snapshot(server, contexts, target, q, gamma1, gamma2) for _ in range(n_agents)]
-    return server, agents, n_agents * int(fallback)
+    dim = server.cov.shape[0]
+    x = contexts[target - 1]
+    agent = LinAgentState(
+        cov=server.cov,
+        counts=server.counts,
+        pending_cov=np.zeros((dim, dim)),
+        pending_resp=np.zeros(dim),
+        current_target=target,
+        counts_total=server.counts_total,
+        pending_total=0,
+        target_context=x,
+        target_outer=x[:, None] * x,
+        target_q=q,
+        trigger_limit=trigger_limit_linear(server.counts_total, q, gamma1, gamma2),
+    )
+    return agent, fallback

@@ -132,15 +132,3 @@ def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, ga
         select_arm_mab(i, j, bonuses),
         trigger_limit_mab(server.counts_total, gamma),
     )
-
-
-def init_states_mab(
-    init_rewards: np.ndarray, n_agents: int, delta: float, sigma: float, gamma
-) -> tuple[MabServerState, list[MabAgentState]]:
-    """Post-initialization states: arm k was pulled once with reward init_rewards[k-1]."""
-    k = len(init_rewards)
-    server = MabServerState(np.array(init_rewards, dtype=float), np.ones(k, dtype=np.int64), k)
-    target = agent_target_mab(server.mean_est, server.counts, k, delta, sigma, float(gamma) * n_agents)
-    limit = trigger_limit_mab(k, gamma)
-    agents = [MabAgentState(server.mean_est, server.counts, k, target, limit) for _ in range(n_agents)]
-    return server, agents

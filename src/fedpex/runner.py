@@ -80,10 +80,10 @@ class MabFamily:
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
 
     def init(self, rng: Rng):
-        """Server and agent states after one pull of every arm, and the fallback count."""
-        inst, cfg = self.instance, self.cfg
-        rewards = np.array([sample_reward_mab(inst, a, rng) for a in range(1, inst.k_arms + 1)])
-        return (*mab.init_states_mab(rewards, cfg.n_agents, cfg.delta, inst.sigma, cfg.gamma), 0)
+        """The server state after one pull of every arm; its estimates are the rewards."""
+        k = self.instance.k_arms
+        rewards = np.array([sample_reward_mab(self.instance, a, rng) for a in range(1, k + 1)])
+        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
         return mab.server_merge_mab(server, ag.current_target, ag.pending_total, ag.pending_sum)
@@ -97,10 +97,6 @@ class MabFamily:
         """A fresh agent state for `server`, and whether its target fell back."""
         i, j, _b, bon = check
         return mab.download_mab(server, bon, i, j, self.cfg.gamma), False
-
-    def target(self, server, check):
-        """The next common target of a synchronous run, from the snapshot alone, and no fallback."""
-        return mab.agent_target_mab(server.mean_est, server.counts, server.counts_total, *self.widths), False
 
     def best_arm(self, server) -> int:
         return int(np.argmax(server.mean_est)) + 1
@@ -150,11 +146,14 @@ class LinearFamily:
         self.select_args = (cfg.arm_select, cfg.greedy_sense, self.lp_memo)
 
     def init(self, rng: Rng):
-        inst = self.instance
-        rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, inst.k_arms + 1)])
-        out = lin.init_states_linear(rewards, *self.stop_args, *self.select_args)
-        self.global_cov, self.global_resp = out[0].cov.copy(), out[0].resp.copy()
-        return out
+        inst, k = self.instance, self.instance.k_arms
+        rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, k + 1)])
+        cov, resp = self.cfg.ridge * np.eye(inst.dim), np.zeros(inst.dim)
+        for x, reward in zip(self.contexts, rewards):
+            cov += np.outer(x, x)
+            resp += reward * x
+        self.global_cov, self.global_resp = cov.copy(), resp.copy()
+        return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
         # every pending pull was of the frozen target
@@ -169,10 +168,6 @@ class LinearFamily:
     def download(self, server, check):
         cfg = self.cfg
         return lin.download_linear(server, self.contexts, check, cfg.gamma1, cfg.gamma2, *self.select_args)
-
-    def target(self, server, check):
-        check = self.stop(server) if check is None else check
-        return lin.select_target(server, self.contexts, check, *self.select_args)[:2]
 
     def best_arm(self, server) -> int:
         return int(np.argmax(self.contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
@@ -239,8 +234,14 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     k, m_agents = inst.k_arms, cfg.n_agents
     rng = make_rng(cfg.seed)
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
-    # an attribution that affects no statistic)
-    server, agents, fallbacks = fam.init(rng)
+    # an attribution that affects no statistic), then every agent downloads
+    server = fam.init(rng)
+    check = fam.stop(server)
+    agents, fallbacks = [], 0
+    for _ in range(m_agents):
+        ag, fallback = fam.download(server, check)
+        agents.append(ag)
+        fallbacks += fallback
     linear = fam.linear
     pulls = [1] * k
     comm = switches = downloads = 0

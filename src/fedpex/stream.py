@@ -47,24 +47,19 @@ class ActivationSchedule:
         self._rng = None
 
     def next_agent(self, rng: Rng) -> int:
-        """0-based index of the active agent."""
-        m = self.n_agents
-        if m == 1:
-            return 0
-        if self.policy == "round-robin":
-            a = self._next
-            self._next = (a + 1) % m
-            return a
+        """0-based index of the active agent under uniform-random activation
+        with M > 1; `block` cycles round-robin and M = 1 itself."""
         self._bind(rng)
-        return self._lemire(self._word(self._state) * m)
+        return self._lemire(self._word(self._state) * self.n_agents)
 
     def block(self, rng: Rng, n: int) -> tuple[list, list]:
         """The active agents and standard normals of the next rounds, at most
-        n >= 1 of them: byte-identical to next_agent(rng) followed by
-        rng.standard_normal() in every round, and leaving rng where those
-        calls leave it (but for a 32-bit half that numpy has marked used,
-        which it never reads). rng must run on PCG64, as make_rng's does;
-        on another bit generator each call draws one round.
+        n >= 1 of them: byte-identical to the active agent (next_agent(rng)
+        for uniform-random over M > 1, the cycle for round-robin, 0 for M = 1)
+        followed by rng.standard_normal() in every round, and leaving rng
+        where those calls leave it (but for a 32-bit half that numpy has
+        marked used, which it never reads). rng must run on PCG64, as
+        make_rng's does; on another bit generator each call draws one round.
 
         A uniform round with M > 1 takes a 32-bit half of a buffered 64-bit
         word and then whole words, so the block decodes raw PCG64 words: from

@@ -152,6 +152,25 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("algo", ["famabpe", "ugapec-sync"])
+    def test_max_rounds_within_the_arm_count_exit_2(self, tmp_path, algo):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", "mab", "--k", "5", "--gap", "0.4", "--seed", "3",
+              "--out", str(inst)])
+        out = tmp_path / "res.csv"
+        args = ["run", "--algo", algo, "--instance", str(inst), "--max-rounds", "5", "--out", str(out)]
+        # first with no results file, then with a v1 CSV that holds one row
+        existing = (",".join(CSV_COLUMNS) + "\r\nfamabpe,x,0,9,2,7,0,True,1,1,True,1.000\r\n").encode()
+        for present in (False, True):
+            if present:
+                out.write_bytes(existing)
+            proc = run_cli(args)
+            assert proc.returncode == 2
+            lines = proc.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+            assert proc.stdout == ""  # no run started
+            assert out.read_bytes() == existing if present else not out.exists()
+
     def test_incompatible_algo_instance_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",

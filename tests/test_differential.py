@@ -704,6 +704,8 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     rng = make_rng(cfg.seed)
     init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
     server = mab.MabServerState(init_rewards, np.ones(k, dtype=np.int64), k)
+    # every agent downloads the initialized state, which is stop-checked once
+    mab.breaking_index(server.mean_est, mab.bonuses_mab(server.counts, k, cfg.delta, instance.sigma, gamma_m))
     agents = [ref_snapshot(server, cfg.delta, instance.sigma, gamma_m) for _ in range(m_agents)]
     pulls = np.ones(k, dtype=np.int64)
     comm = switches = downloads = 0
@@ -762,6 +764,7 @@ def assert_same_famabpe(instance, config, states, audit=False, comm_every_round=
     assert got.to_json() == want.to_json()
     assert log == ref_log
     assert stop_checks(states) == ref_states
+    assert len(ref_states) == 1 + got.comm_cost - got.n_downloads  # the initialized state and every upload's
     states.clear()
     return got
 
@@ -794,6 +797,12 @@ class TestFamabpeAgainstArrayBuffers:
         cfg = RunConfig(n_agents=m, seed=k, max_rounds=20_000)
         res = assert_same_famabpe(inst, cfg, server_states, comm_every_round=True)
         assert res.comm_cost == 2 * (res.tau - k) - res.terminated
+
+    def test_signed_zero_rewards(self, server_states):
+        # sigma = 0: an initial reward of -0.0 stays -0.0 in the initialized state
+        inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2), sigma=0.0)
+        for m in (1, 3):
+            assert_same_famabpe(inst, RunConfig(n_agents=m, seed=m, epsilon=0.1), server_states, audit=True)
 
     def test_the_single_agent_baseline_runs_through_the_same_path(self):
         inst = gen_gap_instance_mab(5, 0.3, make_rng(9), sigma=0.3)
@@ -1052,10 +1061,22 @@ def ref_run_falinpe(instance, config, audit_log):
     rng = make_rng(cfg.seed)
     memo: dict = {}
     init_rewards = np.array([sample_reward_linear(instance, a, rng) for a in range(1, k + 1)])
-    server, agents, fallbacks = lin.init_states_linear(
-        init_rewards, contexts, dim, cfg.delta, instance.sigma, cfg.ridge,
-        cfg.gamma1, cfg.gamma2, m_agents, cfg.arm_select, cfg.greedy_sense, memo,
+    cov, resp = cfg.ridge * np.eye(dim), np.zeros(dim)
+    for x, reward in zip(contexts, init_rewards):
+        cov += np.outer(x, x)
+        resp += reward * x
+    server = lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
+    # every agent downloads the initialized state, which is stop-checked once
+    stop = lin.stopping_linear(
+        server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
     )
+    agents, fallbacks = [], 0
+    for _ in range(m_agents):
+        agent, fb = lin.download_linear(
+            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
+        )
+        agents.append(agent)
+        fallbacks += int(fb)
     pulls = np.ones(k, dtype=np.int64)
     comm = switches = downloads = 0
     tau, stopped, best_est = k, False, 0
@@ -1128,8 +1149,26 @@ class TestFalinpeAgainstPerPullDraws:
             assert log == ref_log
             # the bytes of every server state, not only its stop score B
             assert server_states == ref_states and ref_states
+            assert len(ref_states) == 1 + want.comm_cost - want.n_downloads  # the initialized state and every upload's
             server_states.clear()
         assert results[0].terminated and not results[-1].terminated
+
+    def test_every_download_counts_its_lp_fallback(self, monkeypatch, server_states):
+        def infeasible(contexts, y):
+            raise lin.InfeasibleTargetError("no LP target")
+
+        monkeypatch.setattr(lin, "solve_l1", infeasible)
+        inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(950), sigma=0.2)
+        for m in (1, 3):
+            cfg = RunConfig(n_agents=m, seed=m, epsilon=0.05)
+            got = run_falinpe(inst, cfg)
+            assert got.to_json() == ref_run_falinpe(inst, cfg, []).to_json()
+            # initialization is M downloads, each falling back
+            assert got.terminated and got.lp_fallbacks == m + got.n_downloads
+            server_states.clear()
+            sync = assert_same_sync(inst, SyncConfig(n_agents=m, seed=m, episode_len=5, epsilon=0.05), server_states)
+            # one common target per download of the merged state
+            assert sync.terminated and sync.lp_fallbacks == sync.n_downloads // m
 
 
 # ---------------------------------------------------------------------------
@@ -1171,16 +1210,13 @@ def ref_run_sync_mab(instance, config):
             comm += 2 * m_agents
         else:
             init_comm += 2 * m_agents
-        if at_sync and g > warmup:
+        if int(server.counts.min()) > 0:
             bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, _j, b = mab.breaking_index(server.mean_est, bon)
-            if b <= cfg.epsilon:
+            i, j, b = mab.breaking_index(server.mean_est, bon)
+            if at_sync and g > warmup and b <= cfg.epsilon:
                 stopped, best_est = True, i
                 break
-        if int(server.counts.min()) > 0:
-            new_target = mab.agent_target_mab(
-                server.mean_est, server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m
-            )
+            new_target = mab.select_arm_mab(i, j, bon)
             for m in range(m_agents):
                 downloads += 1
                 switches += targets[m] is not None and targets[m] != new_target
@@ -1270,10 +1306,10 @@ def sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, 
 
 @pytest.fixture
 def server_states(monkeypatch):
-    """Logs the bytes of every server state the stop checks and the
-    synchronous target choices see, so that a difference in the last bit of
-    one reward sum, or in the order of the pending adds or merges, fails a
-    comparison even where it changes no decision."""
+    """Logs the bytes of every server state the stop checks see, and of
+    every snapshot agent_target_mab reads, so that a difference in the last
+    bit of one reward sum, or in the order of the pending adds or merges,
+    fails a comparison even where it changes no decision."""
     log = []
 
     def logged(name, original):
@@ -1292,7 +1328,8 @@ def server_states(monkeypatch):
 
 def stop_checks(states):
     """The logged server states of the stop checks; an asynchronous run
-    stop-checks the server state of every upload, and nothing else."""
+    stop-checks the initialized state and every upload's state, and
+    nothing else."""
     return [entry for entry in states if entry[0] != "agent_target_mab"]
 
 

@@ -28,13 +28,14 @@ class TestActivationSchedule:
     def test_round_robin_cycles(self):
         sched = ActivationSchedule("round-robin", 3)
         rng = make_rng(0)
-        assert [sched.next_agent(rng) for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+        assert [sched.block(rng, 1)[0][0] for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
 
     def test_uniform_consumes_rng_only_when_needed(self):
         rng_a = make_rng(5)
         sched = ActivationSchedule("uniform-random", 1)
-        sched.next_agent(rng_a)
+        _agents, normals = sched.block(rng_a, 1)  # one round: agent 0 and its normal
         rng_b = make_rng(5)
+        assert normals == [rng_b.standard_normal()]
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_uniform_covers_agents(self):
