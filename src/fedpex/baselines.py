@@ -21,7 +21,7 @@ import numpy as np
 from . import linear as lin
 from . import mab
 from .core import MabInstance, RunConfig, RunResult, make_rng, sample_reward_linear, sample_reward_mab
-from .runner import bandit_family, run_falinpe, run_famabpe
+from .runner import bandit_family, run_falinpe, run_famabpe, run_result
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     pulls = np.zeros(k, dtype=np.int64)
     tau = g = synced = 0  # synced: the global round of the last merge
     comm = init_comm = switches = downloads = fallbacks = 0
-    stopped = False
+    final = None  # the stop check that stops the run, if one does
 
     while tau + m_agents <= cfg.max_rounds:
         if g < warmup:
@@ -147,7 +147,7 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         # episode boundary; this keeps episode_len=1, M=1 pull-for-pull
         # identical to the single-agent baseline
         if at_sync and g > warmup and check[2] <= cfg.epsilon:
-            stopped = True
+            final = check
             break
         # every agent downloads the merged state and re-freezes its target
         agent, fallback = fam.download(server, check)
@@ -157,17 +157,4 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
             switches += m_agents
         target = agent.current_target
 
-    best_est = check[0] if stopped else fam.best_arm(server)
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=init_comm,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-        lp_fallbacks=fallbacks,
-    )
+    return run_result(fam, server, final, tau, pulls, comm, init_comm, switches, downloads, fallbacks)

@@ -2,7 +2,8 @@
 seed sweeps, and theory diagnostics.
 
 Exit codes: 0 success, 1 runtime or invariant failure, 2 usage error.
-Setting FEDPEX_AUDIT=1 turns on per-round invariant auditing for every run.
+Setting FEDPEX_AUDIT=1 turns on per-round invariant auditing for famabpe and
+falinpe runs; the baselines run unaudited.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ CSV_COLUMNS = [
 
 ALGOS = ("famabpe", "falinpe", "ugapec-single", "ugapec-sync", "lingape-single", "lingape-sync")
 _MAB_ALGOS = ("famabpe", "ugapec-single", "ugapec-sync")
-_LINEAR_ALGOS = ("falinpe", "lingape-single", "lingape-sync")
 
 
 def _audit_enabled() -> bool:
@@ -160,6 +160,8 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError("--gap-sweep expects START:STOP:STEP") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("--gap-sweep needs finite START, STOP and STEP")
     if step <= 0 or stop < start:
         raise ValueError("--gap-sweep requires step > 0 and stop >= start")
     n = int(round((stop - start) / step)) + 1

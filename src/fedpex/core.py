@@ -299,12 +299,10 @@ class RunConfig:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        for name in ("gamma", "gamma1", "gamma2"):
+        for name in ("gamma", "gamma1", "gamma2", "ridge"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.ridge is not None and not self.ridge > 0:
-            raise ValueError("ridge must be positive")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.arm_select not in ("lp", "greedy"):
             raise ValueError("arm_select must be 'lp' or 'greedy'")
         if self.greedy_sense not in ("min", "max"):
@@ -315,6 +313,8 @@ class RunConfig:
             raise ValueError("uniform-random activation needs fewer than 2^32 agents")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def resolved(self, k_arms: int, sigma: float | None = None) -> "RunConfig":
         """Fill default trigger/ridge parameters for a K-arm instance.

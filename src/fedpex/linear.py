@@ -251,24 +251,6 @@ def choose_informative_arm(
     return select_arm_greedy(agent_cov, contexts, y, greedy_sense, whitened), arm_select == "lp"
 
 
-def select_target(
-    server: LinServerState,
-    contexts: np.ndarray,
-    stop: StopCheck,
-    arm_select: str,
-    greedy_sense: str,
-    lp_memo: dict | None = None,
-) -> tuple[int, bool, float]:
-    """Target arm for a server state: (arm, fell_back_to_greedy, x^T cov^{-1} x),
-    read from its stop check's pair and whitened contexts without a solve."""
-    i, j, _b, zx = stop
-    target, fallback = choose_informative_arm(
-        server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, zx=zx, lp_memo=lp_memo
-    )
-    z = zx[:, target - 1]
-    return target, fallback, float(z @ z)
-
-
 def download_linear(
     server: LinServerState,
     contexts: np.ndarray,
@@ -280,9 +262,15 @@ def download_linear(
     lp_memo: dict | None = None,
 ) -> tuple[LinAgentState, bool]:
     """An agent's fresh snapshot of `server`, whose stop check is `stop`:
-    buffers cleared, target recomputed from the stop check's pair, trigger
-    limit fixed."""
-    target, fallback, q = select_target(server, contexts, stop, arm_select, greedy_sense, lp_memo)
+    buffers cleared, trigger limit fixed, and the target (and whether it fell
+    back to greedy) with its x^T cov^{-1} x read from the stop check's pair
+    and whitened contexts without a solve."""
+    i, j, _b, zx = stop
+    target, fallback = choose_informative_arm(
+        server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, zx=zx, lp_memo=lp_memo
+    )
+    z = zx[:, target - 1]
+    q = float(z @ z)
     dim = server.cov.shape[0]
     x = contexts[target - 1]
     agent = LinAgentState(

@@ -140,7 +140,7 @@ class LinearFamily:
         self.contexts = np.asarray(instance.contexts, dtype=float)
         self.lp_memo: dict = {}
         # the arguments of stopping_linear after the server state, and of
-        # select_target after the stop check
+        # download_linear after the trigger parameters
         self.stop_args = (self.contexts, instance.dim, cfg.delta, instance.sigma, cfg.ridge)
         self.stop_args += (cfg.gamma1, cfg.gamma2, cfg.n_agents)
         self.select_args = (cfg.arm_select, cfg.greedy_sense, self.lp_memo)
@@ -291,23 +291,31 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
             if stopped:
                 break
 
-    best_est = check[0] if stopped else fam.best_arm(server)
     # the cap governs the event-triggered protocol, not forced communication
     if stopped and not comm_every_round:
         bound = fam.comm_bound(tau)
         if comm > bound:
             raise AuditError(f"communication bound violated: {comm} > {bound:.3f}")
+    final = check if stopped else None
+    return run_result(fam, server, final, tau, pulls, comm, k + m_agents, switches, downloads, fallbacks)
 
+
+def run_result(fam, server, final, tau, pulls, comm, init_comm, switches, downloads, fallbacks) -> RunResult:
+    """The result of a run that ended at round tau on `server`: `final` is the
+    stop check that stopped it, or None when the round cap cut it. A stopped
+    run names the stop check's arm, a cut one the server's empirical best."""
+    inst = fam.instance
+    best_est = fam.best_arm(server) if final is None else final[0]
     return RunResult(
         best_arm_est=best_est,
         best_arm_true=inst.best_arm(),
-        correct=inst.gap(best_est) <= cfg.epsilon,
+        correct=inst.gap(best_est) <= fam.cfg.epsilon,
         tau=tau,
         comm_cost=comm,
-        init_comm=k + m_agents,
+        init_comm=init_comm,
         switch_cost=switches,
-        pulls_per_arm=tuple(pulls),
-        terminated=stopped,
+        pulls_per_arm=tuple(int(x) for x in pulls),
+        terminated=final is not None,
         n_downloads=downloads,
         lp_fallbacks=fallbacks,
     )

@@ -28,13 +28,10 @@ class ActivationSchedule:
     With one agent the choice is vacuous and consumes no randomness, which
     keeps single-agent reward streams aligned across harnesses.
 
-    The uniform draw replicates `int(rng.integers(M))` value for value and
-    word for word: for M < 2^32 (RunConfig refuses more) numpy maps one
-    `next_uint32` word w to (w M) >> 32 and redraws while the low 32 bits of
-    w M fall below 2^32 mod M (Lemire's nearly-divisionless rejection).
-    Calling the bit generator through its ctypes interface skips the
-    Generator call. The driver draws with `block`; `next_agent` is its
-    per-round path and the tests' reference.
+    A uniform round draws `int(rng.integers(M))`: for M < 2^32 (RunConfig
+    refuses more) numpy maps one `next_uint32` word w to (w M) >> 32 and
+    redraws while the low 32 bits of w M fall below 2^32 mod M (Lemire's
+    nearly-divisionless rejection), which `block` decodes from raw words.
     """
 
     def __init__(self, policy: str, n_agents: int):
@@ -44,17 +41,10 @@ class ActivationSchedule:
         self.n_agents = n_agents
         self._next = 0
         self._threshold = ((1 << 32) - n_agents) % n_agents
-        self._rng = None
-
-    def next_agent(self, rng: Rng) -> int:
-        """0-based index of the active agent under uniform-random activation
-        with M > 1; `block` cycles round-robin and M = 1 itself."""
-        self._bind(rng)
-        return self._lemire(self._word(self._state) * self.n_agents)
 
     def block(self, rng: Rng, n: int) -> tuple[list, list]:
         """The active agents and standard normals of the next rounds, at most
-        n >= 1 of them: byte-identical to the active agent (next_agent(rng)
+        n >= 1 of them: byte-identical to the active agent (rng.integers(M)
         for uniform-random over M > 1, the cycle for round-robin, 0 for M = 1)
         followed by rng.standard_normal() in every round, and leaving rng
         where those calls leave it (but for a 32-bit half that numpy has
@@ -67,7 +57,7 @@ class ActivationSchedule:
         rounds (low half, then high half), and a full buffer puts one round
         first, N A N N .... Rounds are taken up to the first irregular one,
         an activation that redraws or a normal off the ziggurat's fast path;
-        that round is drawn per round from its first word.
+        that round is drawn per round from its first word by numpy's own calls.
         """
         m = self.n_agents
         if m == 1 or self.policy == "round-robin":
@@ -80,8 +70,7 @@ class ActivationSchedule:
         buffered = state["has_uint32"] if state else 0
         t = min((n - buffered) // 2, _BLOCK_TRIPLETS)
         if t < 1 or state is None:
-            return [self.next_agent(rng)], [rng.standard_normal()]
-        self._bind(rng)
+            return [int(rng.integers(m))], [rng.standard_normal()]
         words = bg.random_raw(buffered + 3 * t)
         triplets = words[buffered:].reshape(t, 3)
         halves = triplets[:, 0].astype("<u8").view("<u4").astype(np.uint64)
@@ -99,27 +88,17 @@ class ActivationSchedule:
         agents, normals = (prods[:r] >> _SHIFT32).tolist(), normals[:r].tolist()
         if r < len(regular):
             # back to round r's first word, which empties the 32-bit buffer; a
-            # round that took the buffered half goes on from its product
+            # round that took the buffered half keeps an accepted product, and
+            # numpy's redraw of a rejected one reads only the words after it
             k, from_buffer = divmod(r - buffered, 2)
             bg.advance((buffered + 3 * k + 2 * from_buffer - len(words)) % (1 << 128))
-            agents.append(self._lemire(int(prods[r])) if from_buffer else self.next_agent(rng))
+            prod = int(prods[r])
+            accepted = from_buffer and prod & 0xFFFFFFFF >= self._threshold
+            agents.append(prod >> 32 if accepted else int(rng.integers(m)))
             normals.append(rng.standard_normal())
         elif buffered:
             bg.advance(0)  # round 0 took the buffered half; this empties the buffer
         return agents, normals
-
-    def _bind(self, rng: Rng) -> None:
-        if rng is not self._rng:  # holding rng keeps its state pointer valid
-            iface = rng.bit_generator.ctypes
-            self._rng, self._word, self._state = rng, iface.next_uint32, iface.state
-
-    def _lemire(self, prod: int) -> int:
-        """The agent of a uniform draw whose first word w gave prod = w M."""
-        m = self.n_agents
-        if prod & 0xFFFFFFFF < m:
-            while prod & 0xFFFFFFFF < self._threshold:
-                prod = self._word(self._state) * m
-        return prod >> 32
 
 
 def _decode_normals(words: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:

@@ -171,6 +171,45 @@ class TestRun:
             assert proc.stdout == ""  # no run started
             assert out.read_bytes() == existing if present else not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    @pytest.mark.parametrize("flag", ["--gamma", "--gamma1", "--gamma2", "--lambda"])
+    def test_infinite_trigger_parameters_exit_2(self, tmp_path, flag, command):
+        # refused by the config before any file is opened; an infinite value
+        # must reach neither Fraction() (an OverflowError) nor a run
+        kind, algo = ("mab", "famabpe") if flag == "--gamma" else ("linear", "falinpe")
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
+        out = tmp_path / "out"
+        args = [command, "--instance", str(inst), flag, "inf", "--out", str(out)]
+        proc = run_cli(args + (["--algo", algo] if command == "run" else []))
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert proc.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "source,extra",
+        [
+            # refused by the config, not by numpy at the first run
+            ("instance", ["--seed-base", "-1"]),
+            # an infinite bound must not reach the gap count
+            ("sweep", ["--gap-sweep", "0.1:inf:0.1"]),
+        ],
+        ids=["negative-seed", "infinite-sweep"],
+    )
+    def test_bad_seed_or_sweep_exit_2(self, tmp_path, source, extra):
+        out = tmp_path / "res.csv"
+        args = ["run", "--algo", "famabpe", "--out", str(out), *extra]
+        if source == "instance":
+            inst = tmp_path / "inst.json"
+            main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--out", str(inst)])
+            args += ["--instance", str(inst)]
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert proc.stdout == "" and not out.exists()
+
     def test_incompatible_algo_instance_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",

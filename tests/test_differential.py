@@ -479,6 +479,12 @@ class TestLpMemo:
 # ---------------------------------------------------------------------------
 
 
+def download(server, contexts, stop, arm_select):
+    """download_linear's agent and fallback flag, under fixed trigger parameters."""
+    gamma = Fraction(1, 100)
+    return lin.download_linear(server, contexts, stop, gamma, gamma, arm_select, "min", {})
+
+
 class TestStopCheckReuse:
     @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
     def test_target_equals_a_fresh_factorization(self, arm_select):
@@ -489,13 +495,13 @@ class TestStopCheckReuse:
             server = lin.LinServerState(cov, resp, counts, int(counts.sum()))
             c = float(rng.uniform(0.0, 3.0))
             stop = lin.stopping_linear(server, contexts, 5, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
-            got = lin.select_target(server, contexts, stop, arm_select, "min", {})
+            agent, got_fallback = download(server, contexts, stop, arm_select)
             # the former download: factor again, re-solve theta, re-score the pair
             i, j = lin.select_pair_linear(ref_solve(cov, resp), contexts, cov, c)
             arm, fallback = lin.choose_informative_arm(cov, server.counts, contexts, i, j, arm_select, "min")
             assert (stop.i, stop.j) == (i, j)
-            assert got[:2] == (arm, fallback)
-            assert got[2] == pytest.approx(quad_form_inv(cov, contexts[arm - 1]), rel=1e-12)
+            assert (agent.current_target, got_fallback) == (arm, fallback)
+            assert agent.target_q == pytest.approx(quad_form_inv(cov, contexts[arm - 1]), rel=1e-12)
 
     @pytest.mark.parametrize("algo", ["async", "sync"])
     def test_one_factorization_per_server_state(self, algo, monkeypatch):
@@ -605,7 +611,8 @@ class TestOneSolvePath:
             cov, resp, contexts = snapshot(rng, d)
             counts = rng.integers(1, 20, size=len(contexts))
             server, stop = stop_at(cov, resp, contexts, float(rng.uniform(0.0, 3.0)), counts)
-            arm, fallback, q = lin.select_target(server, contexts, stop, arm_select, "min", {})
+            agent, fallback = download(server, contexts, stop, arm_select)
+            arm, q = agent.current_target, agent.target_q
             # the per-solve path: the greedy rule factors cov and solves again
             want = lin.choose_informative_arm(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
             assert (arm, fallback) == want
@@ -831,43 +838,6 @@ class TestIntegerTriggerLimit:
 
 
 # ---------------------------------------------------------------------------
-# Activation: the Lemire replica against Generator.integers
-# ---------------------------------------------------------------------------
-
-
-class TestActivationReplica:
-    @pytest.mark.parametrize(
-        "m_agents",
-        # 2^31 + 1 redraws about half its words; 2^32 - 1 is the largest
-        # bound on numpy's 32-bit path
-        [2, 3, 7, 10, 100, 2**31 + 1, 2**32 - 1],
-    )
-    def test_same_values_and_stream_as_integers(self, m_agents):
-        schedule = ActivationSchedule("uniform-random", m_agents)
-        rng, ref = make_rng(m_agents % 1000), make_rng(m_agents % 1000)
-        for t in range(3000):
-            assert schedule.next_agent(rng) == int(ref.integers(m_agents)), t
-            if t % 3 == 0:
-                assert rng.standard_normal() == ref.standard_normal()
-            if t % 7 == 0:
-                assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_a_new_generator_is_followed(self):
-        schedule = ActivationSchedule("uniform-random", 5)
-        for seed in (1, 2, 1):
-            rng, ref = make_rng(seed), make_rng(seed)
-            assert [schedule.next_agent(rng) for _ in range(50)] == [int(ref.integers(5)) for _ in range(50)]
-
-    def test_bounds_numpy_draws_otherwise_are_refused(self):
-        # the config refuses them, before a driver builds any agent state
-        for m_agents in (2**32, 2**40):
-            with pytest.raises(ValueError):
-                RunConfig(n_agents=m_agents)
-        RunConfig(n_agents=2**32, activation="round-robin")  # draws nothing
-
-
-# ---------------------------------------------------------------------------
 # Activation and reward blocks against per-round draws
 # ---------------------------------------------------------------------------
 
@@ -997,6 +967,20 @@ class TestBlockStream:
         assert_same_stream(activation, m_agents, 4)
         assert_same_stream(activation, m_agents, 4, n=1001)
 
+    def test_a_new_generator_is_followed(self):
+        schedule = ActivationSchedule("uniform-random", 5)
+        for seed in (1, 2, 1):
+            rng, ref = make_rng(seed), make_rng(seed)
+            assert block_stream(schedule, rng, 50) == per_round_stream("uniform-random", 5, ref, 50)
+            assert live_state(rng) == live_state(ref)
+
+    def test_bounds_numpy_draws_otherwise_are_refused(self):
+        # the config refuses them, before a driver builds any agent state
+        for m_agents in (2**32, 2**40):
+            with pytest.raises(ValueError):
+                RunConfig(n_agents=m_agents)
+        RunConfig(n_agents=2**32, activation="round-robin")  # draws nothing
+
     def test_other_bit_generators_draw_per_round(self):
         rng, ref = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
         schedule = ActivationSchedule("uniform-random", 10)
@@ -1039,6 +1023,78 @@ class TestBlockStream:
             cfg = RunConfig(n_agents=10, seed=cap, activation=activation, epsilon=0.0, max_rounds=cap)
             res = assert_same_famabpe(inst, cfg, server_states, audit=True)
             assert res.tau == cap and not res.terminated
+
+
+def crafted_state(first, later=None, buffered=None):
+    """A PCG64 state whose next outputs are the word `first` and, for
+    later = (j, w) with j in (1, 2), the word w at output j, with `buffered`
+    as its buffered 32-bit half. A state with high half h of 0 or 1 and low
+    half w ^ h outputs w; the increment and the state before `first` are
+    solved for with the multiplier's inverse, as stream._read_ziggurat does."""
+    mult, mod = stream._PCG64_MULT, 1 << 128
+    inc = 1
+    if later is not None:
+        j, w = later
+        lead = first * pow(mult, j, mod)  # output j's state is lead + inc (1 + mult)^(j - 1)
+        if j == 1:
+            inc = (w - lead) % mod
+        else:
+            h = (lead ^ w) & 1  # keeps that state's parity that of lead, as 1 + mult is even
+            inc = ((h << 64 | w ^ h) - lead) % mod // 2 * pow((1 + mult) // 2, -1, mod) % mod
+    state = {"state": (first - inc) * pow(mult, -1, mod) % mod, "inc": inc}
+    has_uint32 = int(buffered is not None)
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": has_uint32, "uinteger": buffered or 0}
+
+
+def half_with_low(m_agents, low):
+    """The 32-bit half w with w M = low in its low 32 bits (M odd)."""
+    w = low * pow(m_agents, -1, 1 << 32) % (1 << 32)
+    assert w * m_agents & 0xFFFFFFFF == low
+    return w
+
+
+class TestProductEdge:
+    """Crafted words put a product's low 32 bits on 2^32 mod M (accepted) or
+    one below it (a redraw), in a round that opens a word or takes a buffered
+    half, with that round's normal on or off the ziggurat's fast path. An odd
+    M makes both products reachable; at M = 3 the threshold is 1, so a half
+    of 0xAAAAAAAB lands on it and a half of 0 lies below it."""
+
+    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
+    @pytest.mark.parametrize("accepted", [True, False], ids=["at", "below"])
+    @pytest.mark.parametrize("where", ["opening", "state-buffer", "word-buffer"])
+    @pytest.mark.parametrize("m_agents", [3, 7, 2**31 + 1])
+    def test_block_against_per_round(self, m_agents, where, accepted, slow):
+        schedule = ActivationSchedule("uniform-random", m_agents)
+        threshold = schedule._threshold
+        if m_agents == 3:
+            assert threshold == 1 and half_with_low(3, 1) == 0xAAAAAAAB and half_with_low(3, 0) == 0
+        half = half_with_low(m_agents, threshold if accepted else threshold - 1)
+        ok = half_with_low(m_agents, threshold)  # an accepted half for the rounds beside it
+        fast, slow_word = 1 << 9 | 2, ((1 << 52) - 1) << 9 | 2
+        words = np.array([fast, slow_word], dtype=np.uint64)
+        assert stream._decode_normals(words, stream._ziggurat_tables())[1].tolist() == [True, False]
+        normal = slow_word if slow else fast
+        if where == "opening":  # round 0 takes word 0's low half, its normal is word 1
+            edge, state = 0, crafted_state(ok << 32 | half, (1, normal))
+        elif where == "state-buffer":  # round 0 takes the state's half, its normal is word 0
+            edge, state = 0, crafted_state(normal, (1, ok << 32 | ok), buffered=half)
+        else:  # round 1 takes word 0's high half, its normal is word 2
+            edge, state = 1, crafted_state(half << 32 | ok, (2, normal))
+        rng, ref = make_rng(0), make_rng(0)
+        rng.bit_generator.state = ref.bit_generator.state = state
+        agents, normals = schedule.block(rng, 20)
+        # a regular edge round is decoded in the block; any other ends it,
+        # drawn per round
+        if accepted and not slow:
+            assert len(agents) > edge + 1
+        else:
+            assert len(agents) == edge + 1
+        rest = block_stream(schedule, rng, 20 - len(agents))
+        want = per_round_stream("uniform-random", m_agents, ref, 20)
+        assert agents + rest[0] == want[0]
+        assert np.array(normals + rest[1]).tobytes() == np.array(want[1]).tobytes()
+        assert live_state(rng) == live_state(ref)
 
 
 def test_import_builds_no_ziggurat_tables():
@@ -1275,7 +1331,10 @@ def ref_run_sync_linear(instance, config):
         if at_sync and g > warmup and stop.b <= cfg.epsilon:
             stopped, best_est = True, stop.i
             break
-        new_target, fb, _q = lin.select_target(server, contexts, stop, cfg.arm_select, cfg.greedy_sense, memo)
+        agent, fb = lin.download_linear(
+            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
+        )
+        new_target = agent.current_target
         fallbacks += int(fb)
         for m in range(m_agents):
             downloads += 1

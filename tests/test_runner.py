@@ -41,8 +41,10 @@ class TestActivationSchedule:
     def test_uniform_covers_agents(self):
         sched = ActivationSchedule("uniform-random", 4)
         rng = make_rng(1)
-        seen = {sched.next_agent(rng) for _ in range(400)}
-        assert seen == {0, 1, 2, 3}
+        agents = []
+        while len(agents) < 400:
+            agents += sched.block(rng, 400 - len(agents))[0]
+        assert set(agents) == {0, 1, 2, 3}
 
 
 class TestRunFamabpe:
