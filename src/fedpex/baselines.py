@@ -129,7 +129,7 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         n, synced = g - synced, g
         for m in range(m_agents):
             if linear:
-                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], pend_counts[m], n)
+                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], server.counts + pend_counts[m], n)
             else:
                 for a in np.flatnonzero(pend_counts[m]):
                     server = mab.server_merge_mab(server, a + 1, int(pend_counts[m, a]), float(pend_sums[m, a]))

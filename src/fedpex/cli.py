@@ -155,6 +155,9 @@ def _dispatch(algo: str, instance, config, audit: bool):
     return run_synchronous(instance, config)
 
 
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_sweep(text: str) -> list[float]:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
@@ -164,8 +167,13 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValueError("--gap-sweep needs finite START, STOP and STEP")
     if step <= 0 or stop < start:
         raise ValueError("--gap-sweep requires step > 0 and stop >= start")
-    n = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 12) for i in range(n)]
+    span = (stop - start) / step  # the sweep has round(span) + 1 points; span may be inf
+    if not span < _MAX_SWEEP_POINTS - 0.5:
+        raise ValueError(f"--gap-sweep has more than {_MAX_SWEEP_POINTS} points")
+    gaps = [round(start + i * step, 12) for i in range(int(round(span)) + 1)]
+    if not (0.0 < gaps[0] and gaps[-1] < 1.0):  # the points increase
+        raise ValueError("--gap-sweep points must lie in (0, 1)")
+    return gaps
 
 
 def cmd_run(args) -> int:

@@ -50,6 +50,13 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         scale = np.abs(a).max()
         if scale > 0 and np.abs(a - a.T).max() > _SYM_TOL * scale:
             raise ValueError("matrix is not symmetric")
+    return cholesky_symmetric(a)
+
+
+def cholesky_symmetric(a: np.ndarray) -> np.ndarray:
+    """`cholesky` of a square float matrix that is bitwise symmetric, as every
+    merged server covariance is, without the shape and symmetry checks; the
+    pivot test and its warning-free NotPositiveDefiniteError stay."""
     try:
         with np.errstate(all="ignore"):
             lower = _cholesky_lo(a)

@@ -10,7 +10,8 @@ Each server state is whitened once: its stop check factors cov = L L^T and
 solves Z = L^{-1} [X^T | resp], and the rewards, pair widths, greedy scores
 and the target's x^T cov^{-1} x (the closed-form determinant trigger) are
 all read from Z. So B can differ in its last bits from an evaluation by
-separate solves (see the README).
+separate solves (see the README). The values fixed for a run (each arm's
+x x^T, the trigger parameters) are resolved once, in runner.LinearFamily.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_lp, solve_l1
+from .design_lp import SUPPORT_TOL, InfeasibleTargetError, NoSupportError, ZeroTargetError, solve_l1
 from .mab import trigger_limit_mab
 
 
@@ -93,16 +94,22 @@ def pair_widths(zx: np.ndarray, i: int) -> np.ndarray:
     """||x_i - x_k||_{V^{-1}} for every arm k (0-based i), as the norms of the
     column differences of the whitened contexts zx = L^{-1} X^T, V = L L^T."""
     diff = zx[:, i, None] - zx
-    return np.sqrt((diff * diff).sum(0))
+    diff *= diff
+    widths = np.add.reduce(diff, 0)  # diff.sum(0) without its wrapper
+    return np.sqrt(widths, out=widths)
 
 
 def _pair(rewards: np.ndarray, zx: np.ndarray, c: float) -> tuple[int, int, float]:
-    """0-based empirical best arm i, challenger j and j's score."""
+    """0-based empirical best arm i, challenger j and j's score; `rewards`
+    becomes the scores rewards - rewards[i] + widths * c, with -inf at i."""
     i = int(rewards.argmax())
-    scores = rewards - rewards[i] + pair_widths(zx, i) * c
-    scores[i] = -np.inf
-    j = int(scores.argmax())
-    return i, j, float(scores[j])
+    widths = pair_widths(zx, i)
+    widths *= c
+    rewards -= rewards[i]
+    rewards += widths
+    rewards[i] = -np.inf
+    j = int(rewards.argmax())
+    return i, j, float(rewards[j])
 
 
 def select_pair_linear(theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndarray, c: float) -> tuple[int, int]:
@@ -117,16 +124,16 @@ def select_pair_linear(theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndar
 
 
 def select_arm_greedy(
-    cov: np.ndarray, contexts: np.ndarray, y: np.ndarray, sense: str = "min", whitened: tuple | None = None
+    cov: np.ndarray, contexts: np.ndarray, y: np.ndarray | None, sense: str = "min", whitened: tuple | None = None
 ) -> int:
     """Arm whose extra observation most shrinks y^T (cov + x x^T)^{-1} y.
 
     Every arm is scored at once by Sherman-Morrison,
     y^T V^{-1} y - (x^T V^{-1} y)^2 / (1 + x^T V^{-1} x), from the whitened
     zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T), which `whitened` holds when
-    the caller already has them. sense="min" picks the uncertainty-minimizing
-    arm; sense="max" keeps the literal maximizing form for comparison runs.
-    Ties break to the lowest index; y = 0 returns arm 1.
+    the caller already has them (y is then not read). sense="min" picks the
+    uncertainty-minimizing arm; sense="max" keeps the literal maximizing form
+    for comparison runs. Ties break to the lowest index; y = 0 returns arm 1.
     """
     if whitened is None:
         z = linalg.forward_sub(linalg.cholesky(cov), np.column_stack((y, contexts.T)))
@@ -162,8 +169,11 @@ def trigger_limit_linear(counts_total: int, q: float, gamma1, gamma2) -> int:
     with fl(n*q) <= float(gamma1), found from int(gamma1/q) by steps of one.
     The count limit alone applies when gamma1/q is infinite (q = 0 included)
     or beyond it, or beyond 2^52 pulls, which no run reaches."""
-    limit = trigger_limit_mab(counts_total, gamma2)
-    g1 = float(gamma1)
+    return _det_limit(trigger_limit_mab(counts_total, gamma2), q, float(gamma1))
+
+
+def _det_limit(limit: int, q: float, g1: float) -> int:
+    """trigger_limit_linear from its count limit and g1 = float(gamma1)."""
     ratio = g1 / q if q > 0.0 else math.inf
     # ratio >= limit + 2 leaves fl(limit*q) <= g1 through the rounding of both
     if ratio < min(limit, 1 << 52) + 2:
@@ -177,40 +187,31 @@ def trigger_limit_linear(counts_total: int, q: float, gamma1, gamma2) -> int:
 
 
 def server_merge_linear(
-    server: LinServerState, pending_cov: np.ndarray, pending_resp: np.ndarray, pending_counts: np.ndarray, n: int
+    server: LinServerState, pending_cov: np.ndarray, pending_resp: np.ndarray, counts: np.ndarray, n: int
 ) -> LinServerState:
-    """Fold one agent's local matrices/vector/counts (n pulls) into the server state."""
+    """Fold one agent's n pulls into the server state: their matrix and vector
+    sums are added, and `counts`, the merged state's per-arm counts, is built
+    by the caller from its buffer (a frozen target adds n to one arm)."""
     return LinServerState(
         cov=server.cov + pending_cov,
         resp=server.resp + pending_resp,
-        counts=server.counts + pending_counts,
+        counts=counts,
         counts_total=server.counts_total + n,
     )
 
 
-def stopping_linear(
-    server: LinServerState,
-    contexts: np.ndarray,
-    dim: int,
-    delta: float,
-    sigma: float,
-    ridge: float,
-    gamma1,
-    gamma2,
-    n_agents: int,
-    c_override: float | None = None,
-) -> StopCheck:
+def stopping_linear(server: LinServerState, rhs: np.ndarray, c: float) -> StopCheck:
     """Server-side pair (i, j), the stopping score B and the whitened contexts.
 
-    B = (x_j - x_i).theta_ser + ||x_i - x_j||_{cov^{-1}} * C_ser; the run
-    stops when B <= epsilon. With Z = L^{-1} [X^T | resp], X theta_ser is
-    Z_x^T z_r. c_override replaces the radius scalar (test hook).
+    B = (x_j - x_i).theta_ser + ||x_i - x_j||_{cov^{-1}} * c, where c is the
+    state's radius scalar (c_scalar); the run stops when B <= epsilon. `rhs`
+    is a (K+1) x d buffer holding the contexts in its first K rows; resp is
+    written into its last, and with Z = L^{-1} rhs^T, X theta_ser is
+    Z_x^T z_r. cov must be bitwise symmetric, as every merge leaves it.
     """
-    z = linalg.forward_sub(linalg.cholesky(server.cov), np.concatenate((contexts, server.resp[None])).T)
+    rhs[-1] = server.resp
+    z = linalg.forward_sub(linalg.cholesky_symmetric(server.cov), rhs.T)
     zx = z[:, :-1]
-    c = c_override
-    if c is None:
-        c = c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
     i, j, b = _pair(z[:, -1] @ zx, zx, c)
     return StopCheck(i + 1, j + 1, b, zx)
 
@@ -232,47 +233,53 @@ def choose_informative_arm(
     (duplicate contexts) or outside the span; both are impossible for
     generated instances but guarded so runs stay alive. The LP depends only
     on the contexts and (i, j), so a run passes one `lp_memo` dict that keeps
-    each pair's solution (None for a fallback) for the rest of the run. `zx`
-    is the whitened contexts of agent_cov when the caller already has them.
+    each pair's design support and p on it (None for a fallback) for the
+    rest of the run; the arm is informative_arm_lp's. `zx` is the whitened
+    contexts of agent_cov when the caller already has them.
     """
-    y = contexts[i - 1] - contexts[j - 1]
     if arm_select == "lp":
         if lp_memo is None:
             lp_memo = {}
-        if (i, j) not in lp_memo:
-            try:
-                lp_memo[(i, j)] = solve_l1(contexts, y)
-            except (ZeroTargetError, InfeasibleTargetError):
-                lp_memo[(i, j)] = None
-        sol = lp_memo[(i, j)]
-        if sol is not None:
-            return informative_arm_lp(agent_counts, sol.p), False
+        design = lp_memo.get((i, j), False)
+        if design is False:
+            design = lp_memo[(i, j)] = _design(contexts, i, j)
+        if design is not None:
+            counts = agent_counts.tolist()
+            return min(design, key=lambda kp: counts[kp[0]] / kp[1])[0] + 1, False
+    y = contexts[i - 1] - contexts[j - 1] if zx is None else None
     whitened = None if zx is None else (zx[:, i - 1] - zx[:, j - 1], zx)
     return select_arm_greedy(agent_cov, contexts, y, greedy_sense, whitened), arm_select == "lp"
 
 
-def download_linear(
-    server: LinServerState,
-    contexts: np.ndarray,
-    stop: StopCheck,
-    gamma1,
-    gamma2,
-    arm_select: str,
-    greedy_sense: str,
-    lp_memo: dict | None = None,
-) -> tuple[LinAgentState, bool]:
+def _design(contexts: np.ndarray, i: int, j: int) -> list[tuple[int, float]] | None:
+    """(k, p_k) for the 0-based arms k with p_k > SUPPORT_TOL in the minimum-L1
+    design of x_i - x_j, in order, or None where the LP is undefined."""
+    try:
+        p = solve_l1(contexts, contexts[i - 1] - contexts[j - 1]).p
+    except (ZeroTargetError, InfeasibleTargetError):
+        return None
+    design = [(k, pk) for k, pk in enumerate(p.tolist()) if pk > SUPPORT_TOL]
+    if not design:
+        raise NoSupportError("selection distribution has empty support")
+    return design
+
+
+def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[LinAgentState, bool]:
     """An agent's fresh snapshot of `server`, whose stop check is `stop`:
     buffers cleared, trigger limit fixed, and the target (and whether it fell
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
-    and whitened contexts without a solve."""
+    and whitened contexts without a solve. `run` holds the run's resolved
+    values (runner.LinearFamily): contexts, outers (each arm's x x^T), g1 =
+    float(gamma1), g2_ratio = gamma2.as_integer_ratio(), arm_select,
+    greedy_sense and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
-        server.cov, server.counts, contexts, i, j, arm_select, greedy_sense, zx=zx, lp_memo=lp_memo
+        server.cov, server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
     )
     z = zx[:, target - 1]
     q = float(z @ z)
+    num, den = run.g2_ratio
     dim = server.cov.shape[0]
-    x = contexts[target - 1]
     agent = LinAgentState(
         cov=server.cov,
         counts=server.counts,
@@ -281,9 +288,9 @@ def download_linear(
         current_target=target,
         counts_total=server.counts_total,
         pending_total=0,
-        target_context=x,
-        target_outer=x[:, None] * x,
+        target_context=run.contexts[target - 1],
+        target_outer=run.outers[target - 1],
         target_q=q,
-        trigger_limit=trigger_limit_linear(server.counts_total, q, gamma1, gamma2),
+        trigger_limit=_det_limit(num * server.counts_total // den, q, run.g1),
     )
     return agent, fallback

@@ -120,15 +120,17 @@ def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int,
     return i, j, b
 
 
-def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma) -> MabAgentState:
+def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> MabAgentState:
     """An agent's fresh state after downloading `server`: empty buffer,
     target and trigger limit fixed. `bonuses` and (i, j) are the stop
     check's for this same server state, so the target is the one
-    agent_target_mab derives from the snapshot."""
+    agent_target_mab derives from the snapshot; gamma_ratio is gamma's
+    numerator and denominator, from which the limit is trigger_limit_mab's."""
+    num, den = gamma_ratio
     return MabAgentState(
         server.mean_est,
         server.counts,
         server.counts_total,
         select_arm_mab(i, j, bonuses),
-        trigger_limit_mab(server.counts_total, gamma),
+        (num * server.counts_total) // den,
     )

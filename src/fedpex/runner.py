@@ -78,6 +78,7 @@ class MabFamily:
         self.cfg = cfg = config.resolved(instance.k_arms)
         # the confidence widths' arguments after the counts and their total
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
+        self.gamma_ratio = cfg.gamma.as_integer_ratio()
 
     def init(self, rng: Rng):
         """The server state after one pull of every arm; its estimates are the rewards."""
@@ -96,7 +97,7 @@ class MabFamily:
     def download(self, server, check):
         """A fresh agent state for `server`, and whether its target fell back."""
         i, j, _b, bon = check
-        return mab.download_mab(server, bon, i, j, self.cfg.gamma), False
+        return mab.download_mab(server, bon, i, j, self.gamma_ratio), False
 
     def best_arm(self, server) -> int:
         return int(np.argmax(server.mean_est)) + 1
@@ -112,7 +113,7 @@ class MabFamily:
         if held != true_pulls:
             raise AuditError(f"count conservation violated: {held} != {true_pulls}")
         gamma = self.cfg.gamma
-        num, den = gamma.numerator, gamma.denominator
+        num, den = self.gamma_ratio
         for idx, a in enumerate(agents):
             total = a.counts_total
             if total != int(a.counts.sum()) or a.trigger_limit != mab.trigger_limit_mab(total, gamma):
@@ -128,8 +129,8 @@ class MabFamily:
 
 
 class LinearFamily:
-    """falinpe's hooks for the drivers (see MabFamily); a run's LP memo and,
-    for the audit, its global sums live here."""
+    """falinpe's hooks for the drivers (see MabFamily); the run's values that
+    every message reads, resolved once, its LP memo and the audit's sums."""
 
     linear = True
 
@@ -137,13 +138,17 @@ class LinearFamily:
         # each arm's mean is computed once, as sample_reward_linear computes it
         self.instance, self.means = instance, arm_means_linear(instance)
         self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma)
-        self.contexts = np.asarray(instance.contexts, dtype=float)
-        self.lp_memo: dict = {}
-        # the arguments of stopping_linear after the server state, and of
-        # download_linear after the trigger parameters
-        self.stop_args = (self.contexts, instance.dim, cfg.delta, instance.sigma, cfg.ridge)
-        self.stop_args += (cfg.gamma1, cfg.gamma2, cfg.n_agents)
-        self.select_args = (cfg.arm_select, cfg.greedy_sense, self.lp_memo)
+        self.contexts = contexts = np.asarray(instance.contexts, dtype=float)
+        self.arm_select, self.greedy_sense, self.lp_memo = cfg.arm_select, cfg.greedy_sense, {}
+        # each arm's x x^T, and the stop check's right-hand side [X | resp]
+        self.outers = contexts[:, :, None] * contexts[:, None, :]
+        self.rhs = np.concatenate((contexts, np.zeros((1, instance.dim))))
+        g1, g2, m = float(cfg.gamma1), float(cfg.gamma2), cfg.n_agents
+        self.g1, self.g2_ratio = g1, cfg.gamma2.as_integer_ratio()
+        # the parts of c_scalar that do not depend on the sample count
+        coef = math.sqrt(2.0 * g1) * m + math.sqrt(1.0 + g1 * m)
+        self.radius = (math.sqrt(cfg.ridge), coef * instance.sigma, 1.0 + g2 * m, min(g1, 1.0) * cfg.ridge)
+        self.radius += (2.0 / cfg.delta, instance.dim)
 
     def init(self, rng: Rng):
         inst, k = self.instance, self.instance.k_arms
@@ -157,17 +162,19 @@ class LinearFamily:
 
     def merge(self, server, ag):
         # every pending pull was of the frozen target
-        counts = np.zeros_like(server.counts)
-        counts[ag.current_target - 1] = ag.pending_total
+        counts = server.counts.copy()
+        counts[ag.current_target - 1] += ag.pending_total
         return lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
 
     def stop(self, server):
-        """The StopCheck (i, j, B, whitened contexts) of a server state."""
-        return lin.stopping_linear(server, *self.stop_args)
+        """The StopCheck (i, j, B, whitened contexts) of a server state, at
+        c_scalar's radius for its sample count."""
+        root, coef, growth, scale, log_scale, dim = self.radius
+        log = math.log(log_scale * (1.0 + (growth * server.counts_total) / scale))
+        return lin.stopping_linear(server, self.rhs, root + coef * math.sqrt(dim * log))
 
     def download(self, server, check):
-        cfg = self.cfg
-        return lin.download_linear(server, self.contexts, check, cfg.gamma1, cfg.gamma2, *self.select_args)
+        return lin.download_linear(server, check, self)
 
     def best_arm(self, server) -> int:
         return int(np.argmax(self.contexts @ lin.rls_estimate(server.cov, server.resp))) + 1

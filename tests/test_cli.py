@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -194,8 +195,17 @@ class TestRun:
             ("instance", ["--seed-base", "-1"]),
             # an infinite bound must not reach the gap count
             ("sweep", ["--gap-sweep", "0.1:inf:0.1"]),
+            # 10^13 points, refused by the count before any list is built
+            ("sweep", ["--gap-sweep", "0.1:1e12:0.1"]),
+            # a span / step that overflows to inf
+            ("sweep", ["--gap-sweep", "0.1:1e300:1e-300"]),
+            # points at or beyond the ends of (0, 1), which generation rejects
+            ("sweep", ["--gap-sweep", "0.5:1.0:0.25"]),
+            ("sweep", ["--gap-sweep", "0:0.5:0.1"]),
+            ("sweep", ["--gap-sweep=-0.2:0.4:0.2"]),
         ],
-        ids=["negative-seed", "infinite-sweep"],
+        ids=["negative-seed", "infinite-sweep", "huge-sweep", "overflowing-sweep", "sweep-reaches-1",
+             "sweep-from-0", "negative-sweep"],
     )
     def test_bad_seed_or_sweep_exit_2(self, tmp_path, source, extra):
         out = tmp_path / "res.csv"
@@ -209,6 +219,19 @@ class TestRun:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert proc.stdout == "" and not out.exists()
+
+    def test_huge_sweep_is_refused_by_its_count(self):
+        # 0.1:1e12:0.1 has 10^13 points; refusing it allocates no list of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than 10000 points"):
+                cli._parse_sweep("0.1:1e12:0.1")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert len(cli._parse_sweep("0.0001:0.9999:0.0001")) == cli._MAX_SWEEP_POINTS - 1
+        assert cli._parse_sweep("0.3:0.5:0.1") == [0.3, 0.4, 0.5]
 
     def test_incompatible_algo_instance_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from fedpex import baselines, linalg, stream
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
+    LinearInstance,
     MabInstance,
     RunConfig,
     RunResult,
@@ -38,10 +40,12 @@ from fedpex.core import (
     sample_reward_mab,
 )
 from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
+from fedpex.design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_lp
 from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
     ActivationSchedule,
     AuditRecord,
+    LinearFamily,
     linear_comm_bound,
     mab_comm_bound,
     run_falinpe,
@@ -143,6 +147,70 @@ def ref_greedy(cov, contexts, y, sense):
     return (int(np.argmin(vals)) if sense == "min" else int(np.argmax(vals))) + 1
 
 
+# The linear message path before a run's values were resolved once: the stop
+# check and download as they were composed from the public kernels, with the
+# run's Fractions passed to every call. The drivers' fast path must match
+# them bit for bit.
+
+
+def ref_pair(rewards, zx, c):
+    """0-based best arm i, challenger j and j's score, out of place."""
+    i = int(rewards.argmax())
+    diff = zx[:, i, None] - zx
+    scores = rewards - rewards[i] + np.sqrt((diff * diff).sum(0)) * c
+    scores[i] = -np.inf
+    j = int(scores.argmax())
+    return i, j, float(scores[j])
+
+
+def ref_stop_check(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n_agents):
+    """public cholesky and forward_sub on a fresh [X | resp], c_scalar on Fractions."""
+    z = forward_sub(cholesky(server.cov), np.concatenate((contexts, server.resp[None])).T)
+    zx = z[:, :-1]
+    c = lin.c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
+    i, j, b = ref_pair(z[:, -1] @ zx, zx, c)
+    return lin.StopCheck(i + 1, j + 1, b, zx)
+
+
+def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx, memo):
+    """The arm from a memo of whole L1 solutions, by the loop informative_arm_lp."""
+    y = contexts[i - 1] - contexts[j - 1]
+    if arm_select == "lp":
+        if (i, j) not in memo:
+            try:
+                memo[(i, j)] = lin.solve_l1(contexts, y)
+            except (ZeroTargetError, InfeasibleTargetError):
+                memo[(i, j)] = None
+        if memo[(i, j)] is not None:
+            return informative_arm_lp(counts, memo[(i, j)].p), False
+    whitened = (zx[:, i - 1] - zx[:, j - 1], zx)
+    return lin.select_arm_greedy(cov, contexts, y, sense, whitened), arm_select == "lp"
+
+
+def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo):
+    """A fresh x x^T and the trigger limit from the Fractions."""
+    i, j, _b, zx = stop
+    target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, sense, zx, memo)
+    z = zx[:, target - 1]
+    q = float(z @ z)
+    x = contexts[target - 1]
+    d = len(x)
+    agent = lin.LinAgentState(
+        cov=server.cov,
+        counts=server.counts,
+        pending_cov=np.zeros((d, d)),
+        pending_resp=np.zeros(d),
+        current_target=target,
+        counts_total=server.counts_total,
+        pending_total=0,
+        target_context=x,
+        target_outer=x[:, None] * x,
+        target_q=q,
+        trigger_limit=lin.trigger_limit_linear(server.counts_total, q, gamma1, gamma2),
+    )
+    return agent, fallback
+
+
 # ---------------------------------------------------------------------------
 # Random snapshots
 # ---------------------------------------------------------------------------
@@ -160,6 +228,25 @@ def snapshot(rng, d, k_arms=None):
         cov += np.outer(x, x)
         resp += float(rng.standard_normal()) * x
     return cov, resp, contexts
+
+
+def rhs_of(contexts):
+    """A stop check's right-hand side buffer: the contexts and a row for resp."""
+    return np.concatenate((contexts, np.zeros((1, contexts.shape[1]))))
+
+
+def run_of(contexts, arm_select, gamma=Fraction(1, 100)):
+    """What download_linear reads of a run, resolved as runner.LinearFamily
+    resolves it, at gamma1 = gamma2 = gamma."""
+    return SimpleNamespace(
+        contexts=contexts,
+        outers=contexts[:, :, None] * contexts[:, None, :],
+        g1=float(gamma),
+        g2_ratio=gamma.as_integer_ratio(),
+        arm_select=arm_select,
+        greedy_sense="min",
+        lp_memo={},
+    )
 
 
 def agent_at(cov, x, counts_total, n):
@@ -373,9 +460,7 @@ class TestBatchedWidths:
             cov, resp, contexts = snapshot(rng, d)
             c = float(rng.uniform(0.0, 3.0))
             server = lin.LinServerState(cov, resp, np.ones(len(contexts), dtype=np.int64), len(contexts))
-            i, j, b, _lower = lin.stopping_linear(
-                server, contexts, d, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c
-            )
+            i, j, b, _lower = lin.stopping_linear(server, rhs_of(contexts), c)
             ri, rj, rb = ref_stopping(cov, resp, contexts, c)
             assert (i, j) == (ri, rj)
             assert b == pytest.approx(rb, rel=1e-9, abs=1e-12)
@@ -481,8 +566,7 @@ class TestLpMemo:
 
 def download(server, contexts, stop, arm_select):
     """download_linear's agent and fallback flag, under fixed trigger parameters."""
-    gamma = Fraction(1, 100)
-    return lin.download_linear(server, contexts, stop, gamma, gamma, arm_select, "min", {})
+    return lin.download_linear(server, stop, run_of(contexts, arm_select))
 
 
 class TestStopCheckReuse:
@@ -494,7 +578,7 @@ class TestStopCheckReuse:
             counts = rng.integers(1, 20, size=len(contexts))
             server = lin.LinServerState(cov, resp, counts, int(counts.sum()))
             c = float(rng.uniform(0.0, 3.0))
-            stop = lin.stopping_linear(server, contexts, 5, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
+            stop = lin.stopping_linear(server, rhs_of(contexts), c)
             agent, got_fallback = download(server, contexts, stop, arm_select)
             # the former download: factor again, re-solve theta, re-score the pair
             i, j = lin.select_pair_linear(ref_solve(cov, resp), contexts, cov, c)
@@ -506,13 +590,13 @@ class TestStopCheckReuse:
     @pytest.mark.parametrize("algo", ["async", "sync"])
     def test_one_factorization_per_server_state(self, algo, monkeypatch):
         calls = []
-        original = lin.linalg.cholesky
+        original = lin.linalg.cholesky_symmetric
 
         def counted(a):
             calls.append(1)
             return original(a)
 
-        monkeypatch.setattr(lin.linalg, "cholesky", counted)
+        monkeypatch.setattr(lin.linalg, "cholesky_symmetric", counted)
         inst = gen_gap_instance_linear(3, 4, 0.3, make_rng(42))
         if algo == "async":
             res = run_falinpe(inst, RunConfig(n_agents=4, seed=6, epsilon=0.05))
@@ -541,7 +625,7 @@ def stop_at(cov, resp, contexts, c, counts=None):
     counts = np.ones(len(contexts), dtype=np.int64) if counts is None else counts
     server = lin.LinServerState(cov, resp, counts, int(counts.sum()))
     d = len(resp)
-    return server, lin.stopping_linear(server, contexts, d, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=c)
+    return server, lin.stopping_linear(server, rhs_of(contexts), c)
 
 
 class TestOneSolvePath:
@@ -617,6 +701,125 @@ class TestOneSolvePath:
             want = lin.choose_informative_arm(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
             assert (arm, fallback) == want
             assert q == pytest.approx(ref_quad_form_inv(cov, contexts[arm - 1]), rel=RTOL)
+
+
+# ---------------------------------------------------------------------------
+# The drivers' stop check and download against the slow composition
+# ---------------------------------------------------------------------------
+
+
+def crafted_linear(rng, d, k_arms):
+    """Unit-norm arms below a unit best arm theta (arm 1, reward 1), except
+    arm 2, whose context is zero (x^T cov^{-1} x = 0), and arm 4, which
+    repeats arm 3 (tied rewards, and a zero LP direction for the pair)."""
+    theta = rng.standard_normal(d)
+    theta /= np.linalg.norm(theta)
+    contexts = rng.standard_normal((k_arms, d))
+    contexts /= np.linalg.norm(contexts, axis=1)[:, None]
+    contexts[0], contexts[1], contexts[3] = theta, 0.0, contexts[2]
+    return LinearInstance(contexts=contexts, theta=theta, sigma=0.3)
+
+
+def server_at(fam, rng, kind):
+    """A server state of fam's run: ridge I plus counts_k x_k x_k^T, and a
+    random resp, a zero one (every reward tied at 0), or one that puts the
+    equal arms 3 and 4 far ahead, so that they are the pair."""
+    contexts, d = fam.contexts, fam.instance.dim
+    counts = rng.integers(1, 60, size=len(contexts))
+    cov = fam.cfg.ridge * np.eye(d)
+    for x, n in zip(contexts, counts.tolist()):
+        cov += n * np.outer(x, x)
+    if kind == "random":
+        resp = float(rng.uniform(0.1, 30.0)) * rng.standard_normal(d)
+    elif kind == "tied":
+        resp = np.zeros(d)
+    else:
+        resp = 1e6 * (cov @ contexts[2])
+    return lin.LinServerState(cov, resp, counts, int(counts.sum()))
+
+
+class TestMessagePathAgainstSlowComposition:
+    """LinearFamily's stop check and download, with the run's values resolved
+    once, against ref_stop_check and ref_download: the public kernels on a
+    fresh right-hand side, c_scalar and the trigger limit on Fractions, and
+    the loop informative_arm_lp."""
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
+    @pytest.mark.parametrize("d,k", [(3, 5), (5, 5), (10, 20)])
+    def test_bit_equal(self, d, k, arm_select, sense):
+        rng = np.random.default_rng(1200 + 10 * d + k)
+        inst = crafted_linear(rng, d, k)
+        configs = [
+            RunConfig(n_agents=10, arm_select=arm_select, greedy_sense=sense),
+            RunConfig(n_agents=3, delta=0.01, gamma1=0.37, gamma2=Fraction(2, 13), arm_select=arm_select,
+                      greedy_sense=sense),
+        ]
+        seen = {"fallback": 0, "q0": 0, "tied": 0}
+        for config in configs:
+            fam = LinearFamily(inst, config)
+            cfg, memo = fam.cfg, {}
+            for n in range(60):
+                kind = ("random", "tied", "lead")[n % 3]
+                server = server_at(fam, rng, kind)
+                stop = fam.stop(server)
+                want = ref_stop_check(
+                    server, fam.contexts, d, cfg.delta, inst.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, cfg.n_agents
+                )
+                assert (stop.i, stop.j, stop.b.hex()) == (want.i, want.j, want.b.hex())
+                assert stop.zx.tobytes() == want.zx.tobytes()
+                agent, fallback = fam.download(server, stop)
+                ref, ref_fallback = ref_download(
+                    server, fam.contexts, want, cfg.gamma1, cfg.gamma2, arm_select, sense, memo
+                )
+                assert (agent.current_target, fallback) == (ref.current_target, ref_fallback)
+                assert (agent.target_q.hex(), agent.trigger_limit) == (ref.target_q.hex(), ref.trigger_limit)
+                for name in ("cov", "counts", "pending_cov", "pending_resp", "target_context", "target_outer"):
+                    assert getattr(agent, name).tobytes() == getattr(ref, name).tobytes(), name
+                assert (agent.counts_total, agent.pending_total) == (ref.counts_total, ref.pending_total)
+                seen["fallback"] += fallback
+                seen["q0"] += agent.target_q == 0.0
+                seen["tied"] += kind == "tied" and stop.i == 1
+        # the edge cases were reached, not only the common path
+        assert seen["tied"] > 0
+        if arm_select == "lp":
+            assert seen["fallback"] > 0
+        if arm_select == "greedy" and sense == "max":
+            assert seen["q0"] > 0
+
+
+class TestDriverFactorizationAssumptions:
+    """The stop check factors cov without the symmetry check, which relies on
+    every server covariance being bitwise symmetric; a matrix that is not
+    positive definite still raises NotPositiveDefiniteError, warning-free."""
+
+    @pytest.mark.parametrize("algo", ["lp", "greedy", "sync"])
+    def test_every_server_covariance_is_bitwise_symmetric(self, algo, monkeypatch):
+        symmetric = []
+        original = lin.stopping_linear
+
+        def checked(server, *args):
+            symmetric.append(server.cov.tobytes() == server.cov.T.tobytes())
+            return original(server, *args)
+
+        monkeypatch.setattr(lin, "stopping_linear", checked)
+        inst = gen_gap_instance_linear(5, 5, 0.3, make_rng(1300), sigma=0.3)
+        if algo == "sync":
+            res = run_synchronous(inst, SyncConfig(n_agents=10, seed=2, epsilon=0.05, episode_len=3))
+        else:
+            res = run_falinpe(inst, RunConfig(n_agents=10, seed=2, epsilon=0.05, arm_select=algo))
+        assert res.terminated and len(symmetric) > 10 and all(symmetric)
+
+    @pytest.mark.parametrize(
+        "cov", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), np.full((2, 2), np.nan)],
+        ids=["indefinite", "zero", "nan"],
+    )
+    def test_not_positive_definite_state_raises_warning_free(self, cov):
+        server = lin.LinServerState(cov, np.ones(2), np.ones(2, dtype=np.int64), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                lin.stopping_linear(server, rhs_of(np.eye(2)), 1.0)
 
 
 class TestGufuncsAgainstPublicCalls:
@@ -1123,12 +1326,12 @@ def ref_run_falinpe(instance, config, audit_log):
         resp += reward * x
     server = lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
     # every agent downloads the initialized state, which is stop-checked once
-    stop = lin.stopping_linear(
+    stop = ref_stop_check(
         server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
     )
     agents, fallbacks = [], 0
     for _ in range(m_agents):
-        agent, fb = lin.download_linear(
+        agent, fb = ref_download(
             server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
         )
         agents.append(agent)
@@ -1152,8 +1355,9 @@ def ref_run_falinpe(instance, config, audit_log):
             comm += 1
             counts = np.zeros(k, dtype=np.int64)
             counts[arm - 1] = ag.pending_total  # every pending pull was of the frozen target
+            counts += server.counts
             server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
-            stop = lin.stopping_linear(
+            stop = ref_stop_check(
                 server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )
             b_value = stop.b
@@ -1162,7 +1366,7 @@ def ref_run_falinpe(instance, config, audit_log):
             else:
                 comm += 1
                 downloads += 1
-                agents[m], fb = lin.download_linear(
+                agents[m], fb = ref_download(
                     server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
                 )
                 fallbacks += int(fb)
@@ -1314,7 +1518,7 @@ def ref_run_sync_linear(instance, config):
             continue
         for m in range(m_agents):
             server = lin.server_merge_linear(
-                server, pend_cov[m], pend_resp[m], pend_counts[m], int(pend_counts[m].sum())
+                server, pend_cov[m], pend_resp[m], server.counts + pend_counts[m], int(pend_counts[m].sum())
             )
             pend_cov[m][:] = 0.0
             pend_resp[m][:] = 0.0
@@ -1325,13 +1529,13 @@ def ref_run_sync_linear(instance, config):
             init_comm += 2 * m_agents
         if int(server.counts.min()) == 0:
             continue
-        stop = lin.stopping_linear(
+        stop = ref_stop_check(
             server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
         )
         if at_sync and g > warmup and stop.b <= cfg.epsilon:
             stopped, best_est = True, stop.i
             break
-        agent, fb = lin.download_linear(
+        agent, fb = ref_download(
             server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
         )
         new_target = agent.current_target
@@ -1382,6 +1586,8 @@ def server_states(monkeypatch):
 
     for module, name in ((mab, "breaking_index"), (mab, "agent_target_mab"), (lin, "stopping_linear")):
         monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    # the reference drivers' stop checks are logged as the drivers' are
+    monkeypatch.setattr(sys.modules[__name__], "ref_stop_check", logged("stopping_linear", ref_stop_check))
     return log
 
 

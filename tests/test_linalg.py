@@ -163,6 +163,27 @@ _AT_PIVOT = 2.0**-48
 _AT_REST = _AT_PIVOT / 1e-14 - _AT_PIVOT
 
 
+# every matrix here is bitwise symmetric, so the driver's factorization,
+# which skips the symmetry check, must reject each one as `cholesky` does
+NOT_POSITIVE_DEFINITE = [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    -np.eye(3),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    np.zeros((2, 2)),
+    np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.diag([1.0, np.nan]),
+    np.full((2, 2), np.nan),
+    np.diag([np.inf, 1.0]),
+    np.diag([1.0, 5e-15]),
+    np.diag([_AT_REST, _AT_PIVOT]),
+]
+NOT_POSITIVE_DEFINITE_IDS = [
+    "indefinite", "negative", "singular", "zero", "rank-one", "nan-offdiagonal",
+    "nan-diagonal", "all-nan", "inf", "pivot-below-threshold", "pivot-at-threshold",
+]
+
+
 class TestNotPositiveDefiniteContract:
     """Every rejected matrix raises the documented error, with warnings as
     errors and under a raising numpy errstate, and no factor is returned."""
@@ -172,32 +193,21 @@ class TestNotPositiveDefiniteContract:
         monkeypatch.setattr(linalg, "_cholesky_lo", KERNELS[request.param])
         return request.param
 
-    @pytest.mark.parametrize(
-        "a",
-        [
-            np.array([[1.0, 2.0], [2.0, 1.0]]),
-            -np.eye(3),
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            np.zeros((2, 2)),
-            np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
-            np.array([[1.0, np.nan], [np.nan, 1.0]]),
-            np.diag([1.0, np.nan]),
-            np.full((2, 2), np.nan),
-            np.diag([np.inf, 1.0]),
-            np.diag([1.0, 5e-15]),
-            np.diag([_AT_REST, _AT_PIVOT]),
-        ],
-        ids=[
-            "indefinite", "negative", "singular", "zero", "rank-one", "nan-offdiagonal",
-            "nan-diagonal", "all-nan", "inf", "pivot-below-threshold", "pivot-at-threshold",
-        ],
-    )
+    @pytest.mark.parametrize("a", NOT_POSITIVE_DEFINITE, ids=NOT_POSITIVE_DEFINITE_IDS)
     @pytest.mark.parametrize("fp_errors", ["warn", "raise"])
     def test_raises_not_positive_definite(self, kernel, a, fp_errors):
         with warnings.catch_warnings(), np.errstate(all=fp_errors):
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefiniteError):
                 cholesky(a)
+
+    @pytest.mark.parametrize("a", NOT_POSITIVE_DEFINITE, ids=NOT_POSITIVE_DEFINITE_IDS)
+    def test_driver_factorization_raises_not_positive_definite(self, kernel, a):
+        assert a.tobytes() == a.T.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                linalg.cholesky_symmetric(a)
 
     def test_threshold_case_is_exact(self):
         assert np.sqrt(_AT_PIVOT) ** 2 == _AT_PIVOT == 1e-14 * (_AT_REST + _AT_PIVOT)

@@ -22,6 +22,11 @@ from fedpex.linear import (
 )
 
 
+def rhs_of(contexts):
+    """The stop check's right-hand side buffer: the contexts and a row for resp."""
+    return np.concatenate((contexts, np.zeros((1, contexts.shape[1]))))
+
+
 def make_agent(cov, x, counts, n_pending, target=1):
     """An agent that pulled its frozen target x n_pending times since its
     download: pending_cov = n x x^T and target_q = x^T cov^{-1} x."""
@@ -174,7 +179,7 @@ class TestHybridTrigger:
 class TestServerMergeLinear:
     def test_zero_merge_identity(self):
         server = LinServerState(np.eye(2), np.zeros(2), np.array([1, 1], dtype=np.int64), 2)
-        out = server_merge_linear(server, np.zeros((2, 2)), np.zeros(2), np.zeros(2, dtype=np.int64), 0)
+        out = server_merge_linear(server, np.zeros((2, 2)), np.zeros(2), server.counts, 0)
         assert np.array_equal(out.cov, server.cov) and out.counts_total == 2
 
     def test_merges_commute(self):
@@ -183,8 +188,12 @@ class TestServerMergeLinear:
         xa, xb = rng.standard_normal(3), rng.standard_normal(3)
         ca = (np.outer(xa, xa), 0.4 * xa, np.array([1, 0], dtype=np.int64), 1)
         cb = (np.outer(xb, xb), -0.2 * xb, np.array([0, 2], dtype=np.int64), 2)
-        ab = server_merge_linear(server_merge_linear(server, *ca), *cb)
-        ba = server_merge_linear(server_merge_linear(server, *cb), *ca)
+
+        def merge(state, pending_cov, pending_resp, pending_counts, n):
+            return server_merge_linear(state, pending_cov, pending_resp, state.counts + pending_counts, n)
+
+        ab = merge(merge(server, *ca), *cb)
+        ba = merge(merge(server, *cb), *ca)
         np.testing.assert_allclose(ab.cov, ba.cov)
         np.testing.assert_allclose(ab.resp, ba.resp)
         assert np.array_equal(ab.counts, ba.counts)
@@ -198,9 +207,7 @@ class TestServerMergeLinear:
         for _ in range(5):
             x = rng.standard_normal(d)
             total += np.outer(x, x)
-            server = server_merge_linear(
-                server, np.outer(x, x), 0.1 * x, np.array([1, 0], dtype=np.int64), 1
-            )
+            server = server_merge_linear(server, np.outer(x, x), 0.1 * x, server.counts + [1, 0], 1)
         np.testing.assert_allclose(server.cov, total)
 
 
@@ -210,7 +217,7 @@ class TestStoppingLinear:
         server = LinServerState(
             10 * np.eye(2), 10 * np.array([0.9, 0.1]), np.array([5, 5], dtype=np.int64), 10
         )
-        b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10, c_override=0.0).b
+        b = stopping_linear(server, rhs_of(contexts), 0.0).b
         assert b < 0.0
 
     def test_duplicate_best_contexts_keep_running(self):
@@ -218,7 +225,7 @@ class TestStoppingLinear:
         server = LinServerState(
             10 * np.eye(2), 10 * np.array([0.9, 0.0]), np.array([4, 3, 3], dtype=np.int64), 10
         )
-        b = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10).b
+        b = stopping_linear(server, rhs_of(contexts), c_scalar(10, 2, 0.05, 0.3, 1.0, 0.01, 0.01, 10)).b
         assert b > 0.0
 
     def test_composition_matches_audited_pieces(self):
@@ -227,11 +234,11 @@ class TestStoppingLinear:
         cov = np.array([[6.0, 1.0], [1.0, 4.0]])
         resp = np.array([3.0, 1.0])
         server = LinServerState(cov, resp, np.array([6, 3], dtype=np.int64), 9)
-        i, j, b, _lower = stopping_linear(server, contexts, 2, 0.05, 0.3, 1.0, 0.01, 0.02, 10)
+        c = c_scalar(9, 2, 0.05, 0.3, 1.0, 0.01, 0.02, 10)
+        i, j, b, _lower = stopping_linear(server, rhs_of(contexts), c)
         theta = rls_estimate(cov, resp)
         rewards = contexts @ theta
         i0 = int(np.argmax(rewards))
-        c = c_scalar(9, 2, 0.05, 0.3, 1.0, 0.01, 0.02, 10)
         y = contexts[i0] - contexts[1 - i0]
         want = rewards[1 - i0] - rewards[i0] + np.sqrt(quad_form_inv(cov, y)) * c
         assert i == i0 + 1 and j == 2 - i0

@@ -166,7 +166,7 @@ class TestDownload:
         """download_mab as the driver calls it, with the stop check's bonuses and pair."""
         bon = bonuses_mab(server.counts, server.counts_total, 0.05, 0.3, 0.1)
         i, j, _b = breaking_index(server.mean_est, bon)
-        return download_mab(server, bon, i, j, gamma)
+        return download_mab(server, bon, i, j, gamma.as_integer_ratio())
 
     def test_copies_server_and_clears_buffers(self):
         server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
