@@ -21,7 +21,7 @@ import numpy as np
 from . import linear as lin
 from . import mab
 from .core import MabInstance, RunConfig, RunResult, make_rng, sample_reward_linear, sample_reward_mab
-from .runner import bandit_family, run_falinpe, run_famabpe, run_result
+from .runner import MAX_BLOCK, bandit_family, run_falinpe, run_famabpe, run_result
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def run_single_agent(instance, config: RunConfig) -> RunResult:
 # (rounds, M) block of normals: the same stream, round by round and agent by
 # agent, as one draw per pull. A block holds at most _MAX_BLOCK rounds, which
 # bounds memory at long episodes.
-_MAX_BLOCK = 1024
+_MAX_BLOCK = MAX_BLOCK
 
 
 def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -272,6 +272,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # the bounds take log2(tau): a run has at least one round
+    if args.tau is not None and args.tau < 1:
+        print("error: --tau must be >= 1", file=sys.stderr)
+        return 2
     inst = load_instance(args.instance)
     config = RunConfig(
         delta=args.delta,

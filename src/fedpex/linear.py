@@ -2,10 +2,10 @@
 algorithm: regularized least squares, hybrid determinant+count trigger,
 ellipsoid bonuses, LP/greedy informative-arm selection, and stopping.
 
-An agent's snapshot is the (cov, counts) pair last downloaded from the
-server, held by reference (merges allocate new arrays); local buffers
-accumulate the pulls of its frozen target not yet uploaded, so the hybrid
-trigger is the integer test n > trigger_limit, the limit fixed at download.
+An agent is mab.AgentState: its downloaded server state (held by reference;
+merges allocate new arrays), frozen target x, unsent rewards of x and
+q = x^T cov^{-1} x, so the hybrid trigger is the integer test
+len(pending) > trigger_limit, the limit fixed at download.
 Each server state is whitened once: its stop check factors cov = L L^T and
 solves Z = L^{-1} [X^T | resp], and the rewards, pair widths, greedy scores
 and the target's x^T cov^{-1} x (the closed-form determinant trigger) are
@@ -25,22 +25,7 @@ import numpy as np
 
 from . import linalg
 from .design_lp import SUPPORT_TOL, InfeasibleTargetError, NoSupportError, ZeroTargetError, solve_l1
-from .mab import trigger_limit_mab
-
-
-@dataclass
-class LinAgentState:
-    cov: np.ndarray  # downloaded server cov, held by reference and never written; d x d SPD
-    counts: np.ndarray  # downloaded per-arm counts, int64
-    pending_cov: np.ndarray  # outer products not yet uploaded: n x x^T for n pulls of the target x
-    pending_resp: np.ndarray
-    current_target: int  # 1-based arm pinned until the next download
-    counts_total: int
-    pending_total: int
-    target_context: np.ndarray  # context x of current_target
-    target_outer: np.ndarray  # x x^T, added to pending_cov on every pull
-    target_q: float  # x^T cov^{-1} x; det(cov + n x x^T) = det(cov) (1 + n target_q)
-    trigger_limit: int  # the upload fires once pending_total exceeds it
+from .mab import AgentState, trigger_limit_mab
 
 
 @dataclass
@@ -144,21 +129,20 @@ def select_arm_greedy(
     return best + 1
 
 
-def check_trigger_hybrid(agent: LinAgentState, gamma1, gamma2) -> bool:
+def check_trigger_hybrid(agent: AgentState, gamma1, gamma2) -> bool:
     """True when the pending data moves the determinant or count ratio too far.
 
-    Fires iff the count condition sum(counts+pending) > (1+gamma2) sum(counts)
-    holds (in exact integer arithmetic as in the MAB trigger), OR
-    logdet(cov + pending_cov) > log(1+gamma1) + logdet(cov). The target is
-    frozen between downloads, so pending_cov = n x x^T and, by the matrix
-    determinant lemma, the second condition is n x^T cov^{-1} x > gamma1.
+    With n pending pulls and a snapshot of C pulls and covariance cov, fires
+    iff the count condition C + n > (1+gamma2) C holds (in exact integer
+    arithmetic as in the MAB trigger), OR
+    logdet(cov + n x x^T) > log(1+gamma1) + logdet(cov), which by the matrix
+    determinant lemma is n x^T cov^{-1} x = n target_q > gamma1.
     """
     g2 = gamma2 if type(gamma2) is Fraction else Fraction(gamma2)
-    lhs = (agent.counts_total + agent.pending_total) * g2.denominator
-    rhs = (g2.denominator + g2.numerator) * agent.counts_total
-    if lhs > rhs:
+    total, n = agent.snapshot.counts_total, len(agent.pending)
+    if (total + n) * g2.denominator > (g2.denominator + g2.numerator) * total:
         return True
-    return agent.pending_total * agent.target_q > float(gamma1)
+    return n * agent.target_q > float(gamma1)
 
 
 def trigger_limit_linear(counts_total: int, q: float, gamma1, gamma2) -> int:
@@ -264,14 +248,13 @@ def _design(contexts: np.ndarray, i: int, j: int) -> list[tuple[int, float]] | N
     return design
 
 
-def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[LinAgentState, bool]:
+def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[AgentState, bool]:
     """An agent's fresh snapshot of `server`, whose stop check is `stop`:
-    buffers cleared, trigger limit fixed, and the target (and whether it fell
+    buffer cleared, trigger limit fixed, and the target (and whether it fell
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
     and whitened contexts without a solve. `run` holds the run's resolved
-    values (runner.LinearFamily): contexts, outers (each arm's x x^T), g1 =
-    float(gamma1), g2_ratio = gamma2.as_integer_ratio(), arm_select,
-    greedy_sense and lp_memo."""
+    values (runner.LinearFamily): contexts, g1 = float(gamma1), g2_ratio =
+    gamma2.as_integer_ratio(), arm_select, greedy_sense and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
         server.cov, server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
@@ -279,18 +262,5 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[LinAg
     z = zx[:, target - 1]
     q = float(z @ z)
     num, den = run.g2_ratio
-    dim = server.cov.shape[0]
-    agent = LinAgentState(
-        cov=server.cov,
-        counts=server.counts,
-        pending_cov=np.zeros((dim, dim)),
-        pending_resp=np.zeros(dim),
-        current_target=target,
-        counts_total=server.counts_total,
-        pending_total=0,
-        target_context=run.contexts[target - 1],
-        target_outer=run.outers[target - 1],
-        target_q=q,
-        trigger_limit=_det_limit(num * server.counts_total // den, q, run.g1),
-    )
-    return agent, fallback
+    limit = _det_limit(num * server.counts_total // den, q, run.g1)
+    return AgentState(server, target, limit, [], q), fallback

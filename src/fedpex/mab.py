@@ -2,11 +2,11 @@
 algorithm: sampling rule, count-ratio upload trigger, server merge,
 breaking-index stopping rule, and download synchronization.
 
-An agent keeps the server snapshot it last downloaded (references to the
-server's arrays, which merges never mutate) and pulls only the target
-derived from it until its next download. Its whole pending buffer is
-therefore (target, n, reward sum), and its upload trigger is the integer
-limit n > trigger_limit fixed at download.
+An agent of either family is an AgentState: the server state it last
+downloaded (held by reference; merges build new states and never write it),
+the target derived from it, the integer trigger limit fixed at download and
+the rewards of the target not yet uploaded, which it sends once it holds
+more than trigger_limit of them.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import numpy as np
 
 
 @dataclass(slots=True)
-class MabAgentState:
-    mean_est: np.ndarray  # last-downloaded server estimates, length K (shared, read-only)
-    counts: np.ndarray  # last-downloaded server counts, int64 (shared, read-only)
-    counts_total: int  # sum(counts), fixed between downloads
-    current_target: int  # 1-based arm pulled while the snapshot is frozen
-    trigger_limit: int  # the upload fires once pending_total exceeds it
-    pending_total: int = 0  # pulls of current_target not yet uploaded
-    pending_sum: float = 0.0  # their reward sum, accumulated in pull order
+class AgentState:
+    """An agent of either family between two downloads."""
+
+    snapshot: object  # the downloaded server state, held by reference and never written
+    current_target: int  # 1-based arm pulled until the next download
+    trigger_limit: int  # the agent uploads once len(pending) exceeds it
+    pending: list  # rewards of current_target not yet uploaded, in pull order
+    target_q: float = 0.0  # linear family only: x^T cov^{-1} x of the target
 
 
 @dataclass
@@ -89,9 +89,9 @@ def trigger_limit_mab(counts_total: int, gamma) -> int:
     return (g.numerator * counts_total) // g.denominator
 
 
-def check_trigger_mab(agent: MabAgentState) -> bool:
+def check_trigger_mab(agent: AgentState) -> bool:
     """True when pending local data exceeds the gamma fraction of the snapshot."""
-    return agent.pending_total > agent.trigger_limit
+    return len(agent.pending) > agent.trigger_limit
 
 
 def server_merge_mab(server: MabServerState, arm: int, n: int, reward_sum: float) -> MabServerState:
@@ -120,17 +120,11 @@ def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int,
     return i, j, b
 
 
-def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> MabAgentState:
+def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> AgentState:
     """An agent's fresh state after downloading `server`: empty buffer,
     target and trigger limit fixed. `bonuses` and (i, j) are the stop
     check's for this same server state, so the target is the one
     agent_target_mab derives from the snapshot; gamma_ratio is gamma's
     numerator and denominator, from which the limit is trigger_limit_mab's."""
     num, den = gamma_ratio
-    return MabAgentState(
-        server.mean_est,
-        server.counts,
-        server.counts_total,
-        select_arm_mab(i, j, bonuses),
-        (num * server.counts_total) // den,
-    )
+    return AgentState(server, select_arm_mab(i, j, bonuses), (num * server.counts_total) // den, [])

@@ -6,12 +6,18 @@ round. Stopping is evaluated only at upload events; the final upload counts
 toward comm_cost and its never-sent download does not. The deterministic
 communication-cost bounds are asserted as hard postconditions of every
 terminated run.
+
+An agent of either family is one mab.AgentState. The round loop appends
+each reward to its buffer and compares the buffer's length with its limit;
+the family's merge alone turns a buffer into server statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -30,6 +36,10 @@ from .core import (
 )
 from .design_lp import solve_l1
 from .stream import ActivationSchedule
+
+# The drivers draw or fold at most MAX_BLOCK pulls at once, which bounds their
+# memory however long an episode or an agent's buffer is.
+MAX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,9 @@ class MabFamily:
         return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
-        return mab.server_merge_mab(server, ag.current_target, ag.pending_total, ag.pending_sum)
+        """`server` with the buffer's rewards added left to right (builtin sum()
+        compensates float sums from Python 3.12 on, which changes the bits)."""
+        return mab.server_merge_mab(server, ag.current_target, len(ag.pending), reduce(add, ag.pending, 0.0))
 
     def stop(self, server):
         """(i, j, B, bonuses) of a server state."""
@@ -105,23 +117,25 @@ class MabFamily:
     def comm_bound(self, tau: int) -> float:
         return mab_comm_bound(self.cfg.n_agents, self.cfg.gamma, tau)
 
-    def audit(self, server, agents, true_pulls, ag, reward):
+    def audit(self, server, agents, true_pulls, m, arm, reward):
+        """The invariants after a round in which agent m pulled `reward` from `arm`."""
         # count conservation: server + pending buffers = every pull ever made
         held = [int(c) for c in server.counts]
         for a in agents:
-            held[a.current_target - 1] += a.pending_total
+            held[a.current_target - 1] += len(a.pending)
         if held != true_pulls:
             raise AuditError(f"count conservation violated: {held} != {true_pulls}")
         gamma = self.cfg.gamma
         num, den = self.gamma_ratio
         for idx, a in enumerate(agents):
-            total = a.counts_total
-            if total != int(a.counts.sum()) or a.trigger_limit != mab.trigger_limit_mab(total, gamma):
+            snap = a.snapshot
+            total = snap.counts_total
+            if total != int(snap.counts.sum()) or a.trigger_limit != mab.trigger_limit_mab(total, gamma):
                 raise AuditError(f"agent {idx + 1} cached totals diverged")
             # trigger negation by the exact rational rule, not by the cached limit
-            if (total + a.pending_total) * den > (den + num) * total:
+            if (total + len(a.pending)) * den > (den + num) * total:
                 raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-            want = mab.agent_target_mab(a.mean_est, a.counts, total, *self.widths)
+            want = mab.agent_target_mab(snap.mean_est, snap.counts, total, *self.widths)
             if want != a.current_target:
                 raise AuditError(f"agent {idx + 1} target not frozen: {a.current_target} vs {want}")
         if server.counts_total != int(server.counts.sum()):
@@ -157,14 +171,29 @@ class LinearFamily:
         for x, reward in zip(self.contexts, rewards):
             cov += np.outer(x, x)
             resp += reward * x
+        # the audit's sums over every pull, and over each agent's unsent pulls
         self.global_cov, self.global_resp = cov.copy(), resp.copy()
+        m, d = self.cfg.n_agents, inst.dim
+        self.held_cov, self.held_resp = np.zeros((m, d, d)), np.zeros((m, d))
         return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
-        # every pending pull was of the frozen target
+        """`server` with n x x^T and the sum of r x over the buffer added, each
+        summed from zero in pull order as per-pull adds would: the rows
+        [x x^T; r x] of at most MAX_BLOCK pulls at a time, carried in row 0."""
+        a, pending = ag.current_target - 1, ag.pending
+        n, d = len(pending), self.instance.dim
+        block = np.zeros((min(n, MAX_BLOCK) + 1, d + 1, d))
+        for lo in range(0, n, MAX_BLOCK):
+            rewards = pending[lo : lo + MAX_BLOCK]
+            rows = block[: len(rewards) + 1]
+            rows[1:, :d] = self.outers[a]
+            np.multiply(np.array(rewards)[:, None], self.contexts[a], out=rows[1:, d])
+            np.add.accumulate(rows, axis=0, out=rows)
+            block[0] = rows[-1]
         counts = server.counts.copy()
-        counts[ag.current_target - 1] += ag.pending_total
-        return lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
+        counts[a] += n
+        return lin.server_merge_linear(server, block[0, :d], block[0, d], counts, n)
 
     def stop(self, server):
         """The StopCheck (i, j, B, whitened contexts) of a server state, at
@@ -183,26 +212,33 @@ class LinearFamily:
         cfg = self.cfg
         return linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, self.instance.dim, tau)
 
-    def audit(self, server, agents, true_pulls, ag, reward):
-        """The invariants after a round in which `ag` pulled `reward`."""
-        self.global_cov += ag.target_outer
-        self.global_resp += reward * ag.target_context
-        cov_held = sum((a.pending_cov for a in agents), server.cov)
-        resp_held = sum((a.pending_resp for a in agents), server.resp)
-        counts_held = server.counts.copy()
-        for a in agents:
-            counts_held[a.current_target - 1] += a.pending_total
-        if np.abs(cov_held - self.global_cov).max() > 1e-9:
+    def audit(self, server, agents, true_pulls, m, arm, reward):
+        """The invariants after a round in which agent m pulled `reward` from `arm`."""
+        contexts, outers = self.contexts, self.outers
+        self.global_cov += outers[arm - 1]
+        self.global_resp += reward * contexts[arm - 1]
+        # running sums of each agent's unsent pulls keep a round's cost
+        # independent of the buffer lengths; an agent that uploaded holds none
+        if agents[m].pending:
+            self.held_cov[m] += outers[arm - 1]
+            self.held_resp[m] += reward * contexts[arm - 1]
+        else:
+            self.held_cov[m], self.held_resp[m] = 0.0, 0.0
+        if np.abs(server.cov + np.add.reduce(self.held_cov) - self.global_cov).max() > 1e-9:
             raise AuditError("covariance conservation violated")
-        if np.abs(resp_held - self.global_resp).max() > 1e-9:
+        if np.abs(server.resp + np.add.reduce(self.held_resp) - self.global_resp).max() > 1e-9:
             raise AuditError("response conservation violated")
-        if not np.array_equal(counts_held, true_pulls):
+        counts_held = server.counts.tolist()
+        for a in agents:
+            counts_held[a.current_target - 1] += len(a.pending)
+        if counts_held != true_pulls:
             raise AuditError("count conservation violated")
         g1, g2 = self.cfg.gamma1, self.cfg.gamma2
         for idx, a in enumerate(agents):
-            if a.counts_total != int(a.counts.sum()):
+            snap = a.snapshot
+            if snap.counts_total != int(snap.counts.sum()):
                 raise AuditError(f"agent {idx + 1} cached totals diverged")
-            if a.trigger_limit != lin.trigger_limit_linear(a.counts_total, a.target_q, g1, g2):
+            if a.trigger_limit != lin.trigger_limit_linear(snap.counts_total, a.target_q, g1, g2):
                 raise AuditError(f"agent {idx + 1} cached trigger limit diverged")
             # trigger negation by the hybrid rule itself, not by the cached limit
             if lin.check_trigger_hybrid(a, g1, g2):
@@ -210,7 +246,7 @@ class LinearFamily:
             # the snapshot (and hence the frozen target derived from it) must not
             # have drifted since the last download; the tolerance only absorbs
             # the rounding of a second factorization of the same matrix
-            q = linalg.quad_form_inv(a.cov, a.target_context)
+            q = linalg.quad_form_inv(snap.cov, contexts[a.current_target - 1])
             if abs(q - a.target_q) > 1e-12 * (1.0 + q):
                 raise AuditError(f"agent {idx + 1} snapshot changed between downloads")
 
@@ -230,11 +266,11 @@ def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
 def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool) -> RunResult:
     """One asynchronous event-triggered run of either bandit family.
 
-    Each round the active agent pulls its frozen target, adds the reward to
-    its buffer inline and uploads once its pending count exceeds the
-    trigger limit fixed at its last download. The server merges, and the
-    run stops at B <= epsilon or the agent downloads the merged state. The
-    active agents and reward normals come in blocks from
+    Each round the active agent pulls its frozen target, appends the reward
+    to its buffer and uploads once the buffer holds more rewards than the
+    trigger limit fixed at its last download. The server merges the buffer,
+    and the run stops at B <= epsilon or the agent downloads the merged
+    state. The active agents and reward normals come in blocks from
     ActivationSchedule.block, equal to per-round draws.
     """
     inst, cfg = fam.instance, fam.cfg
@@ -249,7 +285,6 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
         ag, fallback = fam.download(server, check)
         agents.append(ag)
         fallbacks += fallback
-    linear = fam.linear
     pulls = [1] * k
     comm = switches = downloads = 0
     tau = k
@@ -266,15 +301,10 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
             ag = agents[m]
             arm = ag.current_target
             reward = means[arm - 1] + sigma * z
-            if linear:
-                ag.pending_cov += ag.target_outer
-                ag.pending_resp += reward * ag.target_context
-            else:
-                ag.pending_sum += reward
-            ag.pending_total += 1
+            ag.pending.append(reward)
             pulls[arm - 1] += 1
 
-            triggered = comm_every_round or ag.pending_total > ag.trigger_limit
+            triggered = comm_every_round or len(ag.pending) > ag.trigger_limit
             b_value = None
             if triggered:
                 comm += 1  # upload
@@ -292,7 +322,7 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
                         switches += 1
 
             if audit and not stopped:
-                fam.audit(server, agents, pulls, ag, reward)
+                fam.audit(server, agents, pulls, m, arm, reward)
             if audit_log is not None:
                 audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
             if stopped:

@@ -352,6 +352,19 @@ class TestBounds:
             values.append(json.loads(capsys.readouterr().out)["complexity"])
         assert values[1] == pytest.approx(4 * values[0])
 
+    @pytest.mark.parametrize("tau", ["0", "-3"])
+    def test_tau_below_one_exit_2(self, tmp_path, tau):
+        import fedpex
+
+        inst = tmp_path / "inst.json"
+        fedpex.save_instance(fedpex.MabInstance(means=(1.0, 0.5), sigma=0.3), inst)
+        out = tmp_path / "bounds.json"
+        proc = run_cli(["bounds", "--instance", str(inst), "--tau", tau, "--out", str(out)])
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--tau" in lines[0], proc.stderr
+        assert not out.exists()
+
     def test_json_file_output(self, tmp_path):
         import fedpex
 

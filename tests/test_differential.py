@@ -7,7 +7,8 @@ rule that refactors cov + x x^T for every arm, on random SPD snapshots at
 d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
 fixed at download. For famabpe: the driver with K-length pending arrays per
 agent, the exact rational trigger, the masked server merge, and a download
-that recomputes the target from the snapshot. For the pull path: drivers
+that recomputes the target from the snapshot. For both families' merges:
+buffers that add every pull as it happens. For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
 `sample_reward_*`, one pull at a time, including the per-round synchronous
 loops that the block-drawn episodes replaced.
@@ -17,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpex import baselines, linalg, stream
+from fedpex import baselines, linalg, runner, stream
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
@@ -43,9 +45,11 @@ from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
 from fedpex.design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_lp
 from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
+    MAX_BLOCK,
     ActivationSchedule,
     AuditRecord,
     LinearFamily,
+    MabFamily,
     linear_comm_bound,
     mab_comm_bound,
     run_falinpe,
@@ -110,17 +114,46 @@ def ref_quad_form_inv(a, y):
     return float(z @ z)
 
 
-def ref_trigger(agent, gamma1, gamma2):
-    """The count rule, then logdet(cov + pending_cov) > log(1+g1) + logdet(cov)."""
+def ref_trigger(agent, x, gamma1, gamma2):
+    """For an agent holding n pulls of x: the count rule, then
+    logdet(cov + n x x^T) > log(1+g1) + logdet(cov)."""
+    snap, n = agent.snapshot, len(agent.pending)
     g2 = Fraction(gamma2)
-    lhs = (agent.counts_total + agent.pending_total) * g2.denominator
-    rhs = (g2.denominator + g2.numerator) * agent.counts_total
+    lhs = (snap.counts_total + n) * g2.denominator
+    rhs = (g2.denominator + g2.numerator) * snap.counts_total
     if lhs > rhs:
         return True
-    if agent.pending_total == 0:
+    if n == 0:
         return False
-    grown = ref_logdet(agent.cov + agent.pending_cov)
-    return grown > math.log1p(float(gamma1)) + ref_logdet(agent.cov)
+    grown = ref_logdet(snap.cov + n * np.outer(x, x))
+    return grown > math.log1p(float(gamma1)) + ref_logdet(snap.cov)
+
+
+@dataclass
+class RefLinAgent:
+    """A reference driver's agent: a copy of its snapshot's fields and
+    buffers that add every pull as it happens."""
+
+    cov: np.ndarray
+    counts: np.ndarray
+    pending_cov: np.ndarray  # sum of x x^T over the pulls not yet uploaded
+    pending_resp: np.ndarray  # sum of r x over the same pulls
+    current_target: int
+    counts_total: int
+    pending_total: int
+    target_context: np.ndarray
+    target_outer: np.ndarray
+    target_q: float
+    trigger_limit: int
+
+
+def ref_trigger_hybrid(agent, gamma1, gamma2):
+    """The count rule in exact rationals, or pending_total * target_q > gamma1."""
+    g2 = Fraction(gamma2)
+    lhs = (agent.counts_total + agent.pending_total) * g2.denominator
+    if lhs > (g2.denominator + g2.numerator) * agent.counts_total:
+        return True
+    return agent.pending_total * agent.target_q > float(gamma1)
 
 
 def ref_scores(rewards, contexts, cov, c):
@@ -195,7 +228,7 @@ def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo
     q = float(z @ z)
     x = contexts[target - 1]
     d = len(x)
-    agent = lin.LinAgentState(
+    agent = RefLinAgent(
         cov=server.cov,
         counts=server.counts,
         pending_cov=np.zeros((d, d)),
@@ -250,19 +283,10 @@ def run_of(contexts, arm_select, gamma=Fraction(1, 100)):
 
 
 def agent_at(cov, x, counts_total, n):
-    return lin.LinAgentState(
-        cov=cov,
-        counts=np.array([counts_total], dtype=np.int64),
-        pending_cov=n * np.outer(x, x),
-        pending_resp=np.zeros(len(x)),
-        current_target=1,
-        counts_total=counts_total,
-        pending_total=n,
-        target_context=x,
-        target_outer=np.outer(x, x),
-        target_q=quad_form_inv(cov, x),
-        trigger_limit=-1,  # check_trigger_hybrid, the rule under test, does not read it
-    )
+    """An agent holding n pulls of x since it downloaded (cov, counts_total)."""
+    snapshot = lin.LinServerState(cov, np.zeros(len(x)), np.array([counts_total], dtype=np.int64), counts_total)
+    # trigger_limit -1: check_trigger_hybrid, the rule under test, does not read it
+    return mab.AgentState(snapshot, 1, -1, [0.0] * n, quad_form_inv(cov, x))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +359,7 @@ class TestClosedFormTrigger:
                 gammas += [nq * (1 - 1e-9), nq * (1 + 1e-9)]
             for g1 in gammas:
                 got = lin.check_trigger_hybrid(agent, g1, 1e9)
-                assert got == ref_trigger(agent, g1, 1e9), (n, nq, g1)
+                assert got == ref_trigger(agent, x, g1, 1e9), (n, nq, g1)
                 checked += 1
                 fired += got
         assert 0 < fired < checked
@@ -353,16 +377,17 @@ class TestClosedFormTrigger:
         cov, _resp, contexts = snapshot(rng, 2)
         for total, n, g2 in [(100, 1, Fraction(1, 200)), (100, 1, Fraction(1, 50)), (7, 7, 1.0), (7, 8, 1.0)]:
             agent = agent_at(cov, contexts[0], total, n)
-            assert lin.check_trigger_hybrid(agent, 1e9, g2) == ref_trigger(agent, 1e9, g2)
+            assert lin.check_trigger_hybrid(agent, 1e9, g2) == ref_trigger(agent, contexts[0], 1e9, g2)
 
 
 def limit_agrees(counts_total, q, gamma1, gamma2):
     """trigger_limit_linear against check_trigger_hybrid at every pending
     count from limit - 3 to limit + 3; returns the limit."""
     limit = lin.trigger_limit_linear(counts_total, q, gamma1, gamma2)
-    agent = SimpleNamespace(counts_total=counts_total, pending_total=0, target_q=q)
+    # the rule reads only the number of buffered rewards, which a range gives
+    agent = mab.AgentState(SimpleNamespace(counts_total=counts_total), 1, limit, range(0), q)
     for n in range(max(0, limit - 3), limit + 4):
-        agent.pending_total = n
+        agent.pending = range(n)
         fired = lin.check_trigger_hybrid(agent, gamma1, gamma2)
         assert fired == (n > limit), (counts_total, q, gamma1, gamma2, n)
     return limit
@@ -774,9 +799,8 @@ class TestMessagePathAgainstSlowComposition:
                 )
                 assert (agent.current_target, fallback) == (ref.current_target, ref_fallback)
                 assert (agent.target_q.hex(), agent.trigger_limit) == (ref.target_q.hex(), ref.trigger_limit)
-                for name in ("cov", "counts", "pending_cov", "pending_resp", "target_context", "target_outer"):
-                    assert getattr(agent, name).tobytes() == getattr(ref, name).tobytes(), name
-                assert (agent.counts_total, agent.pending_total) == (ref.counts_total, ref.pending_total)
+                # the agent holds the server state itself, not a copy of its fields
+                assert agent.snapshot is server and agent.pending == []
                 seen["fallback"] += fallback
                 seen["q0"] += agent.target_q == 0.0
                 seen["tied"] += kind == "tied" and stop.i == 1
@@ -850,6 +874,161 @@ class TestGufuncsAgainstPublicCalls:
         monkeypatch.setattr(linalg, "_cholesky_lo", np.linalg.cholesky)
         monkeypatch.setattr(linalg, "_solve", np.linalg.solve)
         assert go() == fast
+
+
+# ---------------------------------------------------------------------------
+# Each family's merge against per-pull adds
+# ---------------------------------------------------------------------------
+
+# buffer lengths on both sides of one and two fold blocks
+MERGE_LENGTHS = (1, 2, 3, 17, MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1, 2 * MAX_BLOCK + 5, 5_000)
+
+# contexts with exact zero components under a negative reward: the products
+# r x hold -0.0, which a sum from +0.0 turns into +0.0
+SIGNED_ZERO_CONTEXTS = np.array([[0.8, 0.0, -0.5], [0.0, -0.9, 0.25], [0.6, 0.0, 0.0]])
+SIGNED_ZERO_THETA = np.array([-0.3, 0.5, 0.1])  # means -0.29, -0.425 and -0.18
+
+
+def buffered(fam, rng, arm, n):
+    """n rewards of `arm`, as the round loop computes them."""
+    return [fam.means[arm - 1] + fam.instance.sigma * z for z in rng.standard_normal(n).tolist()]
+
+
+class TestMergeAgainstPerPullAdds:
+    """MabFamily.merge and LinearFamily.merge fold an agent's buffer into the
+    bytes that per-pull adds to buffers held since the download give."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("n", MERGE_LENGTHS)
+    def test_mab(self, n, sigma):
+        fam = MabFamily(MabInstance(means=(0.3, -0.0, 0.0, -0.4), sigma=sigma), RunConfig(n_agents=3))
+        rng = make_rng(n)
+        server = fam.init(rng)
+        for arm in range(1, 5):
+            rewards = buffered(fam, rng, arm, n)
+            sums, counts = np.zeros(4), np.zeros(4, dtype=np.int64)
+            for reward in rewards:
+                sums[arm - 1] += reward
+                counts[arm - 1] += 1
+            want = ref_merge_mab(server, sums, counts)
+            got = fam.merge(server, mab.AgentState(server, arm, n - 1, rewards))
+            assert got.mean_est.tobytes() == want.mean_est.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes() and got.counts_total == want.counts_total
+            server = got
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_mab_negative_zero_rewards(self, n):
+        # -0.0 rewards onto an estimate of -0.0: a sum from +0.0 leaves +0.0
+        fam = MabFamily(MabInstance(means=(0.3, -0.0), sigma=0.0), RunConfig())
+        server = mab.MabServerState(np.array([0.3, -0.0]), np.ones(2, dtype=np.int64), 2)
+        sums = np.zeros(2)
+        for reward in [-0.0] * n:
+            sums[1] += reward
+        want = ref_merge_mab(server, sums, np.array([0, n]))
+        got = fam.merge(server, mab.AgentState(server, 2, n - 1, [-0.0] * n))
+        assert got.mean_est.tobytes() == want.mean_est.tobytes()
+        assert not np.signbit(got.mean_est[1])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("n", MERGE_LENGTHS)
+    def test_linear(self, n, sigma):
+        inst = LinearInstance(contexts=SIGNED_ZERO_CONTEXTS, theta=SIGNED_ZERO_THETA, sigma=sigma)
+        fam = LinearFamily(inst, RunConfig(n_agents=3))
+        rng = make_rng(n)
+        # a response of -0.0, which no run reaches, shows a fold's start: only
+        # a sum from +0.0 turns -0.0 + (products of -0.0) into +0.0
+        server = replace(fam.init(rng), resp=np.full(3, -0.0))
+        negative_zeros = 0
+        for arm in range(1, 4):
+            x, rewards = SIGNED_ZERO_CONTEXTS[arm - 1], buffered(fam, rng, arm, n)
+            pending_cov, pending_resp = np.zeros((3, 3)), np.zeros(3)
+            for reward in rewards:
+                pending_cov += np.outer(x, x)
+                product = reward * x
+                negative_zeros += int((np.signbit(product) & (product == 0.0)).sum())
+                pending_resp += product
+            counts = server.counts.copy()
+            counts[arm - 1] += n
+            want = lin.server_merge_linear(server, pending_cov, pending_resp, counts, n)
+            got = fam.merge(server, mab.AgentState(server, arm, n - 1, rewards))
+            for name in ("cov", "resp", "counts"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.counts_total == want.counts_total
+            server = got
+        assert negative_zeros > 0
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_linear_across_many_blocks(self, block, monkeypatch):
+        """Small blocks carry the partial sums across many block boundaries."""
+        inst = LinearInstance(contexts=SIGNED_ZERO_CONTEXTS, theta=SIGNED_ZERO_THETA, sigma=0.7)
+        fam = LinearFamily(inst, RunConfig(n_agents=3))
+        server = fam.init(make_rng(block))
+        rewards = buffered(fam, make_rng(block + 1), 2, 40)
+        want = fam.merge(server, mab.AgentState(server, 2, 0, rewards))
+        monkeypatch.setattr(runner, "MAX_BLOCK", block)
+        got = fam.merge(server, mab.AgentState(server, 2, 0, rewards))
+        assert (got.cov.tobytes(), got.resp.tobytes()) == (want.cov.tobytes(), want.resp.tobytes())
+
+    def test_linear_fold_memory_is_one_block(self):
+        # 20,000 pulls at d = 10 would be a 17.6 MB stack; one block is 0.9 MB
+        inst = gen_gap_instance_linear(10, 20, 0.3, make_rng(3), sigma=0.3)
+        fam = LinearFamily(inst, RunConfig(n_agents=3))
+        server = fam.init(make_rng(4))
+        agent = mab.AgentState(server, 5, 0, buffered(fam, make_rng(5), 5, 20_000))
+        tracemalloc.start()
+        try:
+            fam.merge(server, agent)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+@pytest.fixture
+def read_only_states(monkeypatch):
+    """Makes every array of every server state that a merge or a family's
+    init returns read-only; returns the count of states made so."""
+    made = []
+
+    def read_only(fn):
+        def wrapper(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            for value in vars(state).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            made.append(1)
+            return state
+
+        return wrapper
+
+    monkeypatch.setattr(mab, "server_merge_mab", read_only(mab.server_merge_mab))
+    monkeypatch.setattr(lin, "server_merge_linear", read_only(lin.server_merge_linear))
+    for family in (MabFamily, LinearFamily):
+        monkeypatch.setattr(family, "init", read_only(family.init))
+    return made
+
+
+class TestSnapshotsAreNeverWritten:
+    """Agents hold the server states they downloaded by reference, so no
+    driver, merge, stop check, download or audit may write one."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_audited_async_runs(self, m, read_only_states):
+        mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(60 + m), sigma=0.3)
+        run_famabpe(mab_inst, RunConfig(n_agents=m, seed=m), audit=True)
+        lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(70 + m), sigma=0.2)
+        for arm_select in ("lp", "greedy"):
+            run_falinpe(lin_inst, RunConfig(n_agents=m, seed=m, epsilon=0.05, arm_select=arm_select), audit=True)
+        run_single_agent(mab_inst, RunConfig(seed=m))
+        assert len(read_only_states) > 100
+
+    def test_synchronous_runs(self, read_only_states):
+        mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(80), sigma=0.3)
+        lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(81), sigma=0.2)
+        for e in (1, 7):
+            run_synchronous(mab_inst, SyncConfig(n_agents=3, seed=e, episode_len=e))
+            run_synchronous(lin_inst, SyncConfig(n_agents=3, seed=e, episode_len=e, epsilon=0.05))
+        assert len(read_only_states) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1214,10 @@ class TestIntegerTriggerLimit:
                 continue
             limit = mab.trigger_limit_mab(total, gamma)
             for n in (limit, limit + 1):
-                agent = mab.MabAgentState(np.zeros(1), np.zeros(1), total, 1, limit, pending_total=n)
-                assert mab.check_trigger_mab(agent) == ref_trigger_mab(total, n, gamma), (total, n)
+                # a range stands for n buffered rewards; no buffer is longer than sys.maxsize
+                if n <= sys.maxsize:
+                    agent = mab.AgentState(None, 1, limit, range(n))
+                    assert mab.check_trigger_mab(agent) == ref_trigger_mab(total, n, gamma), (total, n)
             assert not ref_trigger_mab(total, limit, gamma) and ref_trigger_mab(total, limit + 1, gamma)
 
 
@@ -1349,7 +1530,7 @@ def ref_run_falinpe(instance, config, audit_log):
         ag.pending_resp += reward * ag.target_context
         ag.pending_total += 1
         pulls[arm - 1] += 1
-        triggered = lin.check_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
+        triggered = ref_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
         b_value = None
         if triggered:
             comm += 1

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fedpex.linalg import cholesky, forward_sub, quad_form_inv
+from fedpex.mab import AgentState
 from fedpex.linear import (
-    LinAgentState,
     LinServerState,
     c_scalar,
     check_trigger_hybrid,
@@ -29,24 +29,13 @@ def rhs_of(contexts):
 
 def make_agent(cov, x, counts, n_pending, target=1):
     """An agent that pulled its frozen target x n_pending times since its
-    download: pending_cov = n x x^T and target_q = x^T cov^{-1} x."""
+    download, with target_q = x^T cov^{-1} x."""
     cov = np.asarray(cov, dtype=float)
     x = np.asarray(x, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
-    d = cov.shape[0]
-    return LinAgentState(
-        cov=cov,
-        counts=counts,
-        pending_cov=n_pending * np.outer(x, x),
-        pending_resp=np.zeros(d),
-        current_target=target,
-        counts_total=int(counts.sum()),
-        pending_total=n_pending,
-        target_context=x,
-        target_outer=np.outer(x, x),
-        target_q=quad_form_inv(cov, x),
-        trigger_limit=-1,  # check_trigger_hybrid, the rule under test, does not read it
-    )
+    snapshot = LinServerState(cov, np.zeros(cov.shape[0]), counts, int(counts.sum()))
+    # trigger_limit -1: check_trigger_hybrid, the rule under test, does not read it
+    return AgentState(snapshot, target, -1, [0.0] * n_pending, quad_form_inv(cov, x))
 
 
 class TestRlsEstimate:

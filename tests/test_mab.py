@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedpex.mab import (
-    MabAgentState,
+    AgentState,
     MabServerState,
     agent_target_mab,
     bonuses_mab,
@@ -22,20 +22,13 @@ from fedpex.mab import (
 )
 
 
-def make_agent(counts, pending_total, gamma, mean_est=None, pending_sum=0.0, target=1):
+def make_agent(counts, n_pending, gamma, target=1):
     """An agent that downloaded a snapshot with these counts and then pulled
-    its target pending_total times."""
+    its target n_pending times."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
-    return MabAgentState(
-        mean_est=np.asarray(mean_est if mean_est is not None else np.zeros(len(counts)), dtype=float),
-        counts=counts,
-        counts_total=total,
-        current_target=target,
-        trigger_limit=trigger_limit_mab(total, gamma),
-        pending_total=pending_total,
-        pending_sum=pending_sum,
-    )
+    snapshot = MabServerState(np.zeros(len(counts)), counts, total)
+    return AgentState(snapshot, target, trigger_limit_mab(total, gamma), [0.0] * n_pending)
 
 
 def closed_form(t_k, t_sum, n_arms, delta, sigma, gamma_m):
@@ -171,15 +164,14 @@ class TestDownload:
     def test_copies_server_and_clears_buffers(self):
         server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
         out = self.download(server)
-        assert np.array_equal(out.mean_est, server.mean_est)
-        assert np.array_equal(out.counts, server.counts)
-        assert out.counts_total == 11 and out.trigger_limit == 1  # floor(11 / 10)
-        assert out.pending_total == 0 and out.pending_sum == 0.0
+        assert out.snapshot is server  # held by reference, not copied
+        assert out.trigger_limit == 1  # floor(11 / 10)
+        assert out.pending == []
 
     def test_idempotent_target(self):
         server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
         once = self.download(server)
-        again = MabServerState(once.mean_est, once.counts, once.counts_total)
+        again = MabServerState(once.snapshot.mean_est, once.snapshot.counts, once.snapshot.counts_total)
         twice = self.download(again)
         assert once.current_target == twice.current_target
 
