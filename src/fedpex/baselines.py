@@ -81,7 +81,7 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         buffers = (pend_cov, pend_resp)
     else:
         sample = sample_reward_mab
-        server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0)
+        server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
         pend_sums = np.zeros((m_agents, k))
         buffers = (pend_sums,)
     pend_counts = np.zeros((m_agents, k), dtype=np.int64)

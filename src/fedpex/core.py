@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -18,6 +19,11 @@ import numpy as np
 Rng = np.random.Generator
 
 _NORM_TOL = 1e-9
+
+# A run multiplies an estimate by a pull count, adds sums of up to 2^63 pulls
+# and subtracts two estimates; means up to 2^-66 of the largest float (about
+# 2.4e288) keep all of these finite, so B(t) can reach epsilon.
+MAX_ABS_MEAN = 2.0**-66 * sys.float_info.max
 
 
 class GenerationError(RuntimeError):
@@ -53,6 +59,8 @@ class MabInstance:
             raise ValueError("need at least 2 arms")
         if not all(math.isfinite(m) for m in means):
             raise ValueError("every mean must be finite")
+        if max(map(abs, means)) > MAX_ABS_MEAN:
+            raise ValueError(f"every mean must be at most {MAX_ABS_MEAN:.3g} in magnitude, or the estimates overflow")
         if not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
         if self.sigma < 0:

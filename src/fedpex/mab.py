@@ -34,18 +34,31 @@ class MabServerState:
     mean_est: np.ndarray
     counts: np.ndarray
     counts_total: int
+    # 2.0 / counts, carried so that no stop check divides; inf at a zero count
+    two_over_counts: np.ndarray
 
 
-def bonuses_mab(counts: np.ndarray, t_sum: int, delta: float, sigma: float, gamma_m: float) -> np.ndarray:
+def width_constants(n_arms: int, delta: float, sigma: float, gamma_m: float) -> tuple:
+    """The values of bonuses_mab that are fixed for a run: 4K/delta, 1+gamma_m,
+    sigma for every arm, and a 0-d scratch array for the log term."""
+    return 4.0 * n_arms / delta, 1.0 + gamma_m, np.full(n_arms, float(sigma)), np.empty(())
+
+
+def bonuses_mab(two_over_counts: np.ndarray, t_sum: int, constants: tuple) -> np.ndarray:
     """Confidence widths of every arm's mean estimate:
 
     sigma * sqrt( (2/t_k) * log( (4K/delta) * ((1+gamma_m) * t_sum)^2 ) )
     where t_k is the arm's count and t_sum the total count behind the
-    estimates; gamma_m is the trigger parameter times the agent count.
+    estimates; gamma_m is the trigger parameter times the agent count, and
+    `constants` are width_constants'. The formula's operations run in its
+    order, in place and with array operands: at these sizes a ufunc costs
+    its dispatch, which is lowest so.
     """
-    n_arms = len(counts)
-    arg = (4.0 * n_arms / delta) * ((1.0 + gamma_m) * t_sum) ** 2
-    return sigma * np.sqrt((2.0 / counts) * math.log(arg))
+    scale, growth, sigmas, scratch = constants
+    scratch[()] = math.log(scale * (growth * t_sum) ** 2)
+    bon = np.multiply(two_over_counts, scratch)
+    np.sqrt(bon, out=bon)
+    return np.multiply(sigmas, bon, out=bon)
 
 
 def select_pair_mab(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int]:
@@ -72,8 +85,11 @@ def select_arm_mab(i: int, j: int, bonuses: np.ndarray) -> int:
 def agent_target_mab(
     mean_est: np.ndarray, counts: np.ndarray, counts_total: int, delta: float, sigma: float, gamma_m: float
 ) -> int:
-    """Arm an agent pulls under a frozen snapshot (composes the rules above)."""
-    bon = bonuses_mab(counts, counts_total, delta, sigma, gamma_m)
+    """Arm an agent pulls under a frozen snapshot: the slow composition of the
+    width formula from the counts and the rules above, which the audit checks
+    the drivers' targets against."""
+    arg = (4.0 * len(counts) / delta) * ((1.0 + gamma_m) * counts_total) ** 2
+    bon = sigma * np.sqrt((2.0 / counts) * math.log(arg))
     i, j = select_pair_mab(mean_est, bon)
     return select_arm_mab(i, j, bon)
 
@@ -104,20 +120,29 @@ def server_merge_mab(server: MabServerState, arm: int, n: int, reward_sum: float
     a = arm - 1
     mean = server.mean_est.copy()
     counts = server.counts.copy()
-    c_old = int(counts[a])
-    mean[a] = (float(mean[a]) * c_old + reward_sum) / (c_old + n)
-    counts[a] = c_old + n
-    return MabServerState(mean_est=mean, counts=counts, counts_total=server.counts_total + n)
+    two_over_counts = server.two_over_counts.copy()
+    c_old = counts.item(a)
+    c_new = c_old + n
+    mean[a] = (mean.item(a) * c_old + reward_sum) / c_new
+    counts[a] = c_new
+    two_over_counts[a] = 2.0 / c_new  # numpy's 2.0 / counts rounds the same
+    return MabServerState(mean, counts, server.counts_total + n, two_over_counts)
 
 
 def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int, float]:
     """Candidate pair (i, j) and the stopping score B for the server state.
 
     B = gap_estimate(j, i) + bonus(i) + bonus(j); the run stops when B <= epsilon.
+    This is select_pair_mab with 0-d views as the offsets, and B is j's score,
+    which is the same sum in the same order.
     """
-    i, j = select_pair_mab(mean_est, bonuses)
-    b = float(mean_est[j - 1] - mean_est[i - 1] + bonuses[i - 1] + bonuses[j - 1])
-    return i, j, b
+    i = int(mean_est.argmax())
+    scores = np.subtract(mean_est, mean_est[i, ...])
+    np.add(scores, bonuses[i, ...], out=scores)
+    np.add(scores, bonuses, out=scores)
+    scores[i] = -math.inf
+    j = int(scores.argmax())
+    return i + 1, j + 1, scores.item(j)
 
 
 def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> AgentState:
@@ -125,6 +150,8 @@ def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, ga
     target and trigger limit fixed. `bonuses` and (i, j) are the stop
     check's for this same server state, so the target is the one
     agent_target_mab derives from the snapshot; gamma_ratio is gamma's
-    numerator and denominator, from which the limit is trigger_limit_mab's."""
+    numerator and denominator, from which the limit is trigger_limit_mab's.
+    The target is select_arm_mab's, compared in Python floats."""
     num, den = gamma_ratio
-    return AgentState(server, select_arm_mab(i, j, bonuses), (num * server.counts_total) // den, [])
+    target = i if bonuses.item(i - 1) >= bonuses.item(j - 1) else j
+    return AgentState(server, target, (num * server.counts_total) // den, [])

@@ -86,15 +86,17 @@ class MabFamily:
     def __init__(self, instance: MabInstance, config: RunConfig):
         self.instance, self.means = instance, instance.means
         self.cfg = cfg = config.resolved(instance.k_arms)
-        # the confidence widths' arguments after the counts and their total
+        # the confidence widths' arguments after the counts and their total:
+        # the formula's for the audit, and resolved once for the stop checks
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
+        self.width_constants = mab.width_constants(instance.k_arms, *self.widths)
         self.gamma_ratio = cfg.gamma.as_integer_ratio()
 
     def init(self, rng: Rng):
         """The server state after one pull of every arm; its estimates are the rewards."""
         k = self.instance.k_arms
         rewards = np.array([sample_reward_mab(self.instance, a, rng) for a in range(1, k + 1)])
-        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k)
+        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
 
     def merge(self, server, ag):
         """`server` with the buffer's rewards added left to right (builtin sum()
@@ -103,7 +105,7 @@ class MabFamily:
 
     def stop(self, server):
         """(i, j, B, bonuses) of a server state."""
-        bon = mab.bonuses_mab(server.counts, server.counts_total, *self.widths)
+        bon = mab.bonuses_mab(server.two_over_counts, server.counts_total, self.width_constants)
         return (*mab.breaking_index(server.mean_est, bon), bon)
 
     def download(self, server, check):
@@ -125,6 +127,10 @@ class MabFamily:
             held[a.current_target - 1] += len(a.pending)
         if held != true_pulls:
             raise AuditError(f"count conservation violated: {held} != {true_pulls}")
+        if server.counts_total != int(server.counts.sum()):
+            raise AuditError("server cached total diverged")
+        if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
+            raise AuditError("server's carried 2/counts diverged")
         gamma = self.cfg.gamma
         num, den = self.gamma_ratio
         for idx, a in enumerate(agents):
@@ -138,8 +144,6 @@ class MabFamily:
             want = mab.agent_target_mab(snap.mean_est, snap.counts, total, *self.widths)
             if want != a.current_target:
                 raise AuditError(f"agent {idx + 1} target not frozen: {a.current_target} vs {want}")
-        if server.counts_total != int(server.counts.sum()):
-            raise AuditError("server cached total diverged")
 
 
 class LinearFamily:
@@ -171,10 +175,12 @@ class LinearFamily:
         for x, reward in zip(self.contexts, rewards):
             cov += np.outer(x, x)
             resp += reward * x
-        # the audit's sums over every pull, and over each agent's unsent pulls
+        # the audit's sums over every pull, and over each agent's unsent pulls,
+        # and each agent's snapshot with its bytes as they were at download
         self.global_cov, self.global_resp = cov.copy(), resp.copy()
         m, d = self.cfg.n_agents, inst.dim
         self.held_cov, self.held_resp = np.zeros((m, d, d)), np.zeros((m, d))
+        self.downloaded = [None] * m
         return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
@@ -243,11 +249,16 @@ class LinearFamily:
             # trigger negation by the hybrid rule itself, not by the cached limit
             if lin.check_trigger_hybrid(a, g1, g2):
                 raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-            # the snapshot (and hence the frozen target derived from it) must not
-            # have drifted since the last download; the tolerance only absorbs
-            # the rounding of a second factorization of the same matrix
-            q = linalg.quad_form_inv(snap.cov, contexts[a.current_target - 1])
-            if abs(q - a.target_q) > 1e-12 * (1.0 + q):
+            # at a download, q is checked against a second factorization (the
+            # tolerance only absorbs its rounding); after it, the snapshot (and
+            # hence the frozen target derived from it) must keep every byte
+            seen, now = self.downloaded[idx], (snap.cov.tobytes(), snap.resp.tobytes())
+            if seen is None or seen[0] is not snap:
+                q = linalg.quad_form_inv(snap.cov, contexts[a.current_target - 1])
+                if abs(q - a.target_q) > 1e-12 * (1.0 + q):
+                    raise AuditError(f"agent {idx + 1} downloaded a q that is not its target's")
+                self.downloaded[idx] = (snap, now)
+            elif seen[1] != now:
                 raise AuditError(f"agent {idx + 1} snapshot changed between downloads")
 
 

@@ -298,8 +298,12 @@ class TestInstanceBoundary:
             '{"type":"mab","means":[1.0,0.5],"sigma":Infinity}',
             '{"type":"mab","means":[1.0,NaN],"sigma":0.3}',
             '{"type":"linear","dim":2,"contexts":[[1,0],[0,1]],"theta":[Infinity,0],"sigma":0.3}',
+            # estimates of these overflow, so B is NaN and never reaches epsilon
+            '{"type":"mab","means":[1e308,0.9e308,0.0],"sigma":1}',
+            '{"type":"mab","means":[1e308,-1e308],"sigma":1}',
         ],
-        ids=["missing-means", "1d-contexts", "inf-sigma", "nan-mean", "inf-theta"],
+        ids=["missing-means", "1d-contexts", "inf-sigma", "nan-mean", "inf-theta", "overflowing-means",
+             "overflowing-gap"],
     )
     @pytest.mark.parametrize("command", ["run", "bounds"])
     def test_exit_2_without_traceback(self, tmp_path, text, command):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from fedpex.baselines import SyncConfig
+from fedpex.runner import run_famabpe
 from fedpex.core import (
+    MAX_ABS_MEAN,
     LinearInstance,
     MabInstance,
     RunConfig,
@@ -87,6 +89,18 @@ class TestInstanceValidation:
             MabInstance(means=(0.5, 0.2), sigma=bad)
         with pytest.raises(ValueError, match="finite"):
             MabInstance(means=(0.5, bad), sigma=0.1)
+
+    @pytest.mark.parametrize("means", [(1e308, 0.9e308, 0.0), (1e308, -1e308), (0.0, -3e288)])
+    def test_mab_rejects_means_whose_estimates_overflow(self, means):
+        # these ran to the round cap: mean * count and the gaps overflowed, so B was NaN
+        with pytest.raises(ValueError, match="overflow"):
+            MabInstance(means=means, sigma=1.0)
+
+    def test_mab_accepts_large_means_and_sigma(self):
+        # means at the limit stop at once; a large sigma only makes a run long
+        top = MAX_ABS_MEAN
+        assert run_famabpe(MabInstance(means=(top, 0.9 * top, -top), sigma=1.0), RunConfig()).correct
+        assert not run_famabpe(MabInstance(means=(1.0, 0.0), sigma=1e300), RunConfig(max_rounds=2_000)).terminated
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_linear_rejects_non_finite(self, bad):

@@ -6,8 +6,9 @@ solves, the log-determinant trigger, per-arm width scoring, and the greedy
 rule that refactors cov + x x^T for every arm, on random SPD snapshots at
 d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
 fixed at download. For famabpe: the driver with K-length pending arrays per
-agent, the exact rational trigger, the masked server merge, and a download
-that recomputes the target from the snapshot. For both families' merges:
+agent, the exact rational trigger, the masked server merge, a stop check
+that computes the widths from the counts and B from numpy scalars, and a
+download that recomputes the target from the snapshot. For both families' merges:
 buffers that add every pull as it happens. For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
 `sample_reward_*`, one pull at a time, including the per-round synchronous
@@ -914,13 +915,14 @@ class TestMergeAgainstPerPullAdds:
             got = fam.merge(server, mab.AgentState(server, arm, n - 1, rewards))
             assert got.mean_est.tobytes() == want.mean_est.tobytes()
             assert got.counts.tobytes() == want.counts.tobytes() and got.counts_total == want.counts_total
+            assert got.two_over_counts.tobytes() == want.two_over_counts.tobytes()
             server = got
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_mab_negative_zero_rewards(self, n):
         # -0.0 rewards onto an estimate of -0.0: a sum from +0.0 leaves +0.0
         fam = MabFamily(MabInstance(means=(0.3, -0.0), sigma=0.0), RunConfig())
-        server = mab.MabServerState(np.array([0.3, -0.0]), np.ones(2, dtype=np.int64), 2)
+        server = mab.MabServerState(np.array([0.3, -0.0]), np.ones(2, dtype=np.int64), 2, np.full(2, 2.0))
         sums = np.zeros(2)
         for reward in [-0.0] * n:
             sums[1] += reward
@@ -1073,7 +1075,20 @@ def ref_merge_mab(server, pending_sums, pending_counts):
     touched = pending_counts > 0
     old = server.mean_est[touched] * server.counts[touched]
     mean[touched] = (old + pending_sums[touched]) / new_counts[touched]
-    return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()))
+    return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()), 2.0 / new_counts)
+
+
+def ref_bonuses_mab(counts, t_sum, delta, sigma, gamma_m):
+    """The confidence widths by their formula from the counts, as bonuses_mab
+    computed them before server states carried 2/counts."""
+    arg = (4.0 * len(counts) / delta) * ((1.0 + gamma_m) * t_sum) ** 2
+    return sigma * np.sqrt((2.0 / counts) * math.log(arg))
+
+
+def ref_breaking_index(mean_est, bonuses):
+    """select_pair_mab's pair, and B from four numpy-scalar operations."""
+    i, j = mab.select_pair_mab(mean_est, bonuses)
+    return i, j, float(mean_est[j - 1] - mean_est[i - 1] + bonuses[i - 1] + bonuses[j - 1])
 
 
 def ref_next_agent(activation, m_agents, tau, k, rng):
@@ -1092,9 +1107,9 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     gamma_m = float(gamma) * m_agents
     rng = make_rng(cfg.seed)
     init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
-    server = mab.MabServerState(init_rewards, np.ones(k, dtype=np.int64), k)
+    server = mab.MabServerState(init_rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
     # every agent downloads the initialized state, which is stop-checked once
-    mab.breaking_index(server.mean_est, mab.bonuses_mab(server.counts, k, cfg.delta, instance.sigma, gamma_m))
+    ref_breaking_index(server.mean_est, ref_bonuses_mab(server.counts, k, cfg.delta, instance.sigma, gamma_m))
     agents = [ref_snapshot(server, cfg.delta, instance.sigma, gamma_m) for _ in range(m_agents)]
     pulls = np.ones(k, dtype=np.int64)
     comm = switches = downloads = 0
@@ -1115,8 +1130,8 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
         if triggered:
             comm += 1
             server = ref_merge_mab(server, ag.pending_sums, ag.pending_counts)
-            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, _j, b_value = mab.breaking_index(server.mean_est, bon)
+            bon = ref_bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
+            i, _j, b_value = ref_breaking_index(server.mean_est, bon)
             if b_value <= cfg.epsilon:
                 stopped = True
                 best_est = i
@@ -1198,6 +1213,116 @@ class TestFamabpeAgainstArrayBuffers:
         cfg = RunConfig(seed=4, epsilon=0.05)
         want = ref_run_famabpe(inst, cfg, [], comm_every_round=True)
         assert run_single_agent(inst, cfg).to_json() == want.to_json()
+
+
+def mab_state(rng, k, kind):
+    """A server state carrying 2/counts: random estimates and counts, or
+    tied estimates, equal counts, estimates of 0.0 and -0.0, or counts near
+    2^53, where int64 counts stop being exact floats."""
+    counts = rng.integers(1, 10_000, size=k)
+    mean = float(rng.uniform(0.01, 3.0)) * rng.standard_normal(k)
+    if kind == "tied":
+        mean = rng.choice([0.25, 0.5], size=k)
+        mean[rng.choice(k, size=2, replace=False)] = 0.5
+    elif kind == "equal":
+        counts = np.full(k, counts[0])
+    elif kind == "signed-zero":
+        mean = rng.choice([0.0, -0.0, -0.5], size=k)
+    elif kind == "near-2^53":
+        counts = 2**53 + rng.integers(-3, 4, size=k)
+    return mab.MabServerState(mean, counts, int(counts.sum()), 2.0 / counts)
+
+
+class TestMabStopCheckAgainstSlowComposition:
+    """MabFamily's stop check and download, from the carried 2/counts and the
+    run's width constants, against the slow composition: the widths'
+    formula from the counts, select_pair_mab, B from numpy scalars and
+    select_arm_mab."""
+
+    # sigma = -0.0, which an instance accepts, makes every width -0.0
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.3, 2.0], ids=["0.0", "-0.0", "0.3", "2.0"])
+    @pytest.mark.parametrize("k", [2, 5, 50])
+    def test_bit_equal(self, k, sigma):
+        rng = np.random.default_rng(1400 + k)
+        inst = MabInstance(means=tuple(np.linspace(1.0, 0.0, k)), sigma=sigma)
+        configs = [RunConfig(n_agents=10), RunConfig(n_agents=3, delta=0.01, gamma=Fraction(2, 13))]
+        seen = {"tied-widths": 0, "j-first": 0, "negative-zero": 0}
+        for config in configs:
+            fam = MabFamily(inst, config)
+            for n in range(100):
+                server = mab_state(rng, k, ("random", "tied", "equal", "signed-zero", "near-2^53")[n % 5])
+                check = fam.stop(server)
+                i, j, b, bon = check
+                want_bon = ref_bonuses_mab(server.counts, server.counts_total, *fam.widths)
+                assert bon.tobytes() == want_bon.tobytes()
+                want_i, want_j, want_b = ref_breaking_index(server.mean_est, want_bon)
+                assert (i, j, b.hex()) == (want_i, want_j, want_b.hex())
+                agent, fallback = fam.download(server, check)
+                target = mab.select_arm_mab(want_i, want_j, want_bon)
+                assert (agent.current_target, fallback) == (target, False)
+                assert agent.current_target == mab.agent_target_mab(
+                    server.mean_est, server.counts, server.counts_total, *fam.widths
+                )
+                seen["tied-widths"] += bon[i - 1] == bon[j - 1]
+                seen["j-first"] += j < i
+                seen["negative-zero"] += b == 0.0 and math.copysign(1.0, b) < 0
+        # the edge cases were reached, not only the common path
+        assert seen["tied-widths"] > 0 and seen["j-first"] > 0
+        if math.copysign(1.0, sigma) < 0:
+            assert seen["negative-zero"] > 0
+
+
+@pytest.fixture
+def mab_merges(monkeypatch):
+    """Records (state, merged state) of every server_merge_mab call."""
+    merges = []
+    merge = mab.server_merge_mab
+
+    def logged(server, *args):
+        out = merge(server, *args)
+        merges.append((server, out))
+        return out
+
+    monkeypatch.setattr(mab, "server_merge_mab", logged)
+    return merges
+
+
+class TestCarriedTwoOverCounts:
+    """Every merged MAB state carries exactly numpy's 2.0 / counts."""
+
+    def test_merge_chains(self, mab_merges):
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(90), sigma=0.3)
+        wide = gen_gap_instance_mab(50, 0.3, make_rng(91), sigma=0.3)
+        run_famabpe(inst, RunConfig(n_agents=3, seed=1))
+        run_famabpe(wide, RunConfig(n_agents=100, seed=2, max_rounds=20_000))
+        run_single_agent(inst, RunConfig(seed=3))
+        for e in (1, 7):
+            run_synchronous(inst, SyncConfig(n_agents=3, seed=e, episode_len=e))
+        assert len(mab_merges) > 1_000
+        # a synchronous run's first merges leave arms at zero counts, where 2/0 is inf
+        with np.errstate(divide="ignore"):
+            for _server, out in mab_merges:
+                assert out.two_over_counts.tobytes() == (2.0 / out.counts).tobytes()
+
+    def test_counts_near_2_53(self):
+        # from 2^53 on, counts round to even floats before the division
+        counts = np.full(3, 2**53 - 3, dtype=np.int64)
+        server = mab.MabServerState(np.zeros(3), counts, int(counts.sum()), 2.0 / counts)
+        reached = set()
+        for arm, n in ((1, 1), (1, 3), (2, 5), (3, 6), (1, 1), (2, 1), (3, 2), (1, 7)):
+            server = mab.server_merge_mab(server, arm, n, 0.5 * n)
+            assert server.two_over_counts.tobytes() == (2.0 / server.counts).tobytes()
+            reached.update(server.counts.tolist())
+        # 2^53 + 1 and + 3 are ties, rounded down and up to even
+        assert {2**53 - 2, 2**53 + 1, 2**53 + 3, 2**53 + 5} <= reached
+
+    def test_zero_count_sync_state_carries_inf(self, mab_merges):
+        inst = gen_gap_instance_mab(8, 0.3, make_rng(92), sigma=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_synchronous(inst, SyncConfig(n_agents=3, seed=1, episode_len=7))
+        first = mab_merges[0][0]
+        assert first.counts_total == 0 and np.isposinf(first.two_over_counts).all()
 
 
 class TestIntegerTriggerLimit:
@@ -1624,7 +1749,7 @@ def ref_run_sync_mab(instance, config):
     gamma_m = float(cfg.gamma) * m_agents
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
-    server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0)
+    server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
     pend_sums = [np.zeros(k) for _ in range(m_agents)]
     pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
     targets = [None] * m_agents
@@ -1652,8 +1777,8 @@ def ref_run_sync_mab(instance, config):
         else:
             init_comm += 2 * m_agents
         if int(server.counts.min()) > 0:
-            bon = mab.bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, j, b = mab.breaking_index(server.mean_est, bon)
+            bon = ref_bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
+            i, j, b = ref_breaking_index(server.mean_est, bon)
             if at_sync and g > warmup and b <= cfg.epsilon:
                 stopped, best_est = True, i
                 break
@@ -1769,6 +1894,7 @@ def server_states(monkeypatch):
         monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
     # the reference drivers' stop checks are logged as the drivers' are
     monkeypatch.setattr(sys.modules[__name__], "ref_stop_check", logged("stopping_linear", ref_stop_check))
+    monkeypatch.setattr(sys.modules[__name__], "ref_breaking_index", logged("breaking_index", ref_breaking_index))
     return log
 
 

@@ -19,6 +19,7 @@ from fedpex.mab import (
     select_pair_mab,
     server_merge_mab,
     trigger_limit_mab,
+    width_constants,
 )
 
 
@@ -27,8 +28,21 @@ def make_agent(counts, n_pending, gamma, target=1):
     its target n_pending times."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
-    snapshot = MabServerState(np.zeros(len(counts)), counts, total)
+    snapshot = server_state(np.zeros(len(counts)), counts)
     return AgentState(snapshot, target, trigger_limit_mab(total, gamma), [0.0] * n_pending)
+
+
+def server_state(mean_est, counts):
+    """A server state with these estimates and counts, carrying 2/counts."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return MabServerState(np.asarray(mean_est, dtype=float), counts, int(counts.sum()), 2.0 / counts)
+
+
+def bonuses(counts, t_sum, delta, sigma, gamma_m):
+    """bonuses_mab as a run computes it, from the carried 2/counts and the
+    run constants of (delta, sigma, gamma_m)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return bonuses_mab(2.0 / counts, t_sum, width_constants(len(counts), delta, sigma, gamma_m))
 
 
 def closed_form(t_k, t_sum, n_arms, delta, sigma, gamma_m):
@@ -40,31 +54,35 @@ class TestBonus:
     def test_reference_value(self):
         # frozen from independent high-precision evaluation of the closed form:
         # argument = 400 * (1.1*5)^2 = 12100, ln = 9.40096, *2, sqrt, *0.3
-        v = bonuses_mab(np.ones(5, dtype=np.int64), 5, 0.05, 0.3, 0.1)
+        v = bonuses(np.ones(5, dtype=np.int64), 5, 0.05, 0.3, 0.1)
         assert v[0] == pytest.approx(1.3008354744875579, abs=1e-12)
         assert v[0] == pytest.approx(1.3009, abs=1e-3)
 
     def test_quartering_count_halves_width(self):
-        lo, hi = bonuses_mab(np.array([4, 1, 5, 5, 5]), 20, 0.05, 0.3, 0.1)[:2]
+        lo, hi = bonuses(np.array([4, 1, 5, 5, 5]), 20, 0.05, 0.3, 0.1)[:2]
         assert lo == pytest.approx(0.5 * hi, rel=1e-12)
 
     def test_decreasing_in_delta(self):
         counts = np.array([3, 3, 8, 8, 8])
-        values = [bonuses_mab(counts, 30, d, 0.3, 0.1)[0] for d in (0.01, 0.05, 0.2, 0.5)]
+        values = [bonuses(counts, 30, d, 0.3, 0.1)[0] for d in (0.01, 0.05, 0.2, 0.5)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_zero_count_rejected(self):
+        # the audit's formula divides by the counts; a stop check reads the
+        # carried 2/counts, inf at a zero count, which gives an infinite width
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            bonuses_mab(np.array([0, 1, 1, 1, 2]), 5, 0.05, 0.3, 0.1)
+            agent_target_mab(np.zeros(5), np.array([0, 1, 1, 1, 2]), 5, 0.05, 0.3, 0.1)
+        two_over_counts = np.array([math.inf, 2.0, 2.0, 2.0, 1.0])
+        assert bonuses_mab(two_over_counts, 5, width_constants(5, 0.05, 0.3, 0.1))[0] == math.inf
 
     def test_vectorized_matches_scalar(self):
         counts = np.array([1, 4, 9], dtype=np.int64)
-        vec = bonuses_mab(counts, 14, 0.05, 0.3, 0.1)
+        vec = bonuses(counts, 14, 0.05, 0.3, 0.1)
         for k in range(3):
             assert vec[k] == pytest.approx(closed_form(int(counts[k]), 14, 3, 0.05, 0.3, 0.1))
 
     def test_strictly_positive(self):
-        assert bonuses_mab(np.array([1000, 4000]), 5000, 0.5, 0.1, 0.01)[0] > 0.0
+        assert bonuses(np.array([1000, 4000]), 5000, 0.5, 0.1, 0.01)[0] > 0.0
 
 
 class TestSelectPair:
@@ -112,18 +130,18 @@ class TestTrigger:
 
 class TestServerMerge:
     def test_consistent_mean(self):
-        server = MabServerState(np.array([0.5]), np.array([2], dtype=np.int64), 2)
+        server = server_state([0.5], [2])
         out = server_merge_mab(server, 1, 2, 1.0)
         assert out.mean_est[0] == pytest.approx(0.5) and out.counts[0] == 4
 
     def test_dilution(self):
-        server = MabServerState(np.array([1.0]), np.array([1], dtype=np.int64), 1)
+        server = server_state([1.0], [1])
         out = server_merge_mab(server, 1, 1, 0.0)
         assert out.mean_est[0] == pytest.approx(0.5) and out.counts[0] == 2
 
     def test_untouched_arm_bit_identical(self):
         mean = np.array([1 / 3, 0.77])
-        server = MabServerState(mean.copy(), np.array([3, 5], dtype=np.int64), 8)
+        server = server_state(mean.copy(), [3, 5])
         out = server_merge_mab(server, 1, 1, 0.9)
         assert out.mean_est[1] == mean[1]
         assert out.counts_total == 9
@@ -131,7 +149,7 @@ class TestServerMerge:
         assert np.array_equal(server.mean_est, mean) and list(server.counts) == [3, 5]
 
     def test_zero_merge_is_identity(self):
-        server = MabServerState(np.array([0.1, 0.6]), np.array([3, 3], dtype=np.int64), 6)
+        server = server_state([0.1, 0.6], [3, 3])
         out = server_merge_mab(server, 1, 0, 0.0)
         assert np.array_equal(out.mean_est, server.mean_est)
         assert np.array_equal(out.counts, server.counts)
@@ -157,26 +175,26 @@ class TestDownload:
     @staticmethod
     def download(server, gamma=Fraction(1, 10)):
         """download_mab as the driver calls it, with the stop check's bonuses and pair."""
-        bon = bonuses_mab(server.counts, server.counts_total, 0.05, 0.3, 0.1)
+        bon = bonuses(server.counts, server.counts_total, 0.05, 0.3, 0.1)
         i, j, _b = breaking_index(server.mean_est, bon)
         return download_mab(server, bon, i, j, gamma.as_integer_ratio())
 
     def test_copies_server_and_clears_buffers(self):
-        server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
+        server = server_state([0.9, 0.1], [7, 4])
         out = self.download(server)
         assert out.snapshot is server  # held by reference, not copied
         assert out.trigger_limit == 1  # floor(11 / 10)
         assert out.pending == []
 
     def test_idempotent_target(self):
-        server = MabServerState(np.array([0.9, 0.1]), np.array([7, 4], dtype=np.int64), 11)
+        server = server_state([0.9, 0.1], [7, 4])
         once = self.download(server)
-        again = MabServerState(once.snapshot.mean_est, once.snapshot.counts, once.snapshot.counts_total)
+        again = server_state(once.snapshot.mean_est, once.snapshot.counts)
         twice = self.download(again)
         assert once.current_target == twice.current_target
 
     def test_target_matches_selection_rules(self):
-        server = MabServerState(np.array([0.9, 0.1, 0.5]), np.array([9, 2, 5], dtype=np.int64), 16)
+        server = server_state([0.9, 0.1, 0.5], [9, 2, 5])
         out = self.download(server)
         want = agent_target_mab(server.mean_est, server.counts, 16, 0.05, 0.3, 0.1)
         assert out.current_target == want

@@ -15,11 +15,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fedpex.cli import main
-from fedpex.core import LinearInstance, MabInstance, instance_from_json, instance_to_json
+from fedpex.core import MAX_ABS_MEAN, LinearInstance, MabInstance, instance_from_json, instance_to_json
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the means an instance accepts; larger ones make the estimates overflow
+mab_mean = st.floats(min_value=-MAX_ABS_MEAN, max_value=MAX_ABS_MEAN)
 
 
 def bits(values) -> bytes:
@@ -28,7 +30,7 @@ def bits(values) -> bytes:
 
 @st.composite
 def mab_instances(draw):
-    means = draw(st.lists(finite, min_size=2, max_size=8))
+    means = draw(st.lists(mab_mean, min_size=2, max_size=8))
     assume(means.count(max(means)) == 1)
     sigma = draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
     return MabInstance(means=tuple(means), sigma=sigma)
@@ -126,7 +128,7 @@ def malformed_documents(draw):
     doc = json.loads(json.dumps(VALID[kind]))
     fields = [f for f in doc if f != "type"]
     changes = ["drop", "retype", "non-finite", "negative-sigma", "tie", "bad-type", "truncate", "not-object"]
-    changes += ["one-arm"] + (["dim", "ragged", "theta-length", "long-context"] if kind == "linear" else [])
+    changes += ["one-arm"] + (["dim", "ragged", "theta-length", "long-context"] if kind == "linear" else ["huge-mean"])
     change = draw(st.sampled_from(changes))
     if change == "drop":
         del doc[draw(st.sampled_from(fields + ["type"]))]
@@ -153,6 +155,9 @@ def malformed_documents(draw):
         doc["theta"] = doc["theta"] + [0.0] if draw(st.booleans()) else doc["theta"][:1]
     elif change == "long-context":
         doc["contexts"][draw(st.integers(0, 2))][draw(st.integers(0, 1))] = draw(st.floats(1.01, 1e300))
+    elif change == "huge-mean":
+        huge = draw(st.floats(min_value=math.nextafter(MAX_ABS_MEAN, math.inf), allow_infinity=False))
+        doc["means"][draw(st.integers(0, 1))] = huge if draw(st.booleans()) else -huge
     elif change == "one-arm":
         field = "means" if kind == "mab" else "contexts"
         doc[field] = doc[field][:1]

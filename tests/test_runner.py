@@ -14,8 +14,11 @@ from fedpex.core import (
     gen_gap_instance_mab,
     make_rng,
 )
+from fedpex import mab
 from fedpex.runner import (
     ActivationSchedule,
+    AuditError,
+    LinearFamily,
     compute_theory_diagnostics,
     linear_comm_bound,
     mab_comm_bound,
@@ -165,6 +168,38 @@ class TestRunFalinpe:
         inst = gen_gap_instance_linear(3, 5, 0.25, make_rng(25))
         res = run_falinpe(inst, RunConfig(n_agents=3, seed=6, epsilon=0.05, arm_select="lp"))
         assert res.lp_fallbacks == 0 and res.terminated
+
+
+class TestAuditCatchesWrites:
+    """The audit fails a run whose snapshots or carried values go stale."""
+
+    def test_linear_snapshot_written_between_downloads(self, monkeypatch):
+        # one ulp, far inside the rounding tolerance of a second factorization,
+        # into the state before each merge, which other agents may still hold
+        merge = LinearFamily.merge
+
+        def writing(self, server, ag):
+            out = merge(self, server, ag)
+            server.cov[0, 0] = np.nextafter(server.cov[0, 0], np.inf)
+            return out
+
+        monkeypatch.setattr(LinearFamily, "merge", writing)
+        inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(26), sigma=0.3)
+        with pytest.raises(AuditError, match="snapshot changed between downloads"):
+            run_falinpe(inst, RunConfig(n_agents=3, seed=7, epsilon=0.05), audit=True)
+
+    def test_mab_carried_two_over_counts(self, monkeypatch):
+        merge = mab.server_merge_mab
+
+        def stale(server, *args):
+            out = merge(server, *args)
+            out.two_over_counts = server.two_over_counts
+            return out
+
+        monkeypatch.setattr(mab, "server_merge_mab", stale)
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3)
+        with pytest.raises(AuditError, match="2/counts"):
+            run_famabpe(inst, RunConfig(n_agents=3, seed=8), audit=True)
 
 
 class TestDiagnostics:
