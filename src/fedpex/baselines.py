@@ -35,6 +35,14 @@ class SyncConfig(RunConfig):
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
 
+    def resolved(self, k_arms: int, sigma: float | None = None) -> "SyncConfig":
+        """RunConfig.resolved, refusing a round cap that ends inside the
+        warm-up, where no target is defined."""
+        warmup = math.ceil(k_arms / self.n_agents) * self.n_agents
+        if self.max_rounds < warmup:
+            raise ValueError(f"max_rounds must reach the warm-up's {warmup} pulls")
+        return super().resolved(k_arms, sigma)
+
 
 def run_single_agent(instance, config: RunConfig) -> RunResult:
     """The federated algorithm at M=1 with communication forced every round.
@@ -46,14 +54,6 @@ def run_single_agent(instance, config: RunConfig) -> RunResult:
     if isinstance(instance, MabInstance):
         return run_famabpe(instance, cfg, comm_every_round=True)
     return run_falinpe(instance, cfg, comm_every_round=True)
-
-
-# After the warm-up every agent pulls the common frozen target, so the pulls
-# up to the next episode boundary or the round cap are drawn as one
-# (rounds, M) block of normals: the same stream, round by round and agent by
-# agent, as one draw per pull. A block holds at most _MAX_BLOCK rounds, which
-# bounds memory at long episodes.
-_MAX_BLOCK = MAX_BLOCK
 
 
 def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -107,7 +107,11 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
                 pulls[arm - 1] += 1
             tau += m_agents
         else:
-            rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, _MAX_BLOCK)
+            # every agent pulls the common frozen target, so the pulls up to the
+            # next episode boundary or the round cap are one (rounds, M) block of
+            # normals: the same stream, round by round and agent by agent, as one
+            # draw per pull. At most MAX_BLOCK rounds bound memory at long episodes.
+            rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, MAX_BLOCK)
             rewards = means[target - 1] + instance.sigma * rng.standard_normal((rounds, m_agents))
             if linear:
                 x = contexts[target - 1]

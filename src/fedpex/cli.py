@@ -2,8 +2,8 @@
 seed sweeps, and theory diagnostics.
 
 Exit codes: 0 success, 1 runtime or invariant failure, 2 usage error.
-Setting FEDPEX_AUDIT=1 turns on per-round invariant auditing for famabpe and
-falinpe runs; the baselines run unaudited.
+Setting FEDPEX_AUDIT=1 audits famabpe and falinpe runs at every message and
+at the run's end; the baselines run unaudited.
 """
 
 from __future__ import annotations
@@ -78,29 +78,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reps", type=int, default=1)
     run.add_argument("--seed-base", type=int, default=0)
     run.add_argument("--out", required=True, help="results CSV path (appended)")
-    run.add_argument("--delta", type=float, default=0.05)
-    run.add_argument("--epsilon", type=float, default=0.0)
-    run.add_argument("--agents", type=int, default=1, help="agent count M")
-    run.add_argument("--gamma", type=float, default=None)
-    run.add_argument("--gamma1", type=float, default=None)
-    run.add_argument("--gamma2", type=float, default=None)
-    run.add_argument("--lambda", dest="ridge", type=float, default=None)
+
+    bounds = sub.add_parser("bounds", help="emit complexity diagnostics as JSON")
+    bounds.add_argument("--instance", required=True)
+    # a run and its bounds take the same confidence and trigger parameters
+    for both in (run, bounds):
+        both.add_argument("--delta", type=float, default=0.05)
+        both.add_argument("--epsilon", type=float, default=0.0)
+        both.add_argument("--agents", type=int, default=1, help="agent count M")
+        both.add_argument("--gamma", type=float, default=None)
+        both.add_argument("--gamma1", type=float, default=None)
+        both.add_argument("--gamma2", type=float, default=None)
+        both.add_argument("--lambda", dest="ridge", type=float, default=None)
     run.add_argument("--arm-select", choices=("lp", "greedy"), default="lp")
     run.add_argument("--greedy-sense", choices=("min", "max"), default="min")
     run.add_argument("--activation", choices=("uniform-random", "round-robin"),
                      default="uniform-random")
     run.add_argument("--episode-len", type=int, default=100, help="sync baseline episode length")
     run.add_argument("--max-rounds", type=int, default=10_000_000)
-
-    bounds = sub.add_parser("bounds", help="emit complexity diagnostics as JSON")
-    bounds.add_argument("--instance", required=True)
-    bounds.add_argument("--epsilon", type=float, default=0.0)
-    bounds.add_argument("--delta", type=float, default=0.05)
-    bounds.add_argument("--agents", type=int, default=1)
-    bounds.add_argument("--gamma", type=float, default=None)
-    bounds.add_argument("--gamma1", type=float, default=None)
-    bounds.add_argument("--gamma2", type=float, default=None)
-    bounds.add_argument("--lambda", dest="ridge", type=float, default=None)
     bounds.add_argument("--tau", type=int, default=None,
                         help="evaluate the communication bound at this sample complexity")
     bounds.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -126,20 +121,9 @@ def cmd_gen(args) -> int:
 
 
 def _make_config(args, seed: int):
-    base = dict(
-        delta=args.delta,
-        epsilon=args.epsilon,
-        n_agents=args.agents,
-        gamma=args.gamma,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        ridge=args.ridge,
-        arm_select=args.arm_select,
-        greedy_sense=args.greedy_sense,
-        activation=args.activation,
-        seed=seed,
-        max_rounds=args.max_rounds,
-    )
+    names = ("delta", "epsilon", "gamma", "gamma1", "gamma2", "ridge", "arm_select", "greedy_sense", "activation")
+    base = {name: getattr(args, name) for name in names}
+    base.update(n_agents=args.agents, seed=seed, max_rounds=args.max_rounds)
     if args.algo.endswith("-sync"):
         return SyncConfig(episode_len=args.episode_len, **base)
     return RunConfig(**base)
@@ -242,25 +226,11 @@ def cmd_run(args) -> int:
                     print(f"invariant violation: {exc}", file=sys.stderr)
                     return 1
                 ms = (time.perf_counter() - t0) * 1000.0
-                writer.writerow([
-                    args.algo,
-                    label,
-                    seed,
-                    result.tau,
-                    result.comm_cost,
-                    result.init_comm,
-                    result.switch_cost,
-                    result.correct,
-                    result.best_arm_true,
-                    result.best_arm_est,
-                    result.terminated,
-                    f"{ms:.3f}",
-                ])
+                # the columns between seed and runtime_ms are the result's fields
+                writer.writerow([args.algo, label, seed, *(getattr(result, c) for c in CSV_COLUMNS[3:-1]), f"{ms:.3f}"])
                 rows_written += 1
-                agg["tau"] += result.tau
-                agg["comm_cost"] += result.comm_cost
-                agg["switch_cost"] += result.switch_cost
-                agg["correct"] += float(result.correct)
+                for key in agg:
+                    agg[key] += getattr(result, key)
             n = float(args.reps)
             print(
                 f"{args.algo} {label}: mean tau={agg['tau'] / n:.1f} "

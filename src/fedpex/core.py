@@ -192,15 +192,9 @@ def gen_gap_instance_mab(k_arms: int, gap: float, rng: Rng, sigma: float = 0.3) 
         raise ValueError("gap must lie in (0, 1)")
     star = int(rng.integers(k_arms))
     mu_star = float(rng.uniform(gap, 1.0))
-    means = [0.0] * k_arms
-    means[star] = mu_star
-    others = rng.uniform(0.0, mu_star - gap, size=k_arms - 1)
-    j = 0
-    for k in range(k_arms):
-        if k != star:
-            means[k] = float(others[j])
-            j += 1
-    return MabInstance(means=tuple(means), sigma=sigma)
+    others = iter(rng.uniform(0.0, mu_star - gap, size=k_arms - 1).tolist())
+    means = tuple(mu_star if k == star else next(others) for k in range(k_arms))
+    return MabInstance(means=means, sigma=sigma)
 
 
 def _unit_orthogonal(direction: np.ndarray, rng: Rng) -> np.ndarray:
@@ -232,15 +226,8 @@ def gen_gap_instance_linear(
         theta = theta / np.linalg.norm(theta)
         star = int(rng.integers(k_arms))
         r_star = float(rng.uniform(gap, 1.0))
-        rewards = np.empty(k_arms)
-        rewards[:] = 0.0
-        rewards[star] = r_star
-        subs = rng.uniform(0.0, r_star - gap, size=k_arms - 1)
-        j = 0
-        for k in range(k_arms):
-            if k != star:
-                rewards[k] = subs[j]
-                j += 1
+        subs = iter(rng.uniform(0.0, r_star - gap, size=k_arms - 1).tolist())
+        rewards = np.array([r_star if k == star else next(subs) for k in range(k_arms)])
         contexts = np.empty((k_arms, dim))
         for k in range(k_arms):
             r = rewards[k]
@@ -385,20 +372,7 @@ class RunResult:
             raise ValueError("switch_cost cannot exceed comm_cost")
 
     def to_dict(self) -> dict:
-        d = {
-            "best_arm_est": self.best_arm_est,
-            "best_arm_true": self.best_arm_true,
-            "correct": self.correct,
-            "tau": self.tau,
-            "comm_cost": self.comm_cost,
-            "init_comm": self.init_comm,
-            "switch_cost": self.switch_cost,
-            "pulls_per_arm": list(self.pulls_per_arm),
-            "terminated": self.terminated,
-            "n_downloads": self.n_downloads,
-            "lp_fallbacks": self.lp_fallbacks,
-        }
-        return d
+        return {**vars(self), "pulls_per_arm": list(self.pulls_per_arm)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -253,14 +253,15 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     buffer cleared, trigger limit fixed, and the target (and whether it fell
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
     and whitened contexts without a solve. `run` holds the run's resolved
-    values (runner.LinearFamily): contexts, g1 = float(gamma1), g2_ratio =
-    gamma2.as_integer_ratio(), arm_select, greedy_sense and lp_memo."""
+    values (runner.LinearFamily): contexts, g1 = float(gamma1), limit_ratio =
+    gamma2.as_integer_ratio() ((0, 1) under forced communication), arm_select,
+    greedy_sense and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
         server.cov, server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
     )
     z = zx[:, target - 1]
     q = float(z @ z)
-    num, den = run.g2_ratio
+    num, den = run.limit_ratio
     limit = _det_limit(num * server.counts_total // den, q, run.g1)
     return AgentState(server, target, limit, [], q), fallback

@@ -9,13 +9,15 @@ terminated run.
 
 An agent of either family is one mab.AgentState. The round loop appends
 each reward to its buffer and compares the buffer's length with its limit;
-the family's merge alone turns a buffer into server statistics.
+the family's merge alone turns a buffer into server statistics. Everything
+else, the audit and the audit log included, happens at uploads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -44,12 +46,15 @@ MAX_BLOCK = 1024
 
 @dataclass(frozen=True)
 class AuditRecord:
+    """One upload: in round t the agent sent `pulls` rewards of `arm`."""
+
     t: int
     agent: int  # 1-based
     arm: int  # 1-based
-    triggered: bool  # the agent uploaded this round
+    pulls: int  # the rewards uploaded
+    target: int | None  # the 1-based arm downloaded, None when the upload stopped the run
     stopped: bool
-    breaking_value: float | None
+    breaking_value: float
 
 
 class AuditError(AssertionError):
@@ -90,7 +95,8 @@ class MabFamily:
         # the formula's for the audit, and resolved once for the stop checks
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
         self.width_constants = mab.width_constants(instance.k_arms, *self.widths)
-        self.gamma_ratio = cfg.gamma.as_integer_ratio()
+        # the trigger's gamma as (numerator, denominator); forced communication sets (0, 1)
+        self.limit_ratio = cfg.gamma.as_integer_ratio()
 
     def init(self, rng: Rng):
         """The server state after one pull of every arm; its estimates are the rewards."""
@@ -111,7 +117,7 @@ class MabFamily:
     def download(self, server, check):
         """A fresh agent state for `server`, and whether its target fell back."""
         i, j, _b, bon = check
-        return mab.download_mab(server, bon, i, j, self.gamma_ratio), False
+        return mab.download_mab(server, bon, i, j, self.limit_ratio), False
 
     def best_arm(self, server) -> int:
         return int(np.argmax(server.mean_est)) + 1
@@ -119,36 +125,25 @@ class MabFamily:
     def comm_bound(self, tau: int) -> float:
         return mab_comm_bound(self.cfg.n_agents, self.cfg.gamma, tau)
 
-    def audit(self, server, agents, true_pulls, m, arm, reward):
-        """The invariants after a round in which agent m pulled `reward` from `arm`."""
-        # count conservation: server + pending buffers = every pull ever made
-        held = [int(c) for c in server.counts]
-        for a in agents:
-            held[a.current_target - 1] += len(a.pending)
-        if held != true_pulls:
-            raise AuditError(f"count conservation violated: {held} != {true_pulls}")
-        if server.counts_total != int(server.counts.sum()):
-            raise AuditError("server cached total diverged")
-        if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
-            raise AuditError("server's carried 2/counts diverged")
-        gamma = self.cfg.gamma
-        num, den = self.gamma_ratio
-        for idx, a in enumerate(agents):
-            snap = a.snapshot
-            total = snap.counts_total
-            if total != int(snap.counts.sum()) or a.trigger_limit != mab.trigger_limit_mab(total, gamma):
-                raise AuditError(f"agent {idx + 1} cached totals diverged")
-            # trigger negation by the exact rational rule, not by the cached limit
-            if (total + len(a.pending)) * den > (den + num) * total:
-                raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-            want = mab.agent_target_mab(snap.mean_est, snap.counts, total, *self.widths)
-            if want != a.current_target:
-                raise AuditError(f"agent {idx + 1} target not frozen: {a.current_target} vs {want}")
+    # the audit's reference rules, from an agent's snapshot alone
+
+    def rule_limit(self, ag) -> int:
+        return mab.trigger_limit_mab(ag.snapshot.counts_total, Fraction(*self.limit_ratio))
+
+    def rule_fires(self, ag, n: int) -> bool:
+        """The trigger at n pending pulls, in exact rational arithmetic."""
+        num, den = self.limit_ratio
+        total = ag.snapshot.counts_total
+        return (total + n) * den > (den + num) * total
+
+    def rule_target(self, ag) -> bool:
+        snap = ag.snapshot
+        return ag.current_target == mab.agent_target_mab(snap.mean_est, snap.counts, snap.counts_total, *self.widths)
 
 
 class LinearFamily:
     """falinpe's hooks for the drivers (see MabFamily); the run's values that
-    every message reads, resolved once, its LP memo and the audit's sums."""
+    every message reads, resolved once, and its LP memo."""
 
     linear = True
 
@@ -162,7 +157,8 @@ class LinearFamily:
         self.outers = contexts[:, :, None] * contexts[:, None, :]
         self.rhs = np.concatenate((contexts, np.zeros((1, instance.dim))))
         g1, g2, m = float(cfg.gamma1), float(cfg.gamma2), cfg.n_agents
-        self.g1, self.g2_ratio = g1, cfg.gamma2.as_integer_ratio()
+        # gamma2 as (numerator, denominator); forced communication sets (0, 1)
+        self.g1, self.limit_ratio = g1, cfg.gamma2.as_integer_ratio()
         # the parts of c_scalar that do not depend on the sample count
         coef = math.sqrt(2.0 * g1) * m + math.sqrt(1.0 + g1 * m)
         self.radius = (math.sqrt(cfg.ridge), coef * instance.sigma, 1.0 + g2 * m, min(g1, 1.0) * cfg.ridge)
@@ -175,12 +171,6 @@ class LinearFamily:
         for x, reward in zip(self.contexts, rewards):
             cov += np.outer(x, x)
             resp += reward * x
-        # the audit's sums over every pull, and over each agent's unsent pulls,
-        # and each agent's snapshot with its bytes as they were at download
-        self.global_cov, self.global_resp = cov.copy(), resp.copy()
-        m, d = self.cfg.n_agents, inst.dim
-        self.held_cov, self.held_resp = np.zeros((m, d, d)), np.zeros((m, d))
-        self.downloaded = [None] * m
         return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
     def merge(self, server, ag):
@@ -218,48 +208,19 @@ class LinearFamily:
         cfg = self.cfg
         return linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, self.instance.dim, tau)
 
-    def audit(self, server, agents, true_pulls, m, arm, reward):
-        """The invariants after a round in which agent m pulled `reward` from `arm`."""
-        contexts, outers = self.contexts, self.outers
-        self.global_cov += outers[arm - 1]
-        self.global_resp += reward * contexts[arm - 1]
-        # running sums of each agent's unsent pulls keep a round's cost
-        # independent of the buffer lengths; an agent that uploaded holds none
-        if agents[m].pending:
-            self.held_cov[m] += outers[arm - 1]
-            self.held_resp[m] += reward * contexts[arm - 1]
-        else:
-            self.held_cov[m], self.held_resp[m] = 0.0, 0.0
-        if np.abs(server.cov + np.add.reduce(self.held_cov) - self.global_cov).max() > 1e-9:
-            raise AuditError("covariance conservation violated")
-        if np.abs(server.resp + np.add.reduce(self.held_resp) - self.global_resp).max() > 1e-9:
-            raise AuditError("response conservation violated")
-        counts_held = server.counts.tolist()
-        for a in agents:
-            counts_held[a.current_target - 1] += len(a.pending)
-        if counts_held != true_pulls:
-            raise AuditError("count conservation violated")
-        g1, g2 = self.cfg.gamma1, self.cfg.gamma2
-        for idx, a in enumerate(agents):
-            snap = a.snapshot
-            if snap.counts_total != int(snap.counts.sum()):
-                raise AuditError(f"agent {idx + 1} cached totals diverged")
-            if a.trigger_limit != lin.trigger_limit_linear(snap.counts_total, a.target_q, g1, g2):
-                raise AuditError(f"agent {idx + 1} cached trigger limit diverged")
-            # trigger negation by the hybrid rule itself, not by the cached limit
-            if lin.check_trigger_hybrid(a, g1, g2):
-                raise AuditError(f"agent {idx + 1} ended a round in a triggered state")
-            # at a download, q is checked against a second factorization (the
-            # tolerance only absorbs its rounding); after it, the snapshot (and
-            # hence the frozen target derived from it) must keep every byte
-            seen, now = self.downloaded[idx], (snap.cov.tobytes(), snap.resp.tobytes())
-            if seen is None or seen[0] is not snap:
-                q = linalg.quad_form_inv(snap.cov, contexts[a.current_target - 1])
-                if abs(q - a.target_q) > 1e-12 * (1.0 + q):
-                    raise AuditError(f"agent {idx + 1} downloaded a q that is not its target's")
-                self.downloaded[idx] = (snap, now)
-            elif seen[1] != now:
-                raise AuditError(f"agent {idx + 1} snapshot changed between downloads")
+    def rule_limit(self, ag) -> int:
+        g2 = Fraction(*self.limit_ratio)
+        return lin.trigger_limit_linear(ag.snapshot.counts_total, ag.target_q, self.cfg.gamma1, g2)
+
+    def rule_fires(self, ag, n: int) -> bool:
+        """The hybrid trigger itself at n pending pulls."""
+        return lin.check_trigger_hybrid(replace(ag, pending=[0.0] * n), self.cfg.gamma1, Fraction(*self.limit_ratio))
+
+    def rule_target(self, ag) -> bool:
+        """Whether q is the target's, by a second factorization (the
+        tolerance only absorbs its rounding)."""
+        q = linalg.quad_form_inv(ag.snapshot.cov, self.contexts[ag.current_target - 1])
+        return abs(q - ag.target_q) <= 1e-12 * (1.0 + q)
 
 
 def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
@@ -267,6 +228,79 @@ def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
     if isinstance(instance, LinearInstance):
         return LinearFamily(instance, config)
     return MabFamily(instance, config)
+
+
+# ---------------------------------------------------------------------------
+# The audit: between messages an agent only appends rewards of its frozen
+# target, so the invariants are checked at messages and at the run's end
+# ---------------------------------------------------------------------------
+
+
+def _state_bytes(state) -> tuple:
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(state).values())
+
+
+class Audit:
+    """A run's invariants, checked at every download (the M initial ones
+    too), after every upload and at the run's end. It changes nothing."""
+
+    def __init__(self, fam, server, agents):
+        # each agent's state with its target and snapshot bytes at download,
+        # and the linear family's covariance and response of every pull sent
+        self.fam, self.held = fam, [None] * len(agents)
+        self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
+        for m, ag in enumerate(agents):
+            self.download(ag, m)
+
+    def download(self, ag, m):
+        """Agent m's cached total, limit and target are the rules' for its snapshot."""
+        snap = ag.snapshot
+        if snap.counts_total != int(snap.counts.sum()) or ag.trigger_limit != self.fam.rule_limit(ag):
+            raise AuditError(f"agent {m + 1} downloaded a total or trigger limit that is not the rule's")
+        if not self.fam.rule_target(ag):
+            raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
+        self.held[m] = (ag, (ag.current_target, _state_bytes(snap)))
+
+    def upload(self, server, agents, ag, sent, m, tau, pulls):
+        """After agent m, whose state was `ag`, uploaded the buffer `sent` in
+        round tau, the server merged it and m downloaded unless the run stopped."""
+        fam, n = self.fam, len(sent)
+        # the rule fires at exactly this count: neither late nor early
+        if n != ag.trigger_limit + 1 or not fam.rule_fires(ag, n) or fam.rule_fires(ag, n - 1):
+            raise AuditError(f"agent {m + 1} uploaded {n} pulls at a trigger limit of {ag.trigger_limit}")
+        if self.sums is not None:
+            a, (cov, resp) = ag.current_target - 1, self.sums
+            cov += n * fam.outers[a]
+            resp += reduce(add, sent, 0.0) * fam.contexts[a]
+        self.check(server, agents, tau, pulls)
+        if agents[m] is not ag:
+            self.download(agents[m], m)
+
+    def check(self, server, agents, tau, pulls):
+        """The server's cached values; conservation over every agent, where
+        `pulls` counts the initial and the uploaded pulls of each arm and the
+        buffers hold the rest of tau; and every state as it was downloaded."""
+        if server.counts_total != int(server.counts.sum()):
+            raise AuditError("server cached total diverged")
+        if server.counts.tolist() != pulls or server.counts_total + sum(len(a.pending) for a in agents) != tau:
+            raise AuditError("count conservation violated")
+        if self.sums is None:
+            if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
+                raise AuditError("server's carried 2/counts diverged")
+        elif np.abs(server.cov - self.sums[0]).max() > 1e-9 or np.abs(server.resp - self.sums[1]).max() > 1e-9:
+            raise AuditError("covariance or response conservation violated")
+        for m, (ag, seen) in enumerate(self.held):
+            if seen != (ag.current_target, _state_bytes(ag.snapshot)):
+                raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
+
+    def end(self, server, agents, tau, pulls):
+        """Everything above for every agent, none of which holds more than its limit."""
+        self.check(server, agents, tau, pulls)
+        for m, ag in enumerate(agents):
+            n = len(ag.pending)
+            if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
+                raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
+            self.download(ag, m)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +313,17 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
 
     Each round the active agent pulls its frozen target, appends the reward
     to its buffer and uploads once the buffer holds more rewards than the
-    trigger limit fixed at its last download. The server merges the buffer,
-    and the run stops at B <= epsilon or the agent downloads the merged
-    state. The active agents and reward normals come in blocks from
-    ActivationSchedule.block, equal to per-round draws.
+    trigger limit fixed at its last download (0 under forced communication).
+    The server merges the buffer, and the run stops at B <= epsilon or the
+    agent downloads the merged state. The active agents and reward normals
+    come in blocks from ActivationSchedule.block, equal to per-round draws.
+    Auditing, the audit log and the message and per-arm pull counters act
+    only at uploads.
     """
     inst, cfg = fam.instance, fam.cfg
     k, m_agents = inst.k_arms, cfg.n_agents
+    if comm_every_round:  # every download fixes a trigger limit of 0
+        fam.limit_ratio = (0, 1)
     rng = make_rng(cfg.seed)
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
     # an attribution that affects no statistic), then every agent downloads
@@ -296,6 +334,8 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
         ag, fallback = fam.download(server, check)
         agents.append(ag)
         fallbacks += fallback
+    audit = Audit(fam, server, agents) if audit else None
+    # the initial pulls and then the uploaded ones; held pulls join at the end
     pulls = [1] * k
     comm = switches = downloads = 0
     tau = k
@@ -308,37 +348,37 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
 
     while not stopped and tau < max_rounds:
         for m, z in zip(*draw(rng, max_rounds - tau)):
-            tau += 1
             ag = agents[m]
-            arm = ag.current_target
-            reward = means[arm - 1] + sigma * z
-            ag.pending.append(reward)
-            pulls[arm - 1] += 1
-
-            triggered = comm_every_round or len(ag.pending) > ag.trigger_limit
-            b_value = None
-            if triggered:
+            pending = ag.pending
+            pending.append(means[ag.current_target - 1] + sigma * z)
+            tau += 1
+            if len(pending) > ag.trigger_limit:
+                arm = ag.current_target
                 comm += 1  # upload
+                pulls[arm - 1] += len(pending)
                 server = fam.merge(server, ag)
                 check = fam.stop(server)
-                b_value = check[2]
-                if b_value <= epsilon:
-                    stopped = True
+                if check[2] <= epsilon:
+                    stopped, target = True, None
+                    ag.pending = []  # sent, and never refilled
                 else:
                     comm += 1  # download
                     downloads += 1
                     agents[m], fallback = fam.download(server, check)
                     fallbacks += fallback
-                    if agents[m].current_target != arm:
-                        switches += 1
+                    target = agents[m].current_target
+                    switches += target != arm
+                if audit:
+                    audit.upload(server, agents, ag, pending, m, tau, pulls)
+                if audit_log is not None:
+                    audit_log.append(AuditRecord(tau, m + 1, arm, len(pending), target, stopped, check[2]))
+                if stopped:
+                    break
 
-            if audit and not stopped:
-                fam.audit(server, agents, pulls, m, arm, reward)
-            if audit_log is not None:
-                audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
-            if stopped:
-                break
-
+    if audit:
+        audit.end(server, agents, tau, pulls)
+    for ag in agents:
+        pulls[ag.current_target - 1] += len(ag.pending)
     # the cap governs the event-triggered protocol, not forced communication
     if stopped and not comm_every_round:
         bound = fam.comm_bound(tau)
@@ -379,9 +419,11 @@ def run_famabpe(
 ) -> RunResult:
     """One full asynchronous federated MAB pure-exploration run.
 
-    comm_every_round forces the upload trigger (single-agent baseline hook).
-    Auditing validates conservation, trigger-negation and frozen-target
-    invariants after every round and never changes the result.
+    comm_every_round sets every trigger limit to 0, so each pull uploads
+    (the single-agent baseline's hook). Auditing validates the conservation,
+    trigger and frozen-target invariants at every message and at the run's
+    end and never changes the result; audit_log receives one AuditRecord
+    per upload.
     """
     return _run_async(MabFamily(instance, config), audit, audit_log, comm_every_round)
 
@@ -433,15 +475,9 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
         report["complexity"] = float(best_per_arm.sum())
         report["epsilon_zero_flag"] = False
     else:
-        terms = []
-        infinite = False
-        for g in gaps:
-            denom = max((g + eps) / 3.0, eps)
-            if denom == 0.0:
-                infinite = True
-                continue
-            terms.append(instance.sigma**2 / denom**2)
-        report["complexity"] = math.inf if infinite else float(sum(terms))
+        denoms = [max((g + eps) / 3.0, eps) for g in gaps]
+        infinite = 0.0 in denoms
+        report["complexity"] = math.inf if infinite else float(sum(instance.sigma**2 / d**2 for d in denoms))
         report["epsilon_zero_flag"] = infinite
     if tau is not None:
         report["comm_bound"] = fam.comm_bound(tau)

@@ -46,8 +46,8 @@ def _report(number: int, description: str, ok: bool, detail: str = ""):
 def mab_sweep():
     """Reference MAB sweep: K=5, M=10, sigma=0.3, delta=0.05, eps=0.
 
-    Each run keeps its audit log. Logging only appends records and draws no
-    randomness, so the results are those of unlogged runs.
+    Each run is audited and keeps its audit log, one record per upload.
+    Neither draws randomness, so the results are those of plain runs.
     """
     t0 = time.perf_counter()
     results = {}
@@ -57,7 +57,7 @@ def mab_sweep():
             inst = gen_gap_instance_mab(5, gap, make_rng(1000 + s), sigma=0.3)
             cfg = RunConfig(n_agents=10, delta=0.05, epsilon=0.0, seed=s)
             log = []
-            res = run_famabpe(inst, cfg, audit_log=log)
+            res = run_famabpe(inst, cfg, audit=True, audit_log=log)
             runs.append((inst, cfg, res, log))
         results[gap] = runs
     return results, time.perf_counter() - t0
@@ -94,35 +94,32 @@ def test_criterion_01_mab_correctness_at_reference_scale(mab_sweep):
 
 
 def _replay_trigger_mab(log, k_arms: int, n_agents: int, gamma):
-    """Recompute every round's upload decision from the audit log alone.
+    """Replay every upload of the audit log against the trigger alone.
 
-    Snapshot totals start at K. Each round adds one pending pull to the
-    active agent, which uploads when pending > gamma * snapshot (exact
-    Fraction arithmetic). An upload adds the pending pulls to the server
+    Snapshot totals start at K. An upload of n pulls adds them to the server
     total and, unless the run stopped, the agent downloads that total as its
-    new snapshot. Returns the number of rounds whose logged decision differs,
-    the number of uploads, and the messages (upload plus download, if any)
-    sent in rounds t <= 1/gamma.
+    new snapshot. The trigger fires at pending > gamma * snapshot (exact
+    Fraction arithmetic), so every upload's n must fire it and n - 1 must
+    not: an upload one pull late or early is a mismatch. Returns the number
+    of mismatched uploads, the pulls uploaded, the most pulls the agents can
+    hold unsent at the end (each its limit), and the messages (upload plus
+    download, if any) sent in rounds t <= 1/gamma.
     """
     t_warm = math.floor(1 / gamma)
     snapshot = [k_arms] * n_agents
-    pending = [0] * n_agents
     server_total = k_arms
-    mismatches = uploads = warm_msgs = 0
+    mismatches = uploaded = warm_msgs = 0
     for rec in log:
         a = rec.agent - 1
-        pending[a] += 1
-        fires = pending[a] > gamma * snapshot[a]
-        mismatches += fires != rec.triggered
-        if fires:
-            uploads += 1
-            if rec.t <= t_warm:
-                warm_msgs += 1 if rec.stopped else 2
-            server_total += pending[a]
-            pending[a] = 0
-            if not rec.stopped:
-                snapshot[a] = server_total
-    return mismatches, uploads, warm_msgs
+        mismatches += not (rec.pulls > gamma * snapshot[a] >= rec.pulls - 1)
+        uploaded += rec.pulls
+        if rec.t <= t_warm:
+            warm_msgs += 1 if rec.stopped else 2
+        server_total += rec.pulls
+        if not rec.stopped:
+            snapshot[a] = server_total
+    held_max = sum(math.floor(gamma * c) for c in snapshot)
+    return mismatches, uploaded, held_max, warm_msgs
 
 
 def _mab_message_floor(tau: int, n_agents: int, k_arms: int, gamma) -> int:
@@ -174,10 +171,11 @@ def test_criterion_02_mab_communication_magnitude(mab_sweep):
             gamma = cfg.resolved(5).gamma
             where = f"gap {gap}, seed {cfg.seed}"
             assert res.comm_cost <= mab_comm_bound(10, gamma, res.tau), where
-            mismatches, uploads, warm_msgs = _replay_trigger_mab(log, 5, 10, gamma)
-            assert mismatches == 0, f"{where}: {mismatches} trigger decisions differ from the replay"
-            assert res.tau == 5 + len(log), where
-            assert res.comm_cost == 2 * uploads - res.terminated, where
+            mismatches, uploaded, held_max, warm_msgs = _replay_trigger_mab(log, 5, 10, gamma)
+            assert mismatches == 0, f"{where}: {mismatches} uploads differ from the replayed trigger"
+            # every pull is uploaded or held, and no agent holds more than its limit
+            assert 0 <= res.tau - 5 - uploaded <= held_max, where
+            assert res.comm_cost == 2 * len(log) - res.terminated, where
             floor = _mab_message_floor(res.tau, 10, 5, gamma)
             assert res.comm_cost >= floor, f"{where}: {res.comm_cost} messages < floor {floor}"
             comm += res.comm_cost
@@ -379,13 +377,14 @@ def test_criterion_08_frozen_target_and_switching():
                 audit=True,
                 audit_log=log,
             )
-        # pulled arm constant between consecutive downloads of each agent
-        expected = {}
+        # each agent uploads the arm it downloaded last, and the run's
+        # downloads and switches are those its upload records name
+        downloaded = {}
         for rec in log:
-            if expected.get(rec.agent) is not None:
-                assert rec.arm == expected[rec.agent]
-            downloaded = rec.triggered and not rec.stopped
-            expected[rec.agent] = None if downloaded else rec.arm
+            assert rec.arm == downloaded.get(rec.agent, log[0].arm)
+            downloaded[rec.agent] = rec.target
+        assert res.n_downloads == sum(rec.target is not None for rec in log)
+        assert res.switch_cost == sum(rec.target not in (None, rec.arm) for rec in log)
         assert res.switch_cost <= res.n_downloads
         assert res.n_downloads <= res.comm_cost
         checked += 1

@@ -111,6 +111,14 @@ class TestSynchronous:
         )
         assert not res.terminated and res.tau <= 1000
 
+    def test_round_cap_inside_the_warm_up_is_refused(self):
+        # ten agents on five arms warm up for one global round of ten pulls
+        for inst in (gen_gap_instance_mab(5, 0.4, make_rng(30)), gen_gap_instance_linear(3, 5, 0.4, make_rng(31))):
+            with pytest.raises(ValueError, match="warm-up"):
+                run_synchronous(inst, SyncConfig(n_agents=10, max_rounds=9))
+            res = run_synchronous(inst, SyncConfig(n_agents=10, max_rounds=10))
+            assert res.tau == 10 and sum(res.pulls_per_arm) == 10 and not res.terminated
+
     def test_episode_len_validation(self):
         with pytest.raises(ValueError):
             SyncConfig(episode_len=0)

@@ -172,6 +172,22 @@ class TestRun:
             assert proc.stdout == ""  # no run started
             assert out.read_bytes() == existing if present else not out.exists()
 
+    @pytest.mark.parametrize("kind,algo", [("mab", "ugapec-sync"), ("linear", "lingape-sync")])
+    def test_sync_round_cap_inside_the_warm_up_exit_2(self, tmp_path, capsys, kind, algo):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", kind, "--k", "5", "--d", "3", "--gap", "0.4", "--seed", "3", "--out", str(inst)])
+        capsys.readouterr()
+        out = tmp_path / "res.csv"
+        # ten agents on five arms warm up for one global round of ten pulls
+        args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "10", "--out", str(out)]
+        assert main([*args, "--max-rounds", "9"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert captured.out == "" and not out.exists()
+        assert main([*args, "--max-rounds", "10"]) == 0
+        assert read_rows(out)[1][3] == "10"
+
     @pytest.mark.parametrize("command", ["run", "bounds"])
     @pytest.mark.parametrize("flag", ["--gamma", "--gamma1", "--gamma2", "--lambda"])
     def test_infinite_trigger_parameters_exit_2(self, tmp_path, flag, command):

@@ -276,7 +276,7 @@ def run_of(contexts, arm_select, gamma=Fraction(1, 100)):
         contexts=contexts,
         outers=contexts[:, :, None] * contexts[:, None, :],
         g1=float(gamma),
-        g2_ratio=gamma.as_integer_ratio(),
+        limit_ratio=gamma.as_integer_ratio(),
         arm_select=arm_select,
         greedy_sense="min",
         lp_memo={},
@@ -1125,13 +1125,12 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
         ag.pending_counts[arm - 1] += 1
         ag.pending_total += 1
         pulls[arm - 1] += 1
-        triggered = comm_every_round or ref_trigger_mab(ag.counts_total, ag.pending_total, gamma)
-        b_value = None
-        if triggered:
+        if comm_every_round or ref_trigger_mab(ag.counts_total, ag.pending_total, gamma):
             comm += 1
             server = ref_merge_mab(server, ag.pending_sums, ag.pending_counts)
             bon = ref_bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
             i, _j, b_value = ref_breaking_index(server.mean_est, bon)
+            target = None
             if b_value <= cfg.epsilon:
                 stopped = True
                 best_est = i
@@ -1139,8 +1138,9 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
                 comm += 1
                 downloads += 1
                 agents[m] = ref_snapshot(server, cfg.delta, instance.sigma, gamma_m)
-                switches += agents[m].current_target != arm
-        audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+                target = agents[m].current_target
+                switches += target != arm
+            audit_log.append(AuditRecord(tau, m + 1, arm, ag.pending_total, target, stopped, b_value))
     if not stopped:
         best_est = int(np.argmax(server.mean_est)) + 1
     if stopped and not comm_every_round:
@@ -1655,9 +1655,7 @@ def ref_run_falinpe(instance, config, audit_log):
         ag.pending_resp += reward * ag.target_context
         ag.pending_total += 1
         pulls[arm - 1] += 1
-        triggered = ref_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2)
-        b_value = None
-        if triggered:
+        if ref_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2):
             comm += 1
             counts = np.zeros(k, dtype=np.int64)
             counts[arm - 1] = ag.pending_total  # every pending pull was of the frozen target
@@ -1666,7 +1664,7 @@ def ref_run_falinpe(instance, config, audit_log):
             stop = ref_stop_check(
                 server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )
-            b_value = stop.b
+            target = None
             if stop.b <= cfg.epsilon:
                 stopped, best_est = True, stop.i
             else:
@@ -1676,8 +1674,9 @@ def ref_run_falinpe(instance, config, audit_log):
                     server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
                 )
                 fallbacks += int(fb)
-                switches += agents[m].current_target != arm
-        audit_log.append(AuditRecord(tau, m + 1, arm, triggered, stopped, b_value))
+                target = agents[m].current_target
+                switches += target != arm
+            audit_log.append(AuditRecord(tau, m + 1, arm, ag.pending_total, target, stopped, stop.b))
     if not stopped:
         best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
     else:
@@ -1968,7 +1967,7 @@ class TestSyncAgainstPerRoundLoops:
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_blocks_shorter_than_an_episode(self, block, monkeypatch, server_states):
-        monkeypatch.setattr(baselines, "_MAX_BLOCK", block)
+        monkeypatch.setattr(baselines, "MAX_BLOCK", block)
         mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1300), sigma=0.3)
         lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1301), sigma=0.2)
         for m, e in ((1, 7), (3, 100), (10, 12)):

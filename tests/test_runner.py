@@ -1,7 +1,10 @@
 """End-to-end run behavior: termination, accounting identities, determinism,
-audit-mode neutrality, activation schedules, and the theory diagnostics."""
+audit-mode neutrality, the audit's power, activation schedules, and the
+theory diagnostics."""
 
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +17,12 @@ from fedpex.core import (
     gen_gap_instance_mab,
     make_rng,
 )
-from fedpex import mab
+from fedpex import mab, runner
 from fedpex.runner import (
     ActivationSchedule,
     AuditError,
     LinearFamily,
+    MabFamily,
     compute_theory_diagnostics,
     linear_comm_bound,
     mab_comm_bound,
@@ -104,21 +108,31 @@ class TestRunFamabpe:
         inst = gen_gap_instance_mab(3, 0.4, make_rng(5))
         log = []
         res = run_famabpe(inst, RunConfig(n_agents=2, seed=6), audit_log=log)
-        assert len(log) == res.tau - inst.k_arms
-        assert log[-1].stopped
+        # one record per upload; the stopping upload has no download
+        assert res.comm_cost == 2 * len(log) - res.terminated
+        assert log[-1].stopped and log[-1].target is None and log[-1].t == res.tau
+        assert not any(rec.stopped for rec in log[:-1])
+        assert all(rec.pulls >= 1 for rec in log)
+        assert sum(rec.pulls for rec in log) <= res.tau - inst.k_arms
 
     def test_frozen_target_between_downloads(self):
         inst = gen_gap_instance_mab(4, 0.2, make_rng(6))
         log = []
         res = run_famabpe(inst, RunConfig(n_agents=3, seed=7), audit=True, audit_log=log)
         assert res.terminated
-        expected = {}
-        for rec in log:
-            if expected.get(rec.agent) is not None:
-                assert rec.arm == expected[rec.agent]
-            # a download (upload without stop) refreshes the frozen choice
-            downloaded = rec.triggered and not rec.stopped
-            expected[rec.agent] = None if downloaded else rec.arm
+        assert_frozen_targets(log, res)
+
+
+def assert_frozen_targets(log, res):
+    """Each agent uploads the arm it downloaded last, and the downloads and
+    switches of a run are those its records name."""
+    downloaded = {}
+    for rec in log:
+        # every agent's first download is the initialized state's target
+        assert rec.arm == downloaded.get(rec.agent, log[0].arm)
+        downloaded[rec.agent] = rec.target
+    assert res.n_downloads == sum(rec.target is not None for rec in log)
+    assert res.switch_cost == sum(rec.target not in (None, rec.arm) for rec in log)
 
 
 class TestRunFalinpe:
@@ -200,6 +214,87 @@ class TestAuditCatchesWrites:
         inst = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3)
         with pytest.raises(AuditError, match="2/counts"):
             run_famabpe(inst, RunConfig(n_agents=3, seed=8), audit=True)
+
+
+def mab_run(**kw):
+    inst = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3)
+    return run_famabpe(inst, RunConfig(n_agents=3, seed=8), **kw)
+
+
+def linear_run(**kw):
+    inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(26), sigma=0.3)
+    return run_falinpe(inst, RunConfig(n_agents=3, seed=7, epsilon=0.05), **kw)
+
+
+def mutate_driver(monkeypatch, old, new):
+    """Swap in a copy of the round loop whose source has `old` replaced by `new`."""
+    source = inspect.getsource(runner._run_async)
+    assert source.count(old) == 1
+    namespace = dict(vars(runner))
+    exec(compile(source.replace(old, new), runner.__file__, "exec"), namespace)
+    monkeypatch.setattr(runner, "_run_async", namespace["_run_async"])
+
+
+class TestAuditCatchesMutations:
+    """Each mutation of the protocol makes an audited run raise."""
+
+    @pytest.mark.parametrize("run", [mab_run, linear_run])
+    @pytest.mark.parametrize("compare", [">= ag.trigger_limit", "> ag.trigger_limit + 1"], ids=["early", "late"])
+    def test_upload_one_pull_early_or_late(self, run, compare, monkeypatch):
+        mutate_driver(monkeypatch, "> ag.trigger_limit:", compare + ":")
+        with pytest.raises(AuditError, match="pulls at a trigger limit of"):
+            run(audit=True)
+
+    @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
+    def test_merge_that_drops_one_pull(self, family, run, monkeypatch):
+        merge = family.merge
+
+        def dropping(self, server, ag):
+            return merge(self, server, replace(ag, pending=ag.pending[:-1]))
+
+        monkeypatch.setattr(family, "merge", dropping)
+        with pytest.raises(AuditError, match="count conservation"):
+            run(audit=True)
+
+    def test_linear_merge_that_drops_the_last_reward(self, monkeypatch):
+        merge = LinearFamily.merge
+
+        def dropping(self, server, ag):
+            return merge(self, server, replace(ag, pending=ag.pending[:-1] + [0.0]))
+
+        monkeypatch.setattr(LinearFamily, "merge", dropping)
+        with pytest.raises(AuditError, match="response conservation"):
+            linear_run(audit=True)
+
+    @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
+    def test_download_with_a_limit_off_by_one(self, family, run, monkeypatch):
+        download = family.download
+
+        def off_by_one(self, server, check):
+            ag, fallback = download(self, server, check)
+            return replace(ag, trigger_limit=ag.trigger_limit + 1), fallback
+
+        monkeypatch.setattr(family, "download", off_by_one)
+        with pytest.raises(AuditError, match="trigger limit that is not the rule"):
+            run(audit=True)
+
+    @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
+    def test_download_of_another_target(self, family, run, monkeypatch):
+        download = family.download
+
+        def other(self, server, check):
+            ag, fallback = download(self, server, check)
+            return replace(ag, current_target=ag.current_target % self.instance.k_arms + 1), fallback
+
+        monkeypatch.setattr(family, "download", other)
+        with pytest.raises(AuditError, match="downloaded a target"):
+            run(audit=True)
+
+    @pytest.mark.parametrize("run", [mab_run, linear_run])
+    def test_forced_communication_audited(self, run):
+        res = run(audit=True, comm_every_round=True)
+        assert res.to_json() == run(comm_every_round=True).to_json()
+        assert res.comm_cost == 2 * (res.tau - 5) - res.terminated
 
 
 class TestDiagnostics:
