@@ -1,7 +1,9 @@
 """Command-line interface: instance generation, experiment execution with
 seed sweeps, and theory diagnostics.
 
-Exit codes: 0 success, 1 runtime or invariant failure, 2 usage error.
+Exit codes: 0 success, 1 runtime or invariant failure, 2 usage error. The
+commands raise ValueError for a usage error, and only main turns an error
+into its exit code and one `error:` line.
 Setting FEDPEX_AUDIT=1 audits famabpe and falinpe runs at every message and
 at the run's end; the baselines run unaudited.
 """
@@ -45,10 +47,6 @@ CSV_COLUMNS = [
 
 ALGOS = ("famabpe", "falinpe", "ugapec-single", "ugapec-sync", "lingape-single", "lingape-sync")
 _MAB_ALGOS = ("famabpe", "ugapec-single", "ugapec-sync")
-
-
-def _audit_enabled() -> bool:
-    return os.environ.get("FEDPEX_AUDIT", "") == "1"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,17 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     rng = make_rng(args.seed)
-    try:
-        if args.type == "mab":
-            inst = gen_gap_instance_mab(args.k, args.gap, rng, sigma=args.sigma)
-        else:
-            if args.d is None:
-                print("error: --d is required for linear instances", file=sys.stderr)
-                return 2
-            inst = gen_gap_instance_linear(args.d, args.k, args.gap, rng, sigma=args.sigma)
-    except (ValueError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+    if args.type == "mab":
+        inst = gen_gap_instance_mab(args.k, args.gap, rng, sigma=args.sigma)
+    elif args.d is None:
+        raise ValueError("--d is required for linear instances")
+    else:
+        inst = gen_gap_instance_linear(args.d, args.k, args.gap, rng, sigma=args.sigma)
     save_instance(inst, args.out)
     print(f"wrote {args.out}: best_arm={inst.best_arm()} min_gap={inst.min_gap():.6g}")
     return 0
@@ -166,15 +159,8 @@ def cmd_run(args) -> int:
     if args.gap_sweep is not None:
         kind = args.type or ("mab" if is_mab_algo else "linear")
         if (kind == "mab") != is_mab_algo:
-            print(f"error: algo {args.algo} needs {'mab' if is_mab_algo else 'linear'} instances",
-                  file=sys.stderr)
-            return 2
-        try:
-            gaps = _parse_sweep(args.gap_sweep)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for idx, gap in enumerate(gaps):
+            raise ValueError(f"algo {args.algo} needs {'mab' if is_mab_algo else 'linear'} instances")
+        for idx, gap in enumerate(_parse_sweep(args.gap_sweep)):
             rng = make_rng(args.gen_seed + idx)
             if kind == "mab":
                 inst = gen_gap_instance_mab(args.k, gap, rng, sigma=args.sigma)
@@ -184,22 +170,19 @@ def cmd_run(args) -> int:
     elif args.instance is not None:
         inst = load_instance(args.instance)
         if isinstance(inst, MabInstance) != is_mab_algo:
-            print(f"error: algo {args.algo} is incompatible with instance type", file=sys.stderr)
-            return 2
+            raise ValueError(f"algo {args.algo} is incompatible with instance type")
         jobs.append((args.instance, inst))
     else:
-        print("error: provide --instance or --gap-sweep", file=sys.stderr)
-        return 2
+        raise ValueError("provide --instance or --gap-sweep")
     if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--reps must be >= 1")
 
     # a bad config fails before the CSV is touched; resolving against each
     # instance checks max_rounds against its arm count
     config = _make_config(args, args.seed_base)
     for _label, inst in jobs:
         config.resolved(inst.k_arms)
-    audit = _audit_enabled()
+    audit = os.environ.get("FEDPEX_AUDIT", "") == "1"
     new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     if not new_file:
         # rows may only follow the v1 header and a complete last line
@@ -207,8 +190,7 @@ def cmd_run(args) -> int:
             header = next(csv.reader([fh.readline().decode("utf-8")]), None)
             fh.seek(-1, os.SEEK_END)
             if header != CSV_COLUMNS or fh.read(1) != b"\n":
-                print(f"error: {args.out} is not a v1 results CSV ending in a newline", file=sys.stderr)
-                return 2
+                raise ValueError(f"{args.out} is not a v1 results CSV ending in a newline")
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -244,8 +226,7 @@ def cmd_run(args) -> int:
 def cmd_bounds(args) -> int:
     # the bounds take log2(tau): a run has at least one round
     if args.tau is not None and args.tau < 1:
-        print("error: --tau must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--tau must be >= 1")
     inst = load_instance(args.instance)
     config = RunConfig(
         delta=args.delta,

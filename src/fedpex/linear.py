@@ -3,9 +3,9 @@ algorithm: regularized least squares, hybrid determinant+count trigger,
 ellipsoid bonuses, LP/greedy informative-arm selection, and stopping.
 
 An agent is mab.AgentState: its downloaded server state (held by reference;
-merges allocate new arrays), frozen target x, unsent rewards of x and
-q = x^T cov^{-1} x, so the hybrid trigger is the integer test
-len(pending) > trigger_limit, the limit fixed at download.
+merges allocate new arrays), frozen target x and q = x^T cov^{-1} x, so the
+hybrid trigger at n unsent rewards of x is the integer test
+n > trigger_limit, the limit fixed at download.
 Each server state is whitened once: its stop check factors cov = L L^T and
 solves Z = L^{-1} [X^T | resp], and the rewards, pair widths, greedy scores
 and the target's x^T cov^{-1} x (the closed-form determinant trigger) are
@@ -129,17 +129,17 @@ def select_arm_greedy(
     return best + 1
 
 
-def check_trigger_hybrid(agent: AgentState, gamma1, gamma2) -> bool:
-    """True when the pending data moves the determinant or count ratio too far.
+def check_trigger_hybrid(agent: AgentState, n: int, gamma1, gamma2) -> bool:
+    """True when n unsent pulls move the determinant or count ratio too far.
 
-    With n pending pulls and a snapshot of C pulls and covariance cov, fires
-    iff the count condition C + n > (1+gamma2) C holds (in exact integer
-    arithmetic as in the MAB trigger), OR
+    With n unsent pulls of the target and a snapshot of C pulls and
+    covariance cov, fires iff the count condition C + n > (1+gamma2) C holds
+    (in exact integer arithmetic as in the MAB trigger), OR
     logdet(cov + n x x^T) > log(1+gamma1) + logdet(cov), which by the matrix
     determinant lemma is n x^T cov^{-1} x = n target_q > gamma1.
     """
     g2 = gamma2 if type(gamma2) is Fraction else Fraction(gamma2)
-    total, n = agent.snapshot.counts_total, len(agent.pending)
+    total = agent.snapshot.counts_total
     if (total + n) * g2.denominator > (g2.denominator + g2.numerator) * total:
         return True
     return n * agent.target_q > float(gamma1)
@@ -250,7 +250,7 @@ def _design(contexts: np.ndarray, i: int, j: int) -> list[tuple[int, float]] | N
 
 def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[AgentState, bool]:
     """An agent's fresh snapshot of `server`, whose stop check is `stop`:
-    buffer cleared, trigger limit fixed, and the target (and whether it fell
+    trigger limit fixed, and the target (and whether it fell
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
     and whitened contexts without a solve. `run` holds the run's resolved
     values (runner.LinearFamily): contexts, g1 = float(gamma1), limit_ratio =
@@ -264,4 +264,4 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     q = float(z @ z)
     num, den = run.limit_ratio
     limit = _det_limit(num * server.counts_total // den, q, run.g1)
-    return AgentState(server, target, limit, [], q), fallback
+    return AgentState(server, target, limit, q), fallback

@@ -4,9 +4,10 @@ breaking-index stopping rule, and download synchronization.
 
 An agent of either family is an AgentState: the server state it last
 downloaded (held by reference; merges build new states and never write it),
-the target derived from it, the integer trigger limit fixed at download and
-the rewards of the target not yet uploaded, which it sends once it holds
-more than trigger_limit of them.
+the target derived from it and the integer trigger limit fixed at download.
+A download is a value that any number of agents can hold. The driver keeps
+each agent's unsent rewards, which the agent uploads once it holds more
+than trigger_limit of them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 
 @dataclass(slots=True)
 class AgentState:
-    """An agent of either family between two downloads."""
+    """What a download fixes for an agent of either family until its next one."""
 
     snapshot: object  # the downloaded server state, held by reference and never written
     current_target: int  # 1-based arm pulled until the next download
-    trigger_limit: int  # the agent uploads once len(pending) exceeds it
-    pending: list  # rewards of current_target not yet uploaded, in pull order
+    trigger_limit: int  # the agent uploads once it holds more rewards than this
     target_q: float = 0.0  # linear family only: x^T cov^{-1} x of the target
 
 
@@ -105,18 +105,16 @@ def trigger_limit_mab(counts_total: int, gamma) -> int:
     return (g.numerator * counts_total) // g.denominator
 
 
-def check_trigger_mab(agent: AgentState) -> bool:
-    """True when pending local data exceeds the gamma fraction of the snapshot."""
-    return len(agent.pending) > agent.trigger_limit
+def check_trigger_mab(agent: AgentState, n: int) -> bool:
+    """True when n unsent pulls exceed the gamma fraction of the snapshot."""
+    return n > agent.trigger_limit
 
 
 def server_merge_mab(server: MabServerState, arm: int, n: int, reward_sum: float) -> MabServerState:
     """Fold an agent's n pulls of `arm` with the given reward sum into a new
     server state; the old state's arrays are left as they are, and every
-    other arm keeps its estimate bit-identical. An empty buffer changes
-    nothing."""
-    if n == 0:
-        return server
+    other arm keeps its estimate bit-identical. n is positive: nobody
+    uploads an empty buffer."""
     a = arm - 1
     mean = server.mean_est.copy()
     counts = server.counts.copy()
@@ -146,12 +144,12 @@ def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int,
 
 
 def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> AgentState:
-    """An agent's fresh state after downloading `server`: empty buffer,
-    target and trigger limit fixed. `bonuses` and (i, j) are the stop
+    """An agent's fresh state after downloading `server`: target and
+    trigger limit fixed. `bonuses` and (i, j) are the stop
     check's for this same server state, so the target is the one
     agent_target_mab derives from the snapshot; gamma_ratio is gamma's
     numerator and denominator, from which the limit is trigger_limit_mab's.
     The target is select_arm_mab's, compared in Python floats."""
     num, den = gamma_ratio
     target = i if bonuses.item(i - 1) >= bonuses.item(j - 1) else j
-    return AgentState(server, target, (num * server.counts_total) // den, [])
+    return AgentState(server, target, (num * server.counts_total) // den)

@@ -7,16 +7,18 @@ toward comm_cost and its never-sent download does not. The deterministic
 communication-cost bounds are asserted as hard postconditions of every
 terminated run.
 
-An agent of either family is one mab.AgentState. The round loop appends
-each reward to its buffer and compares the buffer's length with its limit;
-the family's merge alone turns a buffer into server statistics. Everything
+An agent of either family is one mab.AgentState, what its last download
+fixed; every agent holds the one state that set-up downloads. The driver
+keeps each agent's buffer of unsent rewards: the round loop appends each
+reward to it and compares its length with the agent's limit, and the
+family's merge alone turns a buffer into server statistics. Everything
 else, the audit and the audit log included, happens at uploads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -104,10 +106,11 @@ class MabFamily:
         rewards = np.array([sample_reward_mab(self.instance, a, rng) for a in range(1, k + 1)])
         return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
 
-    def merge(self, server, ag):
-        """`server` with the buffer's rewards added left to right (builtin sum()
-        compensates float sums from Python 3.12 on, which changes the bits)."""
-        return mab.server_merge_mab(server, ag.current_target, len(ag.pending), reduce(add, ag.pending, 0.0))
+    def merge(self, server, ag, rewards):
+        """`server` with agent `ag`'s buffered rewards added left to right
+        (builtin sum() compensates float sums from Python 3.12 on, which
+        changes the bits)."""
+        return mab.server_merge_mab(server, ag.current_target, len(rewards), reduce(add, rewards, 0.0))
 
     def stop(self, server):
         """(i, j, B, bonuses) of a server state."""
@@ -131,7 +134,7 @@ class MabFamily:
         return mab.trigger_limit_mab(ag.snapshot.counts_total, Fraction(*self.limit_ratio))
 
     def rule_fires(self, ag, n: int) -> bool:
-        """The trigger at n pending pulls, in exact rational arithmetic."""
+        """The trigger at n unsent pulls, in exact rational arithmetic."""
         num, den = self.limit_ratio
         total = ag.snapshot.counts_total
         return (total + n) * den > (den + num) * total
@@ -173,18 +176,18 @@ class LinearFamily:
             resp += reward * x
         return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
-    def merge(self, server, ag):
-        """`server` with n x x^T and the sum of r x over the buffer added, each
-        summed from zero in pull order as per-pull adds would: the rows
-        [x x^T; r x] of at most MAX_BLOCK pulls at a time, carried in row 0."""
-        a, pending = ag.current_target - 1, ag.pending
-        n, d = len(pending), self.instance.dim
+    def merge(self, server, ag, rewards):
+        """`server` with n x x^T and the sum of r x over agent `ag`'s buffered
+        rewards added, each summed from zero in pull order as per-pull adds
+        would: the rows [x x^T; r x] of at most MAX_BLOCK pulls at a time,
+        carried in row 0."""
+        a, n, d = ag.current_target - 1, len(rewards), self.instance.dim
         block = np.zeros((min(n, MAX_BLOCK) + 1, d + 1, d))
         for lo in range(0, n, MAX_BLOCK):
-            rewards = pending[lo : lo + MAX_BLOCK]
-            rows = block[: len(rewards) + 1]
+            part = rewards[lo : lo + MAX_BLOCK]
+            rows = block[: len(part) + 1]
             rows[1:, :d] = self.outers[a]
-            np.multiply(np.array(rewards)[:, None], self.contexts[a], out=rows[1:, d])
+            np.multiply(np.array(part)[:, None], self.contexts[a], out=rows[1:, d])
             np.add.accumulate(rows, axis=0, out=rows)
             block[0] = rows[-1]
         counts = server.counts.copy()
@@ -213,8 +216,8 @@ class LinearFamily:
         return lin.trigger_limit_linear(ag.snapshot.counts_total, ag.target_q, self.cfg.gamma1, g2)
 
     def rule_fires(self, ag, n: int) -> bool:
-        """The hybrid trigger itself at n pending pulls."""
-        return lin.check_trigger_hybrid(replace(ag, pending=[0.0] * n), self.cfg.gamma1, Fraction(*self.limit_ratio))
+        """The hybrid trigger itself at n unsent pulls."""
+        return lin.check_trigger_hybrid(ag, n, self.cfg.gamma1, Fraction(*self.limit_ratio))
 
     def rule_target(self, ag) -> bool:
         """Whether q is the target's, by a second factorization (the
@@ -241,8 +244,9 @@ def _state_bytes(state) -> tuple:
 
 
 class Audit:
-    """A run's invariants, checked at every download (the M initial ones
-    too), after every upload and at the run's end. It changes nothing."""
+    """A run's invariants, checked at every download (the initial one held
+    by all M agents too), after every upload and at the run's end. It
+    changes nothing."""
 
     def __init__(self, fam, server, agents):
         # each agent's state with its target and snapshot bytes at download,
@@ -261,7 +265,7 @@ class Audit:
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
         self.held[m] = (ag, (ag.current_target, _state_bytes(snap)))
 
-    def upload(self, server, agents, ag, sent, m, tau, pulls):
+    def upload(self, server, agents, buffers, ag, sent, m, tau, pulls):
         """After agent m, whose state was `ag`, uploaded the buffer `sent` in
         round tau, the server merged it and m downloaded unless the run stopped."""
         fam, n = self.fam, len(sent)
@@ -272,17 +276,17 @@ class Audit:
             a, (cov, resp) = ag.current_target - 1, self.sums
             cov += n * fam.outers[a]
             resp += reduce(add, sent, 0.0) * fam.contexts[a]
-        self.check(server, agents, tau, pulls)
+        self.check(server, buffers, tau, pulls)
         if agents[m] is not ag:
             self.download(agents[m], m)
 
-    def check(self, server, agents, tau, pulls):
+    def check(self, server, buffers, tau, pulls):
         """The server's cached values; conservation over every agent, where
         `pulls` counts the initial and the uploaded pulls of each arm and the
         buffers hold the rest of tau; and every state as it was downloaded."""
         if server.counts_total != int(server.counts.sum()):
             raise AuditError("server cached total diverged")
-        if server.counts.tolist() != pulls or server.counts_total + sum(len(a.pending) for a in agents) != tau:
+        if server.counts.tolist() != pulls or server.counts_total + sum(map(len, buffers)) != tau:
             raise AuditError("count conservation violated")
         if self.sums is None:
             if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
@@ -293,11 +297,11 @@ class Audit:
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
                 raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
 
-    def end(self, server, agents, tau, pulls):
+    def end(self, server, agents, buffers, tau, pulls):
         """Everything above for every agent, none of which holds more than its limit."""
-        self.check(server, agents, tau, pulls)
-        for m, ag in enumerate(agents):
-            n = len(ag.pending)
+        self.check(server, buffers, tau, pulls)
+        for m, (ag, buf) in enumerate(zip(agents, buffers)):
+            n = len(buf)
             if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
                 raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
             self.download(ag, m)
@@ -311,12 +315,14 @@ class Audit:
 def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool) -> RunResult:
     """One asynchronous event-triggered run of either bandit family.
 
-    Each round the active agent pulls its frozen target, appends the reward
-    to its buffer and uploads once the buffer holds more rewards than the
-    trigger limit fixed at its last download (0 under forced communication).
-    The server merges the buffer, and the run stops at B <= epsilon or the
-    agent downloads the merged state. The active agents and reward normals
-    come in blocks from ActivationSchedule.block, equal to per-round draws.
+    Each round the active agent pulls its frozen target, the driver appends
+    the reward to the agent's buffer, and the agent uploads once its buffer
+    holds more rewards than the trigger limit fixed at its last download (0
+    under forced communication). The server merges the buffer, and the run
+    stops at B <= epsilon or the agent downloads the merged state. Set-up
+    downloads the initial state once, and every agent holds that download.
+    The active agents and reward normals come in blocks from
+    ActivationSchedule.block, equal to per-round draws.
     Auditing, the audit log and the message and per-arm pull counters act
     only at uploads.
     """
@@ -327,13 +333,12 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     rng = make_rng(cfg.seed)
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
     # an attribution that affects no statistic), then every agent downloads
+    # the initialized state: one download that all M agents hold, counted
+    # once per agent as a message and by its fallback
     server = fam.init(rng)
     check = fam.stop(server)
-    agents, fallbacks = [], 0
-    for _ in range(m_agents):
-        ag, fallback = fam.download(server, check)
-        agents.append(ag)
-        fallbacks += fallback
+    first, fallback = fam.download(server, check)
+    agents, buffers, fallbacks = [first] * m_agents, [[] for _ in range(m_agents)], m_agents * fallback
     audit = Audit(fam, server, agents) if audit else None
     # the initial pulls and then the uploaded ones; held pulls join at the end
     pulls = [1] * k
@@ -348,19 +353,18 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
 
     while not stopped and tau < max_rounds:
         for m, z in zip(*draw(rng, max_rounds - tau)):
-            ag = agents[m]
-            pending = ag.pending
-            pending.append(means[ag.current_target - 1] + sigma * z)
+            ag, buf = agents[m], buffers[m]
+            buf.append(means[ag.current_target - 1] + sigma * z)
             tau += 1
-            if len(pending) > ag.trigger_limit:
+            if len(buf) > ag.trigger_limit:
                 arm = ag.current_target
                 comm += 1  # upload
-                pulls[arm - 1] += len(pending)
-                server = fam.merge(server, ag)
+                pulls[arm - 1] += len(buf)
+                buffers[m] = []
+                server = fam.merge(server, ag, buf)
                 check = fam.stop(server)
                 if check[2] <= epsilon:
                     stopped, target = True, None
-                    ag.pending = []  # sent, and never refilled
                 else:
                     comm += 1  # download
                     downloads += 1
@@ -369,16 +373,16 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
                     target = agents[m].current_target
                     switches += target != arm
                 if audit:
-                    audit.upload(server, agents, ag, pending, m, tau, pulls)
+                    audit.upload(server, agents, buffers, ag, buf, m, tau, pulls)
                 if audit_log is not None:
-                    audit_log.append(AuditRecord(tau, m + 1, arm, len(pending), target, stopped, check[2]))
+                    audit_log.append(AuditRecord(tau, m + 1, arm, len(buf), target, stopped, check[2]))
                 if stopped:
                     break
 
     if audit:
-        audit.end(server, agents, tau, pulls)
-    for ag in agents:
-        pulls[ag.current_target - 1] += len(ag.pending)
+        audit.end(server, agents, buffers, tau, pulls)
+    for ag, buf in zip(agents, buffers):
+        pulls[ag.current_target - 1] += len(buf)
     # the cap governs the event-triggered protocol, not forced communication
     if stopped and not comm_every_round:
         bound = fam.comm_bound(tau)

@@ -219,13 +219,21 @@ class TestRun:
             ("sweep", ["--gap-sweep", "0.5:1.0:0.25"]),
             ("sweep", ["--gap-sweep", "0:0.5:0.1"]),
             ("sweep", ["--gap-sweep=-0.2:0.4:0.2"]),
+            # refused by the commands themselves
+            ("instance", ["--reps", "0"]),
+            ("sweep", ["--gap-sweep", "0.1:0.3:0.1", "--type", "linear"]),
+            ("none", []),
+            ("gen", ["--type", "linear", "--k", "5", "--gap", "0.3"]),
         ],
         ids=["negative-seed", "infinite-sweep", "huge-sweep", "overflowing-sweep", "sweep-reaches-1",
-             "sweep-from-0", "negative-sweep"],
+             "sweep-from-0", "negative-sweep", "zero-reps", "sweep-of-other-type", "no-source",
+             "gen-linear-without-d"],
     )
-    def test_bad_seed_or_sweep_exit_2(self, tmp_path, source, extra):
+    def test_usage_refusal_exit_2(self, tmp_path, source, extra):
         out = tmp_path / "res.csv"
         args = ["run", "--algo", "famabpe", "--out", str(out), *extra]
+        if source == "gen":
+            args = ["gen", "--out", str(out), *extra]
         if source == "instance":
             inst = tmp_path / "inst.json"
             main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--out", str(inst)])

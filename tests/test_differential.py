@@ -115,10 +115,10 @@ def ref_quad_form_inv(a, y):
     return float(z @ z)
 
 
-def ref_trigger(agent, x, gamma1, gamma2):
+def ref_trigger(agent, n, x, gamma1, gamma2):
     """For an agent holding n pulls of x: the count rule, then
     logdet(cov + n x x^T) > log(1+g1) + logdet(cov)."""
-    snap, n = agent.snapshot, len(agent.pending)
+    snap = agent.snapshot
     g2 = Fraction(gamma2)
     lhs = (snap.counts_total + n) * g2.denominator
     rhs = (g2.denominator + g2.numerator) * snap.counts_total
@@ -283,11 +283,11 @@ def run_of(contexts, arm_select, gamma=Fraction(1, 100)):
     )
 
 
-def agent_at(cov, x, counts_total, n):
-    """An agent holding n pulls of x since it downloaded (cov, counts_total)."""
+def agent_at(cov, x, counts_total):
+    """An agent whose target is x since it downloaded (cov, counts_total)."""
     snapshot = lin.LinServerState(cov, np.zeros(len(x)), np.array([counts_total], dtype=np.int64), counts_total)
     # trigger_limit -1: check_trigger_hybrid, the rule under test, does not read it
-    return mab.AgentState(snapshot, 1, -1, [0.0] * n, quad_form_inv(cov, x))
+    return mab.AgentState(snapshot, 1, -1, quad_form_inv(cov, x))
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +352,15 @@ class TestClosedFormTrigger:
             cov, _resp, contexts = snapshot(rng, d)
             x = contexts[int(rng.integers(len(contexts)))]
             n = int(rng.integers(0, 30))
-            agent = agent_at(cov, x, 10**6, n)
+            agent = agent_at(cov, x, 10**6)
             nq = n * agent.target_q
             gammas = [float(rng.uniform(0.001, 2.0))]
             if n:
                 assert nq > 0.01  # keeps the logdet margin at 1e-9 far above its rounding
                 gammas += [nq * (1 - 1e-9), nq * (1 + 1e-9)]
             for g1 in gammas:
-                got = lin.check_trigger_hybrid(agent, g1, 1e9)
-                assert got == ref_trigger(agent, x, g1, 1e9), (n, nq, g1)
+                got = lin.check_trigger_hybrid(agent, n, g1, 1e9)
+                assert got == ref_trigger(agent, n, x, g1, 1e9), (n, nq, g1)
                 checked += 1
                 fired += got
         assert 0 < fired < checked
@@ -368,28 +368,26 @@ class TestClosedFormTrigger:
     def test_threshold_neighbours_split(self):
         rng = np.random.default_rng(7)
         cov, _resp, contexts = snapshot(rng, 5)
-        agent = agent_at(cov, contexts[0], 10**6, 3)
+        agent = agent_at(cov, contexts[0], 10**6)
         nq = 3 * agent.target_q
-        assert lin.check_trigger_hybrid(agent, nq * (1 - 1e-9), 1e9)
-        assert not lin.check_trigger_hybrid(agent, nq * (1 + 1e-9), 1e9)
+        assert lin.check_trigger_hybrid(agent, 3, nq * (1 - 1e-9), 1e9)
+        assert not lin.check_trigger_hybrid(agent, 3, nq * (1 + 1e-9), 1e9)
 
     def test_count_rule_unchanged(self):
         rng = np.random.default_rng(8)
         cov, _resp, contexts = snapshot(rng, 2)
         for total, n, g2 in [(100, 1, Fraction(1, 200)), (100, 1, Fraction(1, 50)), (7, 7, 1.0), (7, 8, 1.0)]:
-            agent = agent_at(cov, contexts[0], total, n)
-            assert lin.check_trigger_hybrid(agent, 1e9, g2) == ref_trigger(agent, contexts[0], 1e9, g2)
+            agent = agent_at(cov, contexts[0], total)
+            assert lin.check_trigger_hybrid(agent, n, 1e9, g2) == ref_trigger(agent, n, contexts[0], 1e9, g2)
 
 
 def limit_agrees(counts_total, q, gamma1, gamma2):
     """trigger_limit_linear against check_trigger_hybrid at every pending
     count from limit - 3 to limit + 3; returns the limit."""
     limit = lin.trigger_limit_linear(counts_total, q, gamma1, gamma2)
-    # the rule reads only the number of buffered rewards, which a range gives
-    agent = mab.AgentState(SimpleNamespace(counts_total=counts_total), 1, limit, range(0), q)
+    agent = mab.AgentState(SimpleNamespace(counts_total=counts_total), 1, limit, q)
     for n in range(max(0, limit - 3), limit + 4):
-        agent.pending = range(n)
-        fired = lin.check_trigger_hybrid(agent, gamma1, gamma2)
+        fired = lin.check_trigger_hybrid(agent, n, gamma1, gamma2)
         assert fired == (n > limit), (counts_total, q, gamma1, gamma2, n)
     return limit
 
@@ -801,7 +799,7 @@ class TestMessagePathAgainstSlowComposition:
                 assert (agent.current_target, fallback) == (ref.current_target, ref_fallback)
                 assert (agent.target_q.hex(), agent.trigger_limit) == (ref.target_q.hex(), ref.trigger_limit)
                 # the agent holds the server state itself, not a copy of its fields
-                assert agent.snapshot is server and agent.pending == []
+                assert agent.snapshot is server and not hasattr(agent, "pending")
                 seen["fallback"] += fallback
                 seen["q0"] += agent.target_q == 0.0
                 seen["tied"] += kind == "tied" and stop.i == 1
@@ -912,7 +910,7 @@ class TestMergeAgainstPerPullAdds:
                 sums[arm - 1] += reward
                 counts[arm - 1] += 1
             want = ref_merge_mab(server, sums, counts)
-            got = fam.merge(server, mab.AgentState(server, arm, n - 1, rewards))
+            got = fam.merge(server, mab.AgentState(server, arm, n - 1), rewards)
             assert got.mean_est.tobytes() == want.mean_est.tobytes()
             assert got.counts.tobytes() == want.counts.tobytes() and got.counts_total == want.counts_total
             assert got.two_over_counts.tobytes() == want.two_over_counts.tobytes()
@@ -927,7 +925,7 @@ class TestMergeAgainstPerPullAdds:
         for reward in [-0.0] * n:
             sums[1] += reward
         want = ref_merge_mab(server, sums, np.array([0, n]))
-        got = fam.merge(server, mab.AgentState(server, 2, n - 1, [-0.0] * n))
+        got = fam.merge(server, mab.AgentState(server, 2, n - 1), [-0.0] * n)
         assert got.mean_est.tobytes() == want.mean_est.tobytes()
         assert not np.signbit(got.mean_est[1])
 
@@ -952,7 +950,7 @@ class TestMergeAgainstPerPullAdds:
             counts = server.counts.copy()
             counts[arm - 1] += n
             want = lin.server_merge_linear(server, pending_cov, pending_resp, counts, n)
-            got = fam.merge(server, mab.AgentState(server, arm, n - 1, rewards))
+            got = fam.merge(server, mab.AgentState(server, arm, n - 1), rewards)
             for name in ("cov", "resp", "counts"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.counts_total == want.counts_total
@@ -966,9 +964,9 @@ class TestMergeAgainstPerPullAdds:
         fam = LinearFamily(inst, RunConfig(n_agents=3))
         server = fam.init(make_rng(block))
         rewards = buffered(fam, make_rng(block + 1), 2, 40)
-        want = fam.merge(server, mab.AgentState(server, 2, 0, rewards))
+        want = fam.merge(server, mab.AgentState(server, 2, 0), rewards)
         monkeypatch.setattr(runner, "MAX_BLOCK", block)
-        got = fam.merge(server, mab.AgentState(server, 2, 0, rewards))
+        got = fam.merge(server, mab.AgentState(server, 2, 0), rewards)
         assert (got.cov.tobytes(), got.resp.tobytes()) == (want.cov.tobytes(), want.resp.tobytes())
 
     def test_linear_fold_memory_is_one_block(self):
@@ -976,10 +974,10 @@ class TestMergeAgainstPerPullAdds:
         inst = gen_gap_instance_linear(10, 20, 0.3, make_rng(3), sigma=0.3)
         fam = LinearFamily(inst, RunConfig(n_agents=3))
         server = fam.init(make_rng(4))
-        agent = mab.AgentState(server, 5, 0, buffered(fam, make_rng(5), 5, 20_000))
+        agent, rewards = mab.AgentState(server, 5, 0), buffered(fam, make_rng(5), 5, 20_000)
         tracemalloc.start()
         try:
-            fam.merge(server, agent)
+            fam.merge(server, agent, rewards)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1338,11 +1336,9 @@ class TestIntegerTriggerLimit:
             if total < 1:
                 continue
             limit = mab.trigger_limit_mab(total, gamma)
+            agent = mab.AgentState(None, 1, limit)
             for n in (limit, limit + 1):
-                # a range stands for n buffered rewards; no buffer is longer than sys.maxsize
-                if n <= sys.maxsize:
-                    agent = mab.AgentState(None, 1, limit, range(n))
-                    assert mab.check_trigger_mab(agent) == ref_trigger_mab(total, n, gamma), (total, n)
+                assert mab.check_trigger_mab(agent, n) == ref_trigger_mab(total, n, gamma), (total, n)
             assert not ref_trigger_mab(total, limit, gamma) and ref_trigger_mab(total, limit + 1, gamma)
 
 
@@ -1728,7 +1724,7 @@ class TestFalinpeAgainstPerPullDraws:
             cfg = RunConfig(n_agents=m, seed=m, epsilon=0.05)
             got = run_falinpe(inst, cfg)
             assert got.to_json() == ref_run_falinpe(inst, cfg, []).to_json()
-            # initialization is M downloads, each falling back
+            # initialization is one download that all M agents hold, each counting its fallback
             assert got.terminated and got.lp_fallbacks == m + got.n_downloads
             server_states.clear()
             sync = assert_same_sync(inst, SyncConfig(n_agents=m, seed=m, episode_len=5, epsilon=0.05), server_states)

@@ -27,15 +27,15 @@ def rhs_of(contexts):
     return np.concatenate((contexts, np.zeros((1, contexts.shape[1]))))
 
 
-def make_agent(cov, x, counts, n_pending, target=1):
-    """An agent that pulled its frozen target x n_pending times since its
-    download, with target_q = x^T cov^{-1} x."""
+def make_agent(cov, x, counts, target=1):
+    """An agent whose frozen target is x, with target_q = x^T cov^{-1} x; the
+    trigger takes the number of pulls of x since its download."""
     cov = np.asarray(cov, dtype=float)
     x = np.asarray(x, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
     snapshot = LinServerState(cov, np.zeros(cov.shape[0]), counts, int(counts.sum()))
     # trigger_limit -1: check_trigger_hybrid, the rule under test, does not read it
-    return AgentState(snapshot, target, -1, [0.0] * n_pending, quad_form_inv(cov, x))
+    return AgentState(snapshot, target, -1, quad_form_inv(cov, x))
 
 
 class TestRlsEstimate:
@@ -143,26 +143,26 @@ class TestSelectArmGreedy:
 
 class TestHybridTrigger:
     def test_determinant_condition_fires(self):
-        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5], 1)
-        assert check_trigger_hybrid(agent, 0.01, 1e9)  # det doubles
+        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5])
+        assert check_trigger_hybrid(agent, 1, 0.01, 1e9)  # det doubles
 
     def test_quiet_with_no_data(self):
-        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5], 0)
-        assert not check_trigger_hybrid(agent, 0.01, 0.01)
+        agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5])
+        assert not check_trigger_hybrid(agent, 0, 0.01, 0.01)
 
     def test_count_condition_fires_alone(self):
-        agent = make_agent(np.eye(2), [1.0, 0.0], [1000, 1000], 1)
+        agent = make_agent(np.eye(2), [1.0, 0.0], [1000, 1000])
         # det doubles, which stays below 1 + gamma1 = 11 ...
-        assert not check_trigger_hybrid(agent, 10.0, 1e9)
+        assert not check_trigger_hybrid(agent, 1, 10.0, 1e9)
         # ... so only the count ratio 2001/2000 > 1 + 1e-6 fires
-        assert check_trigger_hybrid(agent, 10.0, Fraction(1, 10**6))
+        assert check_trigger_hybrid(agent, 1, 10.0, Fraction(1, 10**6))
 
     def test_determinant_condition_below_threshold(self):
         # det doubles; with gamma1=1.25 the ratio 2 <= 2.25 stays quiet
-        agent = make_agent(np.eye(2), [1.0, 0.0], [50, 50], 1)
-        assert not check_trigger_hybrid(agent, 1.25, 1e9)
+        agent = make_agent(np.eye(2), [1.0, 0.0], [50, 50])
+        assert not check_trigger_hybrid(agent, 1, 1.25, 1e9)
         # and just under the growth it fires
-        assert check_trigger_hybrid(agent, 0.9, 1e9)
+        assert check_trigger_hybrid(agent, 1, 0.9, 1e9)
 
 
 class TestServerMergeLinear:

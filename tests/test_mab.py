@@ -23,13 +23,13 @@ from fedpex.mab import (
 )
 
 
-def make_agent(counts, n_pending, gamma, target=1):
-    """An agent that downloaded a snapshot with these counts and then pulled
-    its target n_pending times."""
+def make_agent(counts, gamma, target=1):
+    """An agent that downloaded a snapshot with these counts; the trigger
+    takes the number of pulls of its target since then."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     snapshot = server_state(np.zeros(len(counts)), counts)
-    return AgentState(snapshot, target, trigger_limit_mab(total, gamma), [0.0] * n_pending)
+    return AgentState(snapshot, target, trigger_limit_mab(total, gamma))
 
 
 def server_state(mean_est, counts):
@@ -108,24 +108,23 @@ class TestSelectArm:
 
 class TestTrigger:
     def test_fires_above_threshold(self):
-        agent = make_agent([5, 5], 1, 0.01)
-        assert check_trigger_mab(agent)  # 11 > 10.1
+        agent = make_agent([5, 5], 0.01)
+        assert check_trigger_mab(agent, 1)  # 11 > 10.1
 
     def test_quiet_below_threshold(self):
-        agent = make_agent([100, 100], 1, 0.01)
-        assert not check_trigger_mab(agent)  # 201 <= 202
+        agent = make_agent([100, 100], 0.01)
+        assert not check_trigger_mab(agent, 1)  # 201 <= 202
 
     def test_strict_inequality_at_zero(self):
-        agent = make_agent([10, 10], 0, 0.5)
-        assert not check_trigger_mab(agent)
+        agent = make_agent([10, 10], 0.5)
+        assert not check_trigger_mab(agent, 0)
 
     def test_exact_boundary_is_quiet(self):
         # pending exactly gamma * counts must not fire (strict >)
-        agent = make_agent([50, 50], 1, Fraction(1, 100))
+        agent = make_agent([50, 50], Fraction(1, 100))
         assert agent.trigger_limit == 1
-        assert not check_trigger_mab(agent)
-        agent = make_agent([50, 50], 2, Fraction(1, 100))
-        assert check_trigger_mab(agent)
+        assert not check_trigger_mab(agent, 1)
+        assert check_trigger_mab(agent, 2)
 
 
 class TestServerMerge:
@@ -147,12 +146,6 @@ class TestServerMerge:
         assert out.counts_total == 9
         # the merged state is new; a snapshot of the old one stays as it was
         assert np.array_equal(server.mean_est, mean) and list(server.counts) == [3, 5]
-
-    def test_zero_merge_is_identity(self):
-        server = server_state([0.1, 0.6], [3, 3])
-        out = server_merge_mab(server, 1, 0, 0.0)
-        assert np.array_equal(out.mean_est, server.mean_est)
-        assert np.array_equal(out.counts, server.counts)
 
 
 class TestBreakingIndex:
@@ -179,12 +172,12 @@ class TestDownload:
         i, j, _b = breaking_index(server.mean_est, bon)
         return download_mab(server, bon, i, j, gamma.as_integer_ratio())
 
-    def test_copies_server_and_clears_buffers(self):
+    def test_holds_server_and_no_buffer(self):
         server = server_state([0.9, 0.1], [7, 4])
         out = self.download(server)
         assert out.snapshot is server  # held by reference, not copied
         assert out.trigger_limit == 1  # floor(11 / 10)
-        assert out.pending == []
+        assert not hasattr(out, "pending")  # the driver keeps the unsent rewards
 
     def test_idempotent_target(self):
         server = server_state([0.9, 0.1], [7, 4])

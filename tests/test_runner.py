@@ -17,6 +17,7 @@ from fedpex.core import (
     gen_gap_instance_mab,
     make_rng,
 )
+from fedpex import linear as lin
 from fedpex import mab, runner
 from fedpex.runner import (
     ActivationSchedule,
@@ -184,6 +185,45 @@ class TestRunFalinpe:
         assert res.lp_fallbacks == 0 and res.terminated
 
 
+class TestSetUpIsOneDownload:
+    """Every agent holds the one download of the initialized state: set-up
+    costs one download call for any M, counted here rather than timed."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        download = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(1)
+            return download(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 10, 100_000])
+    def test_mab(self, m, monkeypatch):
+        calls = self.counted(monkeypatch, mab, "download_mab")
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(40), sigma=0.3)
+        # one round past set-up: every later call is a counted download
+        res = run_famabpe(inst, RunConfig(n_agents=m, seed=1, max_rounds=6))
+        assert len(calls) - res.n_downloads == 1
+        assert res.init_comm == 5 + m and res.lp_fallbacks == 0
+
+    @pytest.mark.parametrize("m", [1, 10, 100_000])
+    def test_linear_with_every_lp_infeasible(self, m, monkeypatch):
+        def infeasible(contexts, y):
+            raise lin.InfeasibleTargetError("no LP target")
+
+        monkeypatch.setattr(lin, "solve_l1", infeasible)
+        calls = self.counted(monkeypatch, lin, "download_linear")
+        inst = gen_gap_instance_linear(5, 5, 0.3, make_rng(41), sigma=0.3)
+        res = run_falinpe(inst, RunConfig(n_agents=m, seed=1, max_rounds=6))
+        assert len(calls) - res.n_downloads == 1
+        # the one set-up download falls back once for each agent that holds it
+        assert res.init_comm == 5 + m and res.lp_fallbacks == m + res.n_downloads
+
+
 class TestAuditCatchesWrites:
     """The audit fails a run whose snapshots or carried values go stale."""
 
@@ -192,8 +232,8 @@ class TestAuditCatchesWrites:
         # into the state before each merge, which other agents may still hold
         merge = LinearFamily.merge
 
-        def writing(self, server, ag):
-            out = merge(self, server, ag)
+        def writing(self, server, ag, rewards):
+            out = merge(self, server, ag, rewards)
             server.cov[0, 0] = np.nextafter(server.cov[0, 0], np.inf)
             return out
 
@@ -249,8 +289,8 @@ class TestAuditCatchesMutations:
     def test_merge_that_drops_one_pull(self, family, run, monkeypatch):
         merge = family.merge
 
-        def dropping(self, server, ag):
-            return merge(self, server, replace(ag, pending=ag.pending[:-1]))
+        def dropping(self, server, ag, rewards):
+            return merge(self, server, ag, rewards[:-1])
 
         monkeypatch.setattr(family, "merge", dropping)
         with pytest.raises(AuditError, match="count conservation"):
@@ -259,8 +299,8 @@ class TestAuditCatchesMutations:
     def test_linear_merge_that_drops_the_last_reward(self, monkeypatch):
         merge = LinearFamily.merge
 
-        def dropping(self, server, ag):
-            return merge(self, server, replace(ag, pending=ag.pending[:-1] + [0.0]))
+        def dropping(self, server, ag, rewards):
+            return merge(self, server, ag, rewards[:-1] + [0.0])
 
         monkeypatch.setattr(LinearFamily, "merge", dropping)
         with pytest.raises(AuditError, match="response conservation"):
