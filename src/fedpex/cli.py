@@ -113,8 +113,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# the config fields of the confidence and trigger arguments that run and bounds share
+_SHARED = ("delta", "epsilon", "gamma", "gamma1", "gamma2", "ridge")
+
+
 def _make_config(args, seed: int):
-    names = ("delta", "epsilon", "gamma", "gamma1", "gamma2", "ridge", "arm_select", "greedy_sense", "activation")
+    names = _SHARED + ("arm_select", "greedy_sense", "activation")
     base = {name: getattr(args, name) for name in names}
     base.update(n_agents=args.agents, seed=seed, max_rounds=args.max_rounds)
     if args.algo.endswith("-sync"):
@@ -228,15 +232,7 @@ def cmd_bounds(args) -> int:
     if args.tau is not None and args.tau < 1:
         raise ValueError("--tau must be >= 1")
     inst = load_instance(args.instance)
-    config = RunConfig(
-        delta=args.delta,
-        epsilon=args.epsilon,
-        n_agents=args.agents,
-        gamma=args.gamma,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        ridge=args.ridge,
-    )
+    config = RunConfig(n_agents=args.agents, **{name: getattr(args, name) for name in _SHARED})
     report = compute_theory_diagnostics(inst, config, tau=args.tau)
     report["instance"] = args.instance
     if math.isinf(report["complexity"]):

@@ -159,20 +159,19 @@ def solve_l1(contexts: np.ndarray, y: np.ndarray) -> L1Solution:
     return L1Solution(w=w, rho=rho, p=p)
 
 
-def informative_arm_lp(counts, p: np.ndarray) -> int:
-    """Arm (1-based) minimizing counts_k / p_k over the design support.
-
-    Ties go to the lowest arm index; arms with p_k <= SUPPORT_TOL are
-    excluded.
-    """
-    best = -1
-    best_score = np.inf
-    for k, pk in enumerate(p):
-        if pk > SUPPORT_TOL:
-            score = counts[k] / pk
-            if score < best_score:
-                best_score = score
-                best = k
-    if best < 0:
+def design_support(p: np.ndarray) -> list[tuple[int, float]]:
+    """(k, p_k) for the 0-based arms k with p_k > SUPPORT_TOL, in order."""
+    support = [(k, pk) for k, pk in enumerate(np.asarray(p, dtype=float).tolist()) if pk > SUPPORT_TOL]
+    if not support:
         raise NoSupportError("selection distribution has empty support")
-    return best + 1
+    return support
+
+
+def least_sampled(counts, support: list[tuple[int, float]]) -> int:
+    """0-based arm minimizing counts_k / p_k over a design support, ties to the lowest."""
+    return min(support, key=lambda kp: counts[kp[0]] / kp[1])[0]
+
+
+def informative_arm_lp(counts, p: np.ndarray) -> int:
+    """Arm (1-based) minimizing counts_k / p_k over the design support."""
+    return least_sampled(counts, design_support(p)) + 1

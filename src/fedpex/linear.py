@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .design_lp import SUPPORT_TOL, InfeasibleTargetError, NoSupportError, ZeroTargetError, solve_l1
+from .design_lp import InfeasibleTargetError, ZeroTargetError, design_support, least_sampled, solve_l1
 from .mab import AgentState, trigger_limit_mab
 
 
@@ -108,22 +108,15 @@ def select_pair_linear(theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndar
     return i + 1, j + 1
 
 
-def select_arm_greedy(
-    cov: np.ndarray, contexts: np.ndarray, y: np.ndarray | None, sense: str = "min", whitened: tuple | None = None
-) -> int:
-    """Arm whose extra observation most shrinks y^T (cov + x x^T)^{-1} y.
+def select_arm_greedy(zy: np.ndarray, zx: np.ndarray, sense: str = "min") -> int:
+    """Arm whose extra observation most shrinks y^T (V + x x^T)^{-1} y.
 
     Every arm is scored at once by Sherman-Morrison,
     y^T V^{-1} y - (x^T V^{-1} y)^2 / (1 + x^T V^{-1} x), from the whitened
-    zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T), which `whitened` holds when
-    the caller already has them (y is then not read). sense="min" picks the
+    zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T). sense="min" picks the
     uncertainty-minimizing arm; sense="max" keeps the literal maximizing form
     for comparison runs. Ties break to the lowest index; y = 0 returns arm 1.
     """
-    if whitened is None:
-        z = linalg.forward_sub(linalg.cholesky(cov), np.column_stack((y, contexts.T)))
-        whitened = z[:, 0], z[:, 1:]
-    zy, zx = whitened
     vals = zy @ zy - (zy @ zx) ** 2 / (1.0 + (zx * zx).sum(0))
     best = int(vals.argmin()) if sense == "min" else int(vals.argmax())
     return best + 1
@@ -201,51 +194,40 @@ def stopping_linear(server: LinServerState, rhs: np.ndarray, c: float) -> StopCh
 
 
 def choose_informative_arm(
-    agent_cov: np.ndarray,
-    agent_counts: np.ndarray,
+    counts: np.ndarray,
     contexts: np.ndarray,
     i: int,
     j: int,
     arm_select: str,
     greedy_sense: str,
-    zx: np.ndarray | None = None,
-    lp_memo: dict | None = None,
+    zx: np.ndarray,
+    lp_memo: dict,
 ) -> tuple[int, bool]:
-    """Arm to pull for the pair (i, j); returns (arm, fell_back_to_greedy).
+    """Arm to pull for the pair (i, j) at per-arm `counts`, from the whitened
+    contexts zx of the held state; returns (arm, fell_back_to_greedy).
 
     The LP selector falls back to the greedy rule when the direction is zero
     (duplicate contexts) or outside the span; both are impossible for
     generated instances but guarded so runs stay alive. The LP depends only
     on the contexts and (i, j), so a run passes one `lp_memo` dict that keeps
-    each pair's design support and p on it (None for a fallback) for the
-    rest of the run; the arm is informative_arm_lp's. `zx` is the whitened
-    contexts of agent_cov when the caller already has them.
+    each pair's design support on it (None for a fallback) for the rest of
+    the run; the arm is informative_arm_lp's.
     """
     if arm_select == "lp":
-        if lp_memo is None:
-            lp_memo = {}
         design = lp_memo.get((i, j), False)
         if design is False:
             design = lp_memo[(i, j)] = _design(contexts, i, j)
         if design is not None:
-            counts = agent_counts.tolist()
-            return min(design, key=lambda kp: counts[kp[0]] / kp[1])[0] + 1, False
-    y = contexts[i - 1] - contexts[j - 1] if zx is None else None
-    whitened = None if zx is None else (zx[:, i - 1] - zx[:, j - 1], zx)
-    return select_arm_greedy(agent_cov, contexts, y, greedy_sense, whitened), arm_select == "lp"
+            return least_sampled(counts.tolist(), design) + 1, False
+    return select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx, greedy_sense), arm_select == "lp"
 
 
 def _design(contexts: np.ndarray, i: int, j: int) -> list[tuple[int, float]] | None:
-    """(k, p_k) for the 0-based arms k with p_k > SUPPORT_TOL in the minimum-L1
-    design of x_i - x_j, in order, or None where the LP is undefined."""
+    """The design support of the minimum-L1 design of x_i - x_j, or None where the LP is undefined."""
     try:
-        p = solve_l1(contexts, contexts[i - 1] - contexts[j - 1]).p
+        return design_support(solve_l1(contexts, contexts[i - 1] - contexts[j - 1]).p)
     except (ZeroTargetError, InfeasibleTargetError):
         return None
-    design = [(k, pk) for k, pk in enumerate(p.tolist()) if pk > SUPPORT_TOL]
-    if not design:
-        raise NoSupportError("selection distribution has empty support")
-    return design
 
 
 def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[AgentState, bool]:
@@ -258,7 +240,7 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     greedy_sense and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
-        server.cov, server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
+        server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
     )
     z = zx[:, target - 1]
     q = float(z @ z)

@@ -244,26 +244,32 @@ def _state_bytes(state) -> tuple:
 
 
 class Audit:
-    """A run's invariants, checked at every download (the initial one held
-    by all M agents too), after every upload and at the run's end. It
-    changes nothing."""
+    """A run's invariants, checked at every download, after every upload and
+    at the run's end, once per download however many agents hold it."""
 
     def __init__(self, fam, server, agents):
-        # each agent's state with its target and snapshot bytes at download,
-        # and the linear family's covariance and response of every pull sent
-        self.fam, self.held = fam, [None] * len(agents)
+        # each held download's [state, (target, snapshot bytes), agent, holders]
+        # by id, and the linear family's covariance and response of every pull sent
+        self.fam, self.held = fam, {}
         self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
         for m, ag in enumerate(agents):
-            self.download(ag, m)
+            self.hold(ag, m)
 
     def download(self, ag, m):
-        """Agent m's cached total, limit and target are the rules' for its snapshot."""
+        """Agent m's cached total, limit and target are the rules'; returns its record."""
         snap = ag.snapshot
         if snap.counts_total != int(snap.counts.sum()) or ag.trigger_limit != self.fam.rule_limit(ag):
             raise AuditError(f"agent {m + 1} downloaded a total or trigger limit that is not the rule's")
         if not self.fam.rule_target(ag):
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
-        self.held[m] = (ag, (ag.current_target, _state_bytes(snap)))
+        return [ag, (ag.current_target, _state_bytes(snap)), m, 0]
+
+    def hold(self, ag, m, n=1):
+        """n more agents, m among them, hold `ag` (n = -1: m lets go of it)."""
+        held = self.held[id(ag)] = self.held.get(id(ag)) or self.download(ag, m)
+        held[3] += n
+        if not held[3]:
+            del self.held[id(ag)]
 
     def upload(self, server, agents, buffers, ag, sent, m, tau, pulls):
         """After agent m, whose state was `ag`, uploaded the buffer `sent` in
@@ -278,12 +284,13 @@ class Audit:
             resp += reduce(add, sent, 0.0) * fam.contexts[a]
         self.check(server, buffers, tau, pulls)
         if agents[m] is not ag:
-            self.download(agents[m], m)
+            self.hold(ag, m, -1)
+            self.hold(agents[m], m)
 
     def check(self, server, buffers, tau, pulls):
         """The server's cached values; conservation over every agent, where
         `pulls` counts the initial and the uploaded pulls of each arm and the
-        buffers hold the rest of tau; and every state as it was downloaded."""
+        buffers hold the rest of tau; and every held state as it was downloaded."""
         if server.counts_total != int(server.counts.sum()):
             raise AuditError("server cached total diverged")
         if server.counts.tolist() != pulls or server.counts_total + sum(map(len, buffers)) != tau:
@@ -293,18 +300,20 @@ class Audit:
                 raise AuditError("server's carried 2/counts diverged")
         elif np.abs(server.cov - self.sums[0]).max() > 1e-9 or np.abs(server.resp - self.sums[1]).max() > 1e-9:
             raise AuditError("covariance or response conservation violated")
-        for m, (ag, seen) in enumerate(self.held):
+        for ag, seen, m, _holders in self.held.values():
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
                 raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
 
     def end(self, server, agents, buffers, tau, pulls):
-        """Everything above for every agent, none of which holds more than its limit."""
+        """Everything above, once per held download; no agent over its limit."""
         self.check(server, buffers, tau, pulls)
+        first = {}
         for m, (ag, buf) in enumerate(zip(agents, buffers)):
             n = len(buf)
             if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
                 raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
-            self.download(ag, m)
+            if first.setdefault(id(ag), m) == m:
+                self.download(ag, m)
 
 
 # ---------------------------------------------------------------------------

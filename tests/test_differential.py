@@ -2,9 +2,10 @@
 
 The reference functions below are the former implementations, kept here
 only as oracles. For the linear layers: the loop Cholesky and triangular
-solves, the log-determinant trigger, per-arm width scoring, and the greedy
-rule that refactors cov + x x^T for every arm, on random SPD snapshots at
-d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
+solves, the log-determinant trigger, per-arm width scoring, the greedy
+rule that refactors cov + x x^T for every arm, the per-solve target
+choice that whitens afresh, and the loop informative_arm_lp, on random SPD
+snapshots at d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
 fixed at download. For famabpe: the driver with K-length pending arrays per
 agent, the exact rational trigger, the masked server merge, a stop check
 that computes the widths from the counts and B from numpy scalars, and a
@@ -43,7 +44,14 @@ from fedpex.core import (
     sample_reward_mab,
 )
 from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
-from fedpex.design_lp import InfeasibleTargetError, ZeroTargetError, informative_arm_lp
+from fedpex.design_lp import (
+    SUPPORT_TOL,
+    InfeasibleTargetError,
+    NoSupportError,
+    ZeroTargetError,
+    design_support,
+    informative_arm_lp,
+)
 from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
     MAX_BLOCK,
@@ -206,9 +214,34 @@ def ref_stop_check(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n
     return lin.StopCheck(i + 1, j + 1, b, zx)
 
 
-def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx, memo):
-    """The arm from a memo of whole L1 solutions, by the loop informative_arm_lp."""
+def ref_informative_arm_lp(counts, p):
+    """The loop form of informative_arm_lp: arm (1-based) minimizing
+    counts_k / p_k over the arms with p_k > SUPPORT_TOL, ties to the lowest."""
+    best = -1
+    best_score = np.inf
+    for k, pk in enumerate(p):
+        if pk > SUPPORT_TOL:
+            score = counts[k] / pk
+            if score < best_score:
+                best_score = score
+                best = k
+    if best < 0:
+        raise NoSupportError("selection distribution has empty support")
+    return best + 1
+
+
+def ref_select_arm_greedy(cov, contexts, y, sense="min"):
+    """The per-solve greedy rule: factor cov and whiten y and the contexts afresh."""
+    z = forward_sub(cholesky(cov), np.column_stack((y, contexts.T)))
+    return lin.select_arm_greedy(z[:, 0], z[:, 1:], sense)
+
+
+def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx=None, memo=None):
+    """The arm from a memo of whole L1 solutions (a fresh one by default), by
+    the loop informative_arm_lp; the greedy rule reads zx, or whitens afresh
+    when it is not given."""
     y = contexts[i - 1] - contexts[j - 1]
+    memo = {} if memo is None else memo
     if arm_select == "lp":
         if (i, j) not in memo:
             try:
@@ -216,9 +249,10 @@ def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx, memo):
             except (ZeroTargetError, InfeasibleTargetError):
                 memo[(i, j)] = None
         if memo[(i, j)] is not None:
-            return informative_arm_lp(counts, memo[(i, j)].p), False
-    whitened = (zx[:, i - 1] - zx[:, j - 1], zx)
-    return lin.select_arm_greedy(cov, contexts, y, sense, whitened), arm_select == "lp"
+            return ref_informative_arm_lp(counts, memo[(i, j)].p), False
+    if zx is None:
+        return ref_select_arm_greedy(cov, contexts, y, sense), arm_select == "lp"
+    return lin.select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx, sense), arm_select == "lp"
 
 
 def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo):
@@ -510,7 +544,7 @@ class TestShermanMorrisonGreedy:
             cov, _resp, contexts = snapshot(rng, d)
             a, b = rng.choice(len(contexts), size=2, replace=False)
             y = contexts[a] - contexts[b]
-            assert lin.select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
+            assert ref_select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_duplicate_arms_and_zero_direction(self, sense):
@@ -518,8 +552,8 @@ class TestShermanMorrisonGreedy:
         cov, _resp, contexts = snapshot(rng, 5, k_arms=6)
         contexts[4] = contexts[1]
         y = contexts[0] - contexts[2]
-        assert lin.select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
-        assert lin.select_arm_greedy(cov, contexts, np.zeros(5), sense) == 1 == ref_greedy(
+        assert ref_select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
+        assert ref_select_arm_greedy(cov, contexts, np.zeros(5), sense) == 1 == ref_greedy(
             cov, contexts, np.zeros(5), sense
         )
 
@@ -544,11 +578,11 @@ def lp_calls(monkeypatch):
 
 
 def unmemoized(monkeypatch):
-    """Drop the run's LP memo at every informative-arm choice."""
+    """Pass a fresh LP memo in place of the run's at every informative-arm choice."""
     original = lin.choose_informative_arm
 
-    def without_memo(*args, lp_memo=None, **kwargs):
-        return original(*args, **kwargs)
+    def without_memo(*args, lp_memo, **kwargs):
+        return original(*args, lp_memo={}, **kwargs)
 
     monkeypatch.setattr(lin, "choose_informative_arm", without_memo)
 
@@ -574,13 +608,70 @@ class TestLpMemo:
 
     def test_fallback_is_memoized_too(self, lp_calls):
         contexts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        zx = forward_sub(cholesky(np.eye(2)), contexts.T)
         memo = {}
         for _ in range(3):
-            arm, fell_back = lin.choose_informative_arm(
-                np.eye(2), np.ones(3), contexts, 1, 2, "lp", "min", lp_memo=memo
-            )
-            assert fell_back and arm == lin.select_arm_greedy(np.eye(2), contexts, np.zeros(2))
+            arm, fell_back = lin.choose_informative_arm(np.ones(3), contexts, 1, 2, "lp", "min", zx, memo)
+            assert fell_back and arm == ref_select_arm_greedy(np.eye(2), contexts, np.zeros(2))
         assert len(lp_calls) == 1 and memo == {(1, 2): None}
+
+
+class TestOneSupportDefinition:
+    """informative_arm_lp, on counts as a list and as int64, and the
+    download's memo path pick the loop's arm: the support is the arms with
+    p_k > SUPPORT_TOL, and ties in counts_k / p_k go to the lowest index."""
+
+    @staticmethod
+    def arms(counts, p):
+        p = np.asarray(p, dtype=float)
+        array = np.array(counts, dtype=np.int64)
+        # a memo that holds the pair's support is all the LP branch reads
+        eye, memo = np.eye(len(p)), {(1, 2): design_support(p)}
+        via_memo, fell_back = lin.choose_informative_arm(array, eye, 1, 2, "lp", "min", eye, memo)
+        assert not fell_back
+        want = ref_informative_arm_lp(counts, p)
+        assert ref_informative_arm_lp(array, p) == want
+        return {informative_arm_lp(counts, p), informative_arm_lp(array, p), via_memo, want}
+
+    def test_random_designs(self):
+        rng = np.random.default_rng(1300)
+        for _ in range(500):
+            k = int(rng.integers(1, 12))
+            p = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+            p[int(rng.integers(k))] = float(rng.uniform(0.01, 1.0))
+            counts = rng.integers(0, 50, size=k).tolist()
+            assert len(self.arms(counts, p)) == 1
+
+    def test_tolerance_edge(self):
+        # an arm at exactly SUPPORT_TOL is out however few its pulls; one ulp above, it is in
+        above = np.nextafter(SUPPORT_TOL, np.inf)
+        assert self.arms([0, 5], [SUPPORT_TOL, 0.5]) == {2}
+        assert self.arms([0, 5], [above, 0.5]) == {1}
+        assert self.arms([3, 0, 7], [0.5, SUPPORT_TOL, above]) == {1}
+
+    def test_tied_ratios(self):
+        assert self.arms([2, 4, 1], [0.25, 0.5, 0.125]) == {1}  # 8, 8, 8
+        assert self.arms([5, 2, 1], [0.5, 0.25, 0.125]) == {2}  # 10, 8, 8
+        assert self.arms([0, 0, 0], [0.0, 0.2, 0.8]) == {2}
+
+    def test_counts_past_2_to_the_53(self):
+        big = 2**53
+        # big + 1 rounds to big: the ratios tie and the lower index wins
+        assert self.arms([big + 1, big], [0.5, 0.5]) == {1}
+        assert self.arms([big + 2, big, 2**63 - 1], [0.5, 0.5, 1.0]) == {2}
+        rng = np.random.default_rng(1301)
+        for _ in range(100):
+            counts = rng.integers(big, 2**62, size=6).tolist()
+            assert len(self.arms(counts, rng.dirichlet(np.ones(6)))) == 1
+
+    def test_empty_support_raises(self):
+        p = np.array([SUPPORT_TOL, 0.0, SUPPORT_TOL / 2])
+        for counts in ([1, 2, 3], np.array([1, 2, 3], dtype=np.int64)):
+            for pick in (informative_arm_lp, ref_informative_arm_lp):
+                with pytest.raises(NoSupportError):
+                    pick(counts, p)
+        with pytest.raises(NoSupportError):
+            design_support(p)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +697,7 @@ class TestStopCheckReuse:
             agent, got_fallback = download(server, contexts, stop, arm_select)
             # the former download: factor again, re-solve theta, re-score the pair
             i, j = lin.select_pair_linear(ref_solve(cov, resp), contexts, cov, c)
-            arm, fallback = lin.choose_informative_arm(cov, server.counts, contexts, i, j, arm_select, "min")
+            arm, fallback = ref_choose(cov, server.counts, contexts, i, j, arm_select, "min")
             assert (stop.i, stop.j) == (i, j)
             assert (agent.current_target, got_fallback) == (arm, fallback)
             assert agent.target_q == pytest.approx(quad_form_inv(cov, contexts[arm - 1]), rel=1e-12)
@@ -693,12 +784,12 @@ class TestOneSolvePath:
             zx = stop.zx
             a, b = rng.choice(len(contexts), size=2, replace=False)
             y = contexts[a] - contexts[b]
-            got = lin.select_arm_greedy(cov, contexts, y, sense, (zx[:, a] - zx[:, b], zx))
+            got = lin.select_arm_greedy(zx[:, a] - zx[:, b], zx, sense)
             assert got == ref_greedy(cov, contexts, y, sense)
             vals = np.array([ref_quad_form_inv(cov + np.outer(x, x), y) for x in contexts])
             close(vals[got - 1], vals[pick(vals)], vals.max())
             # a zero direction scores every arm 0 and picks arm 1
-            zero = lin.select_arm_greedy(cov, contexts, np.zeros(d), sense, (zx[:, a] - zx[:, a], zx))
+            zero = lin.select_arm_greedy(zx[:, a] - zx[:, a], zx, sense)
             assert zero == 1 == ref_greedy(cov, contexts, np.zeros(d), sense)
 
     @pytest.mark.parametrize("sense", ["min", "max"])
@@ -708,8 +799,8 @@ class TestOneSolvePath:
         contexts[5] = contexts[2]
         _server, stop = stop_at(cov, resp, contexts, 1.0)
         counts = np.ones(7, dtype=np.int64)
-        got = lin.choose_informative_arm(cov, counts, contexts, 3, 6, "lp", sense, zx=stop.zx, lp_memo={})
-        assert got == lin.choose_informative_arm(cov, counts, contexts, 3, 6, "lp", sense) == (1, True)
+        got = lin.choose_informative_arm(counts, contexts, 3, 6, "lp", sense, stop.zx, {})
+        assert got == ref_choose(cov, counts, contexts, 3, 6, "lp", sense) == (1, True)
 
     @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
     @pytest.mark.parametrize("d", DIMS)
@@ -722,7 +813,7 @@ class TestOneSolvePath:
             agent, fallback = download(server, contexts, stop, arm_select)
             arm, q = agent.current_target, agent.target_q
             # the per-solve path: the greedy rule factors cov and solves again
-            want = lin.choose_informative_arm(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
+            want = ref_choose(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
             assert (arm, fallback) == want
             assert q == pytest.approx(ref_quad_form_inv(cov, contexts[arm - 1]), rel=RTOL)
 

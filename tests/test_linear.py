@@ -119,26 +119,32 @@ class TestSelectPairLinear:
         assert i == 1 and j == 2
 
 
+def greedy(cov, contexts, y, sense="min"):
+    """select_arm_greedy on y and the contexts whitened by cov's Cholesky factor."""
+    z = forward_sub(cholesky(cov), np.column_stack((y, contexts.T)))
+    return select_arm_greedy(z[:, 0], z[:, 1:], sense)
+
+
 class TestSelectArmGreedy:
     def test_symmetry_tie(self):
         contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = contexts[0] - contexts[1]
-        assert select_arm_greedy(np.eye(2), contexts, y) == 1
+        assert greedy(np.eye(2), contexts, y) == 1
 
     def test_reduces_uncertain_direction(self):
         # V=diag(100,1), y=e2: adding e1 leaves y'V^{-1}y = 1, adding e2 halves it
         contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0.0, 1.0])
-        assert select_arm_greedy(np.diag([100.0, 1.0]), contexts, y) == 2
+        assert greedy(np.diag([100.0, 1.0]), contexts, y) == 2
 
     def test_zero_direction_low_index(self):
         contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert select_arm_greedy(np.eye(2), contexts, np.zeros(2)) == 1
+        assert greedy(np.eye(2), contexts, np.zeros(2)) == 1
 
     def test_max_sense_flips_choice(self):
         contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0.0, 1.0])
-        assert select_arm_greedy(np.diag([100.0, 1.0]), contexts, y, sense="max") == 1
+        assert greedy(np.diag([100.0, 1.0]), contexts, y, sense="max") == 1
 
 
 class TestHybridTrigger:

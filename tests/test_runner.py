@@ -337,6 +337,31 @@ class TestAuditCatchesMutations:
         assert res.comm_cost == 2 * (res.tau - 5) - res.terminated
 
 
+class TestAuditIsPerDownload:
+    """The audit checks each download once, however many agents hold it:
+    set-up is one download that all M agents hold."""
+
+    @pytest.mark.parametrize("m", [10, 10_000])
+    @pytest.mark.parametrize("family", [MabFamily, LinearFamily])
+    def test_rule_target_calls_do_not_grow_with_m(self, family, m, monkeypatch):
+        calls = []
+        rule_target = family.rule_target
+
+        def counted(self, ag):
+            calls.append(1)
+            return rule_target(self, ag)
+
+        monkeypatch.setattr(family, "rule_target", counted)
+        # one round past set-up
+        config = RunConfig(n_agents=m, seed=1, max_rounds=6)
+        if family is MabFamily:
+            res = run_famabpe(gen_gap_instance_mab(5, 0.3, make_rng(40), sigma=0.3), config, audit=True)
+        else:
+            res = run_falinpe(gen_gap_instance_linear(5, 5, 0.3, make_rng(41), sigma=0.3), config, audit=True)
+        # set-up's download and each counted one, at download and at the end
+        assert len(calls) == 2 * (1 + res.n_downloads)
+
+
 class TestDiagnostics:
     def test_mab_reference_value(self):
         inst = MabInstance(means=(1.0, 0.5), sigma=1.0)
