@@ -18,7 +18,7 @@ from fedpex import (
 )
 
 inst = gen_gap_instance_linear(dim=5, k_arms=5, gap=0.3, rng=make_rng(42), sigma=0.3)
-print("true rewards:", np.round(inst.rewards(), 3), " best arm:", inst.best_arm())
+print("arm means:", np.round(inst.means, 3), " best arm:", inst.best_arm())
 
 for selector in ("lp", "greedy"):
     cfg = RunConfig(n_agents=10, delta=0.05, epsilon=0.05, seed=5, arm_select=selector)

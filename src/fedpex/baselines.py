@@ -65,7 +65,7 @@ def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     """Synchronous baseline with full sharing every episode_len global rounds."""
     fam = bandit_family(instance, sync_config)
-    cfg, linear, means = fam.cfg, fam.linear, fam.means
+    cfg, linear, means = fam.cfg, fam.linear, instance.means
     k = instance.k_arms
     m_agents = cfg.n_agents
     episode = cfg.episode_len

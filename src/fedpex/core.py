@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,33 +40,23 @@ def make_rng(seed: int) -> Rng:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MabInstance:
-    """Ground-truth multi-armed bandit environment.
-
-    means[k-1] is the expected reward of arm k; rewards are observed with
-    additive Normal(0, sigma^2) noise. The best arm must be a strict argmax.
-    """
+class _Arms:
+    """What both instance types derive from `means`: means[k-1] is the
+    expected reward of arm k, the value every reward draw of it adds its
+    Normal(0, sigma^2) noise to. The best arm must be a strict argmax."""
 
     means: tuple[float, ...]
     sigma: float
 
-    def __post_init__(self):
-        means = tuple(float(m) for m in self.means)
+    def _settle(self, means: tuple[float, ...]) -> None:
+        """Fix `means` and a float sigma, refusing a bad sigma or a tied best arm."""
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigma", float(self.sigma))
-        if len(means) < 2:
-            raise ValueError("need at least 2 arms")
-        if not all(math.isfinite(m) for m in means):
-            raise ValueError("every mean must be finite")
-        if max(map(abs, means)) > MAX_ABS_MEAN:
-            raise ValueError(f"every mean must be at most {MAX_ABS_MEAN:.3g} in magnitude, or the estimates overflow")
         if not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        top = max(means)
-        if sum(1 for m in means if m == top) != 1:
+        if means.count(max(means)) != 1:
             raise ValueError("best arm must be a strict argmax")
 
     @property
@@ -81,21 +71,41 @@ class MabInstance:
         return self.means[self.best_arm() - 1] - self.means[arm - 1]
 
     def min_gap(self) -> float:
-        star = self.best_arm()
-        return min(self.gap(k) for k in range(1, self.k_arms + 1) if k != star)
+        top = max(self.means)
+        return min(top - m for m in self.means if m != top)
 
 
 @dataclass(frozen=True)
-class LinearInstance:
+class MabInstance(_Arms):
+    """Ground-truth multi-armed bandit environment with the given means."""
+
+    means: tuple[float, ...]
+    sigma: float
+
+    def __post_init__(self):
+        means = tuple(float(m) for m in self.means)
+        if len(means) < 2:
+            raise ValueError("need at least 2 arms")
+        if not all(math.isfinite(m) for m in means):
+            raise ValueError("every mean must be finite")
+        if max(map(abs, means)) > MAX_ABS_MEAN:
+            raise ValueError(f"every mean must be at most {MAX_ABS_MEAN:.3g} in magnitude, or the estimates overflow")
+        self._settle(means)
+
+
+@dataclass(frozen=True)
+class LinearInstance(_Arms):
     """Ground-truth linear bandit environment.
 
-    Arm k has context contexts[k-1] in R^d with expected reward x_k . theta;
-    all contexts and theta have Euclidean norm at most 1.
+    Arm k has context contexts[k-1] in R^d and mean float(x_k @ theta), one
+    dot product per row (a matrix-vector product may round differently); all
+    contexts and theta have Euclidean norm at most 1.
     """
 
     contexts: np.ndarray  # shape (K, d)
     theta: np.ndarray  # shape (d,)
     sigma: float
+    means: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ctx = np.array(self.contexts, dtype=float)
@@ -104,49 +114,23 @@ class LinearInstance:
         th.setflags(write=False)
         object.__setattr__(self, "contexts", ctx)
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "sigma", float(self.sigma))
         if ctx.ndim != 2 or ctx.shape[0] < 2:
             raise ValueError("need a (K, d) context matrix with K >= 2")
         if th.shape != (ctx.shape[1],):
             raise ValueError("theta dimension must match contexts")
         if not (np.isfinite(ctx).all() and np.isfinite(th).all()):
             raise ValueError("contexts and theta must be finite")
-        if not math.isfinite(self.sigma):
-            raise ValueError("sigma must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
         with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below
             theta_norm, norms = np.linalg.norm(th), np.linalg.norm(ctx, axis=1)
         if theta_norm > 1 + _NORM_TOL:
             raise ValueError("theta norm must be <= 1")
         if np.any(norms > 1 + _NORM_TOL):
             raise ValueError("every context norm must be <= 1")
-        rewards = ctx @ th
-        top = rewards.max()
-        if int(np.sum(rewards == top)) != 1:
-            raise ValueError("best arm must be a strict argmax")
-
-    @property
-    def k_arms(self) -> int:
-        return self.contexts.shape[0]
+        self._settle(tuple(float(x @ th) for x in ctx))
 
     @property
     def dim(self) -> int:
         return self.contexts.shape[1]
-
-    def rewards(self) -> np.ndarray:
-        return self.contexts @ self.theta
-
-    def best_arm(self) -> int:
-        return int(np.argmax(self.rewards())) + 1
-
-    def gap(self, arm: int) -> float:
-        r = self.rewards()
-        return float(r[self.best_arm() - 1] - r[arm - 1])
-
-    def min_gap(self) -> float:
-        star = self.best_arm()
-        return min(self.gap(k) for k in range(1, self.k_arms + 1) if k != star)
 
 
 Instance = MabInstance | LinearInstance
@@ -157,25 +141,16 @@ Instance = MabInstance | LinearInstance
 # ---------------------------------------------------------------------------
 
 
-def sample_reward_mab(inst: MabInstance, arm: int, rng: Rng) -> float:
-    """One reward draw mu(arm) + Normal(0, sigma^2). sigma=0 is exact."""
+def sample_reward_mab(inst: Instance, arm: int, rng: Rng) -> float:
+    """One reward draw means[arm-1] + Normal(0, sigma^2). sigma=0 is exact."""
     if not 1 <= arm <= inst.k_arms:
         raise IndexError(f"arm {arm} out of range 1..{inst.k_arms}")
     return inst.means[arm - 1] + inst.sigma * rng.standard_normal()
 
 
 def sample_reward_linear(inst: LinearInstance, arm: int, rng: Rng) -> float:
-    """One reward draw x_arm . theta + Normal(0, sigma^2)."""
-    if not 1 <= arm <= inst.k_arms:
-        raise IndexError(f"arm {arm} out of range 1..{inst.k_arms}")
-    mean = float(inst.contexts[arm - 1] @ inst.theta)
-    return mean + inst.sigma * rng.standard_normal()
-
-
-def arm_means_linear(inst: LinearInstance) -> list[float]:
-    """Every arm's mean exactly as sample_reward_linear computes it (one dot
-    product per row; `contexts @ theta` may round differently)."""
-    return [float(x @ inst.theta) for x in inst.contexts]
+    """One reward draw x_arm . theta + Normal(0, sigma^2), that is sample_reward_mab's."""
+    return sample_reward_mab(inst, arm, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +213,9 @@ def gen_gap_instance_linear(
             contexts[k] = x
         if np.linalg.matrix_rank(contexts) != dim:
             continue
-        actual = contexts @ theta
-        star_reward = actual[star]
-        ok = all(star_reward - actual[k] >= gap for k in range(k_arms) if k != star)
-        if not ok:
-            continue
-        return LinearInstance(contexts=contexts, theta=theta, sigma=sigma)
+        inst = LinearInstance(contexts=contexts, theta=theta, sigma=sigma)
+        if inst.best_arm() == star + 1 and inst.min_gap() >= gap:
+            return inst
     raise GenerationError(f"no feasible instance after {max_retries} retries (gap={gap})")
 
 

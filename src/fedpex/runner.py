@@ -33,7 +33,6 @@ from .core import (
     RunConfig,
     RunResult,
     Rng,
-    arm_means_linear,
     make_rng,
     sample_reward_linear,
     sample_reward_mab,
@@ -91,7 +90,7 @@ class MabFamily:
     linear = False
 
     def __init__(self, instance: MabInstance, config: RunConfig):
-        self.instance, self.means = instance, instance.means
+        self.instance = instance
         self.cfg = cfg = config.resolved(instance.k_arms)
         # the confidence widths' arguments after the counts and their total:
         # the formula's for the audit, and resolved once for the stop checks
@@ -151,8 +150,7 @@ class LinearFamily:
     linear = True
 
     def __init__(self, instance: LinearInstance, config: RunConfig):
-        # each arm's mean is computed once, as sample_reward_linear computes it
-        self.instance, self.means = instance, arm_means_linear(instance)
+        self.instance = instance
         self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma)
         self.contexts = contexts = np.asarray(instance.contexts, dtype=float)
         self.arm_select, self.greedy_sense, self.lp_memo = cfg.arm_select, cfg.greedy_sense, {}
@@ -245,12 +243,17 @@ def _state_bytes(state) -> tuple:
 
 class Audit:
     """A run's invariants, checked at every download, after every upload and
-    at the run's end, once per download however many agents hold it."""
+    at the run's end, once per download however many agents hold it.
+
+    An upload runs on the uploader's old download, the server before the
+    merge (the latest download's snapshot) and the merged state, so an
+    upload's check reads those two downloads' records, and the end reads all."""
 
     def __init__(self, fam, server, agents):
         # each held download's [state, (target, snapshot bytes), agent, holders]
-        # by id, and the linear family's covariance and response of every pull sent
-        self.fam, self.held = fam, {}
+        # by id, the latest download, and the linear family's covariance and
+        # response of every pull sent
+        self.fam, self.held, self.latest = fam, {}, agents[0]
         self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
         for m, ag in enumerate(agents):
             self.hold(ag, m)
@@ -282,15 +285,17 @@ class Audit:
             a, (cov, resp) = ag.current_target - 1, self.sums
             cov += n * fam.outers[a]
             resp += reduce(add, sent, 0.0) * fam.contexts[a]
-        self.check(server, buffers, tau, pulls)
+        self.check(server, buffers, tau, pulls, dict.fromkeys((id(ag), id(self.latest))))
         if agents[m] is not ag:
             self.hold(ag, m, -1)
             self.hold(agents[m], m)
+            self.latest = agents[m]
 
-    def check(self, server, buffers, tau, pulls):
+    def check(self, server, buffers, tau, pulls, held):
         """The server's cached values; conservation over every agent, where
         `pulls` counts the initial and the uploaded pulls of each arm and the
-        buffers hold the rest of tau; and every held state as it was downloaded."""
+        buffers hold the rest of tau; and the held downloads of ids `held` as
+        they were downloaded."""
         if server.counts_total != int(server.counts.sum()):
             raise AuditError("server cached total diverged")
         if server.counts.tolist() != pulls or server.counts_total + sum(map(len, buffers)) != tau:
@@ -300,13 +305,13 @@ class Audit:
                 raise AuditError("server's carried 2/counts diverged")
         elif np.abs(server.cov - self.sums[0]).max() > 1e-9 or np.abs(server.resp - self.sums[1]).max() > 1e-9:
             raise AuditError("covariance or response conservation violated")
-        for ag, seen, m, _holders in self.held.values():
+        for ag, seen, m, _holders in map(self.held.get, held):
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
                 raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
 
     def end(self, server, agents, buffers, tau, pulls):
         """Everything above, once per held download; no agent over its limit."""
-        self.check(server, buffers, tau, pulls)
+        self.check(server, buffers, tau, pulls, self.held)
         first = {}
         for m, (ag, buf) in enumerate(zip(agents, buffers)):
             n = len(buf)
@@ -357,7 +362,7 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     epsilon, max_rounds = cfg.epsilon, cfg.max_rounds
     # drivers pull only arms they chose: the draw is sample_reward_*'s
     # without its range check
-    means, sigma = fam.means, inst.sigma
+    means, sigma = inst.means, inst.sigma
     stopped = False
 
     while not stopped and tau < max_rounds:

@@ -64,6 +64,36 @@ class TestSampling:
         assert abs(np.mean(draws) - 0.5) < 0.005
 
 
+class TestOneMeanRule:
+    """Every reader of a linear arm's mean reads `means`, one dot product per
+    row, the value the reward draws add their noise to."""
+
+    def test_means_are_per_row_dot_products(self):
+        for inst in [gen_gap_instance_linear(d, k, 0.3, make_rng(s)) for d, k, s in ((5, 5, 0), (10, 20, 1))]:
+            for x, mean in zip(inst.contexts, inst.means):
+                assert type(mean) is float
+                assert np.float64(mean).tobytes() == np.float64(float(x @ inst.theta)).tobytes()
+
+    def test_noiseless_draws_are_the_means(self):
+        given = LinearInstance(contexts=np.array([[0.6, 0.3], [0.1, -0.7], [0.5, 0.5]]), theta=np.array([0.3, 0.9]),
+                               sigma=0.0)
+        generated = gen_gap_instance_linear(10, 20, 0.3, make_rng(1), sigma=0.0)
+        for inst in (given, generated):
+            rng = make_rng(4)
+            assert [sample_reward_linear(inst, a, rng) for a in range(1, inst.k_arms + 1)] == list(inst.means)
+
+    def test_gap_and_best_arm_read_means(self):
+        inst = gen_gap_instance_linear(10, 20, 0.3, make_rng(1))
+        means, product = np.array(inst.means), inst.contexts @ inst.theta
+        star = int(np.argmax(means)) + 1
+        # the two rules round apart in some arm's gap on this instance
+        assert np.any(means[star - 1] - means != product[star - 1] - product)
+        assert inst.best_arm() == star
+        gaps = [inst.gap(a) for a in range(1, inst.k_arms + 1)]
+        assert gaps == (means[star - 1] - means).tolist()
+        assert inst.min_gap() == min(g for a, g in enumerate(gaps, 1) if a != star)
+
+
 class TestInstanceValidation:
     def test_mab_needs_strict_argmax(self):
         with pytest.raises(ValueError):

@@ -981,7 +981,7 @@ SIGNED_ZERO_THETA = np.array([-0.3, 0.5, 0.1])  # means -0.29, -0.425 and -0.18
 
 def buffered(fam, rng, arm, n):
     """n rewards of `arm`, as the round loop computes them."""
-    return [fam.means[arm - 1] + fam.instance.sigma * z for z in rng.standard_normal(n).tolist()]
+    return [fam.instance.means[arm - 1] + fam.instance.sigma * z for z in rng.standard_normal(n).tolist()]
 
 
 class TestMergeAgainstPerPullAdds:

@@ -44,8 +44,9 @@ def linear_instances(draw):
     entry = st.floats(-0.5, 0.5)
     contexts = np.array(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=k, max_size=k)))
     theta = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
-    rewards = contexts @ theta
-    assume(int(np.sum(rewards == rewards.max())) == 1)
+    # the instance's own rule for an arm's mean: one dot product per row
+    means = [float(x @ theta) for x in contexts]
+    assume(means.count(max(means)) == 1)
     sigma = draw(st.floats(min_value=0.0, max_value=1e300))
     return LinearInstance(contexts=contexts, theta=theta, sigma=sigma)
 

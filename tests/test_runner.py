@@ -362,6 +362,42 @@ class TestAuditIsPerDownload:
         assert len(calls) == 2 * (1 + res.n_downloads)
 
 
+    @pytest.mark.parametrize("family", [MabFamily, LinearFamily])
+    def test_state_bytes_calls_per_upload_do_not_grow_with_m(self, family, monkeypatch):
+        calls = []
+        state_bytes = runner._state_bytes
+
+        def counted(state):
+            calls.append(1)
+            return state_bytes(state)
+
+        def measured(method):
+            def run(self, *args):
+                before = len(calls)
+                method(self, *args)
+                per_call[method.__name__].append(len(calls) - before)
+
+            return run
+
+        monkeypatch.setattr(runner, "_state_bytes", counted)
+        monkeypatch.setattr(runner.Audit, "upload", measured(runner.Audit.upload))
+        monkeypatch.setattr(runner.Audit, "end", measured(runner.Audit.end))
+        most = {}
+        for m in (10, 1_000):
+            per_call = {"upload": [], "end": []}
+            config = RunConfig(n_agents=m, seed=1, max_rounds=2_000)
+            if family is MabFamily:
+                res = run_famabpe(gen_gap_instance_mab(5, 0.3, make_rng(40), sigma=1.0), config, audit=True)
+            else:
+                res = run_falinpe(gen_gap_instance_linear(5, 5, 0.3, make_rng(41), sigma=1.0), config, audit=True)
+            assert len(per_call["upload"]) == res.comm_cost - res.n_downloads > 100
+            most[m] = max(per_call["upload"])
+        # the uploader's old download, the latest download and the new one;
+        # at M = 1,000 most agents hold a download of their own at the end
+        assert most[10] == most[1_000] <= 3
+        assert per_call["end"][0] > 300
+
+
 class TestDiagnostics:
     def test_mab_reference_value(self):
         inst = MabInstance(means=(1.0, 0.5), sigma=1.0)
