@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", default=None, help="instance JSON path")
     run.add_argument("--gap-sweep", default=None, metavar="START:STOP:STEP",
                      help="generate instances over a gap range instead of --instance")
-    run.add_argument("--type", choices=("mab", "linear"), default=None,
-                     help="instance type for --gap-sweep")
     run.add_argument("--k", type=int, default=5)
     run.add_argument("--d", type=int, default=5)
     run.add_argument("--sigma", type=float, default=0.3)
@@ -159,14 +157,17 @@ def _parse_sweep(text: str) -> list[float]:
 
 def cmd_run(args) -> int:
     is_mab_algo = args.algo in _MAB_ALGOS
+    # usage errors and a bad config fail before any instance is generated
+    if args.reps < 1:
+        raise ValueError("--reps must be >= 1")
+    config = _make_config(args, args.seed_base)
     jobs: list[tuple[str, object]] = []  # (label, instance)
     if args.gap_sweep is not None:
-        kind = args.type or ("mab" if is_mab_algo else "linear")
-        if (kind == "mab") != is_mab_algo:
-            raise ValueError(f"algo {args.algo} needs {'mab' if is_mab_algo else 'linear'} instances")
+        kind = "mab" if is_mab_algo else "linear"
+        config.resolved(args.k)  # every sweep instance has --k arms
         for idx, gap in enumerate(_parse_sweep(args.gap_sweep)):
             rng = make_rng(args.gen_seed + idx)
-            if kind == "mab":
+            if is_mab_algo:
                 inst = gen_gap_instance_mab(args.k, gap, rng, sigma=args.sigma)
             else:
                 inst = gen_gap_instance_linear(args.d, args.k, gap, rng, sigma=args.sigma)
@@ -178,12 +179,7 @@ def cmd_run(args) -> int:
         jobs.append((args.instance, inst))
     else:
         raise ValueError("provide --instance or --gap-sweep")
-    if args.reps < 1:
-        raise ValueError("--reps must be >= 1")
-
-    # a bad config fails before the CSV is touched; resolving against each
-    # instance checks max_rounds against its arm count
-    config = _make_config(args, args.seed_base)
+    # resolving against each instance checks max_rounds against its arm count
     for _label, inst in jobs:
         config.resolved(inst.k_arms)
     audit = os.environ.get("FEDPEX_AUDIT", "") == "1"

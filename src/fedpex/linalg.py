@@ -53,13 +53,13 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return cholesky_symmetric(a)
 
 
+@np.errstate(all="ignore")
 def cholesky_symmetric(a: np.ndarray) -> np.ndarray:
     """`cholesky` of a square float matrix that is bitwise symmetric, as every
     merged server covariance is, without the shape and symmetry checks; the
     pivot test and its warning-free NotPositiveDefiniteError stay."""
     try:
-        with np.errstate(all="ignore"):
-            lower = _cholesky_lo(a)
+        lower = _cholesky_lo(a)
     except np.linalg.LinAlgError as exc:  # the public fallback raises instead
         raise NotPositiveDefiniteError(str(exc)) from None
     # d is small: Python floats beat numpy reductions here

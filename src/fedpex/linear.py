@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .design_lp import InfeasibleTargetError, ZeroTargetError, design_support, least_sampled, solve_l1
-from .mab import AgentState, trigger_limit_mab
+from .mab import AgentState, check_trigger_mab, trigger_limit_mab
 
 
 @dataclass
@@ -122,39 +121,31 @@ def select_arm_greedy(zy: np.ndarray, zx: np.ndarray, sense: str = "min") -> int
     return best + 1
 
 
-def check_trigger_hybrid(agent: AgentState, n: int, gamma1, gamma2) -> bool:
+def check_trigger_hybrid(agent: AgentState, n: int, g1: float, ratio: tuple[int, int]) -> bool:
     """True when n unsent pulls move the determinant or count ratio too far.
 
     With n unsent pulls of the target and a snapshot of C pulls and
-    covariance cov, fires iff the count condition C + n > (1+gamma2) C holds
-    (in exact integer arithmetic as in the MAB trigger), OR
-    logdet(cov + n x x^T) > log(1+gamma1) + logdet(cov), which by the matrix
-    determinant lemma is n x^T cov^{-1} x = n target_q > gamma1.
+    covariance cov, fires iff check_trigger_mab's count rule at gamma2's
+    ratio (num, den) fires, OR logdet(cov + n x x^T) > log(1+gamma1) +
+    logdet(cov), which by the matrix determinant lemma is
+    n x^T cov^{-1} x = n target_q > g1 = float(gamma1).
     """
-    g2 = gamma2 if type(gamma2) is Fraction else Fraction(gamma2)
-    total = agent.snapshot.counts_total
-    if (total + n) * g2.denominator > (g2.denominator + g2.numerator) * total:
-        return True
-    return n * agent.target_q > float(gamma1)
+    return check_trigger_mab(agent, n, ratio) or n * agent.target_q > g1
 
 
-def trigger_limit_linear(counts_total: int, q: float, gamma1, gamma2) -> int:
+def trigger_limit_linear(counts_total: int, q: float, g1: float, ratio: tuple[int, int]) -> int:
     """Largest pending count n that fires neither rule of check_trigger_hybrid
-    for a downloaded total C and target_q = q. The count rule is the MAB
-    trigger's, quiet up to floor(gamma2 * C). Since fl(n*q) does not
-    decrease as n grows, the determinant rule is quiet up to the largest n
-    with fl(n*q) <= float(gamma1), found from int(gamma1/q) by steps of one.
-    The count limit alone applies when gamma1/q is infinite (q = 0 included)
-    or beyond it, or beyond 2^52 pulls, which no run reaches."""
-    return _det_limit(trigger_limit_mab(counts_total, gamma2), q, float(gamma1))
-
-
-def _det_limit(limit: int, q: float, g1: float) -> int:
-    """trigger_limit_linear from its count limit and g1 = float(gamma1)."""
-    ratio = g1 / q if q > 0.0 else math.inf
-    # ratio >= limit + 2 leaves fl(limit*q) <= g1 through the rounding of both
-    if ratio < min(limit, 1 << 52) + 2:
-        n = int(ratio)
+    for a downloaded total C and target_q = q. The count rule is quiet up to
+    trigger_limit_mab's limit. Since fl(n*q) does not decrease as n grows,
+    the determinant rule is quiet up to the largest n with fl(n*q) <= g1,
+    found from int(g1/q) by steps of one. The count limit alone applies
+    when g1/q is infinite (q = 0 included) or beyond it, or beyond 2^52
+    pulls, which no run reaches."""
+    limit = trigger_limit_mab(counts_total, ratio)
+    det = g1 / q if q > 0.0 else math.inf
+    # det >= limit + 2 leaves fl(limit*q) <= g1 through the rounding of both
+    if det < min(limit, 1 << 52) + 2:
+        n = int(det)
         while n * q > g1:
             n -= 1
         while (n + 1) * q <= g1:
@@ -235,8 +226,8 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     trigger limit fixed, and the target (and whether it fell
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
     and whitened contexts without a solve. `run` holds the run's resolved
-    values (runner.LinearFamily): contexts, g1 = float(gamma1), limit_ratio =
-    gamma2.as_integer_ratio() ((0, 1) under forced communication), arm_select,
+    values (runner.LinearFamily): contexts, g1 = float(gamma1), limit_ratio
+    (gamma2's (num, den), or (0, 1) under forced communication), arm_select,
     greedy_sense and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
@@ -244,6 +235,5 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     )
     z = zx[:, target - 1]
     q = float(z @ z)
-    num, den = run.limit_ratio
-    limit = _det_limit(num * server.counts_total // den, q, run.g1)
+    limit = trigger_limit_linear(server.counts_total, q, run.g1, run.limit_ratio)
     return AgentState(server, target, limit, q), fallback

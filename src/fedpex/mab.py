@@ -7,14 +7,14 @@ downloaded (held by reference; merges build new states and never write it),
 the target derived from it and the integer trigger limit fixed at download.
 A download is a value that any number of agents can hold. The driver keeps
 each agent's unsent rewards, which the agent uploads once it holds more
-than trigger_limit of them.
+than trigger_limit of them. The trigger's gamma is passed as its exact
+ratio (num, den); forced communication is (0, 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -94,20 +94,20 @@ def agent_target_mab(
     return select_arm_mab(i, j, bon)
 
 
-def trigger_limit_mab(counts_total: int, gamma) -> int:
-    """Largest pending count that does not trigger an upload.
-
-    The trigger condition (C + n) > (1+gamma) C, with gamma = num/den
-    exactly (floats convert exactly), is n*den > num*C, which for integer n
-    is n > floor(num*C / den).
-    """
-    g = gamma if type(gamma) is Fraction else Fraction(gamma)
-    return (g.numerator * counts_total) // g.denominator
+def trigger_limit_mab(counts_total: int, ratio: tuple[int, int]) -> int:
+    """Largest pending count n at which check_trigger_mab stays quiet: with
+    gamma = num/den, n*den > num*C holds for integer n exactly when
+    n > floor(num*C / den)."""
+    num, den = ratio
+    return num * counts_total // den
 
 
-def check_trigger_mab(agent: AgentState, n: int) -> bool:
-    """True when n unsent pulls exceed the gamma fraction of the snapshot."""
-    return n > agent.trigger_limit
+def check_trigger_mab(agent: AgentState, n: int, ratio: tuple[int, int]) -> bool:
+    """The count rule: n unsent pulls fire when C + n > (1+gamma) C for the
+    snapshot's total C, as (C + n) den > (den + num) C; the stored limit is not read."""
+    num, den = ratio
+    total = agent.snapshot.counts_total
+    return (total + n) * den > (den + num) * total
 
 
 def server_merge_mab(server: MabServerState, arm: int, n: int, reward_sum: float) -> MabServerState:
@@ -143,13 +143,12 @@ def breaking_index(mean_est: np.ndarray, bonuses: np.ndarray) -> tuple[int, int,
     return i + 1, j + 1, scores.item(j)
 
 
-def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, gamma_ratio) -> AgentState:
+def download_mab(server: MabServerState, bonuses: np.ndarray, i: int, j: int, ratio: tuple[int, int]) -> AgentState:
     """An agent's fresh state after downloading `server`: target and
     trigger limit fixed. `bonuses` and (i, j) are the stop
     check's for this same server state, so the target is the one
-    agent_target_mab derives from the snapshot; gamma_ratio is gamma's
-    numerator and denominator, from which the limit is trigger_limit_mab's.
+    agent_target_mab derives from the snapshot; the limit is
+    trigger_limit_mab's at gamma's ratio (num, den).
     The target is select_arm_mab's, compared in Python floats."""
-    num, den = gamma_ratio
     target = i if bonuses.item(i - 1) >= bonuses.item(j - 1) else j
-    return AgentState(server, target, (num * server.counts_total) // den)
+    return AgentState(server, target, trigger_limit_mab(server.counts_total, ratio))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -85,19 +84,20 @@ def linear_comm_bound(n_agents: int, gamma1, gamma2, ridge: float, dim: int, tau
 class MabFamily:
     """famabpe's hooks for the drivers. They call the state machine through
     the `mab` module, so that a function replaced there (by a tracer or a
-    test) is the one that runs."""
+    test) is the one that runs. A family built `forced` communicates every
+    round: its trigger ratio is (0, 1), so every download fixes a limit of 0."""
 
     linear = False
 
-    def __init__(self, instance: MabInstance, config: RunConfig):
+    def __init__(self, instance: MabInstance, config: RunConfig, forced: bool = False):
         self.instance = instance
         self.cfg = cfg = config.resolved(instance.k_arms)
         # the confidence widths' arguments after the counts and their total:
         # the formula's for the audit, and resolved once for the stop checks
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
         self.width_constants = mab.width_constants(instance.k_arms, *self.widths)
-        # the trigger's gamma as (numerator, denominator); forced communication sets (0, 1)
-        self.limit_ratio = cfg.gamma.as_integer_ratio()
+        # the trigger's gamma as (numerator, denominator), (0, 1) when forced
+        self.forced, self.limit_ratio = forced, (0, 1) if forced else cfg.gamma.as_integer_ratio()
 
     def init(self, rng: Rng):
         """The server state after one pull of every arm; its estimates are the rewards."""
@@ -130,13 +130,10 @@ class MabFamily:
     # the audit's reference rules, from an agent's snapshot alone
 
     def rule_limit(self, ag) -> int:
-        return mab.trigger_limit_mab(ag.snapshot.counts_total, Fraction(*self.limit_ratio))
+        return mab.trigger_limit_mab(ag.snapshot.counts_total, self.limit_ratio)
 
     def rule_fires(self, ag, n: int) -> bool:
-        """The trigger at n unsent pulls, in exact rational arithmetic."""
-        num, den = self.limit_ratio
-        total = ag.snapshot.counts_total
-        return (total + n) * den > (den + num) * total
+        return mab.check_trigger_mab(ag, n, self.limit_ratio)
 
     def rule_target(self, ag) -> bool:
         snap = ag.snapshot
@@ -149,7 +146,7 @@ class LinearFamily:
 
     linear = True
 
-    def __init__(self, instance: LinearInstance, config: RunConfig):
+    def __init__(self, instance: LinearInstance, config: RunConfig, forced: bool = False):
         self.instance = instance
         self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma)
         self.contexts = contexts = np.asarray(instance.contexts, dtype=float)
@@ -158,8 +155,8 @@ class LinearFamily:
         self.outers = contexts[:, :, None] * contexts[:, None, :]
         self.rhs = np.concatenate((contexts, np.zeros((1, instance.dim))))
         g1, g2, m = float(cfg.gamma1), float(cfg.gamma2), cfg.n_agents
-        # gamma2 as (numerator, denominator); forced communication sets (0, 1)
-        self.g1, self.limit_ratio = g1, cfg.gamma2.as_integer_ratio()
+        # gamma2 as (numerator, denominator), (0, 1) when forced
+        self.g1, self.forced, self.limit_ratio = g1, forced, (0, 1) if forced else cfg.gamma2.as_integer_ratio()
         # the parts of c_scalar that do not depend on the sample count
         coef = math.sqrt(2.0 * g1) * m + math.sqrt(1.0 + g1 * m)
         self.radius = (math.sqrt(cfg.ridge), coef * instance.sigma, 1.0 + g2 * m, min(g1, 1.0) * cfg.ridge)
@@ -210,12 +207,10 @@ class LinearFamily:
         return linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, self.instance.dim, tau)
 
     def rule_limit(self, ag) -> int:
-        g2 = Fraction(*self.limit_ratio)
-        return lin.trigger_limit_linear(ag.snapshot.counts_total, ag.target_q, self.cfg.gamma1, g2)
+        return lin.trigger_limit_linear(ag.snapshot.counts_total, ag.target_q, self.g1, self.limit_ratio)
 
     def rule_fires(self, ag, n: int) -> bool:
-        """The hybrid trigger itself at n unsent pulls."""
-        return lin.check_trigger_hybrid(ag, n, self.cfg.gamma1, Fraction(*self.limit_ratio))
+        return lin.check_trigger_hybrid(ag, n, self.g1, self.limit_ratio)
 
     def rule_target(self, ag) -> bool:
         """Whether q is the target's, by a second factorization (the
@@ -326,13 +321,13 @@ class Audit:
 # ---------------------------------------------------------------------------
 
 
-def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool) -> RunResult:
+def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     """One asynchronous event-triggered run of either bandit family.
 
     Each round the active agent pulls its frozen target, the driver appends
     the reward to the agent's buffer, and the agent uploads once its buffer
     holds more rewards than the trigger limit fixed at its last download (0
-    under forced communication). The server merges the buffer, and the run
+    for a family built forced). The server merges the buffer, and the run
     stops at B <= epsilon or the agent downloads the merged state. Set-up
     downloads the initial state once, and every agent holds that download.
     The active agents and reward normals come in blocks from
@@ -342,8 +337,6 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     """
     inst, cfg = fam.instance, fam.cfg
     k, m_agents = inst.k_arms, cfg.n_agents
-    if comm_every_round:  # every download fixes a trigger limit of 0
-        fam.limit_ratio = (0, 1)
     rng = make_rng(cfg.seed)
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
     # an attribution that affects no statistic), then every agent downloads
@@ -398,7 +391,7 @@ def _run_async(fam, audit: bool, audit_log: list | None, comm_every_round: bool)
     for ag, buf in zip(agents, buffers):
         pulls[ag.current_target - 1] += len(buf)
     # the cap governs the event-triggered protocol, not forced communication
-    if stopped and not comm_every_round:
+    if stopped and not fam.forced:
         bound = fam.comm_bound(tau)
         if comm > bound:
             raise AuditError(f"communication bound violated: {comm} > {bound:.3f}")
@@ -437,13 +430,13 @@ def run_famabpe(
 ) -> RunResult:
     """One full asynchronous federated MAB pure-exploration run.
 
-    comm_every_round sets every trigger limit to 0, so each pull uploads
-    (the single-agent baseline's hook). Auditing validates the conservation,
-    trigger and frozen-target invariants at every message and at the run's
-    end and never changes the result; audit_log receives one AuditRecord
-    per upload.
+    comm_every_round builds the family forced, with a trigger ratio of
+    (0, 1), so each pull uploads (the single-agent baseline's hook).
+    Auditing validates the conservation, trigger and frozen-target
+    invariants at every message and at the run's end and never changes the
+    result; audit_log receives one AuditRecord per upload.
     """
-    return _run_async(MabFamily(instance, config), audit, audit_log, comm_every_round)
+    return _run_async(MabFamily(instance, config, comm_every_round), audit, audit_log)
 
 
 def run_falinpe(
@@ -455,7 +448,7 @@ def run_falinpe(
     comm_every_round: bool = False,
 ) -> RunResult:
     """One full asynchronous federated linear pure-exploration run."""
-    return _run_async(LinearFamily(instance, config), audit, audit_log, comm_every_round)
+    return _run_async(LinearFamily(instance, config, comm_every_round), audit, audit_log)
 
 
 # ---------------------------------------------------------------------------

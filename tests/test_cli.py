@@ -221,12 +221,11 @@ class TestRun:
             ("sweep", ["--gap-sweep=-0.2:0.4:0.2"]),
             # refused by the commands themselves
             ("instance", ["--reps", "0"]),
-            ("sweep", ["--gap-sweep", "0.1:0.3:0.1", "--type", "linear"]),
             ("none", []),
             ("gen", ["--type", "linear", "--k", "5", "--gap", "0.3"]),
         ],
         ids=["negative-seed", "infinite-sweep", "huge-sweep", "overflowing-sweep", "sweep-reaches-1",
-             "sweep-from-0", "negative-sweep", "zero-reps", "sweep-of-other-type", "no-source",
+             "sweep-from-0", "negative-sweep", "zero-reps", "no-source",
              "gen-linear-without-d"],
     )
     def test_usage_refusal_exit_2(self, tmp_path, source, extra):
@@ -265,10 +264,25 @@ class TestRun:
                      "--out", str(tmp_path / "res.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--reps", "0"], ["--seed-base", "-1"], ["--gamma2", "inf"], ["--max-rounds", "3"]],
+        ids=["zero-reps", "negative-seed", "infinite-gamma2", "round-cap-within-the-arms"],
+    )
+    def test_sweep_usage_error_generates_nothing(self, tmp_path, monkeypatch, capsys, extra):
+        # a usage error is refused before any of the 9,000 sweep instances is generated
+        calls = []
+        for name in ("gen_gap_instance_mab", "gen_gap_instance_linear"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args))
+        out = tmp_path / "res.csv"
+        code = main(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out), *extra])
+        assert code == 2 and calls == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_gap_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["run", "--algo", "famabpe", "--gap-sweep", "0.3:0.5:0.1",
-                     "--type", "mab", "--k", "3", "--reps", "2", "--agents", "3",
+                     "--k", "3", "--reps", "2", "--agents", "3",
                      "--out", str(out)])
         assert code == 0
         rows = read_rows(out)

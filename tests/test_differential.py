@@ -256,13 +256,14 @@ def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx=None, memo=Non
 
 
 def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo):
-    """A fresh x x^T and the trigger limit from the Fractions."""
+    """A fresh x x^T and the trigger limit from float(gamma1) and gamma2's ratio."""
     i, j, _b, zx = stop
     target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, sense, zx, memo)
     z = zx[:, target - 1]
     q = float(z @ z)
     x = contexts[target - 1]
     d = len(x)
+    limit = lin.trigger_limit_linear(server.counts_total, q, float(gamma1), gamma2.as_integer_ratio())
     agent = RefLinAgent(
         cov=server.cov,
         counts=server.counts,
@@ -274,7 +275,7 @@ def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo
         target_context=x,
         target_outer=x[:, None] * x,
         target_q=q,
-        trigger_limit=lin.trigger_limit_linear(server.counts_total, q, gamma1, gamma2),
+        trigger_limit=limit,
     )
     return agent, fallback
 
@@ -393,7 +394,7 @@ class TestClosedFormTrigger:
                 assert nq > 0.01  # keeps the logdet margin at 1e-9 far above its rounding
                 gammas += [nq * (1 - 1e-9), nq * (1 + 1e-9)]
             for g1 in gammas:
-                got = lin.check_trigger_hybrid(agent, n, g1, 1e9)
+                got = lin.check_trigger_hybrid(agent, n, g1, (10**9, 1))
                 assert got == ref_trigger(agent, n, x, g1, 1e9), (n, nq, g1)
                 checked += 1
                 fired += got
@@ -404,24 +405,27 @@ class TestClosedFormTrigger:
         cov, _resp, contexts = snapshot(rng, 5)
         agent = agent_at(cov, contexts[0], 10**6)
         nq = 3 * agent.target_q
-        assert lin.check_trigger_hybrid(agent, 3, nq * (1 - 1e-9), 1e9)
-        assert not lin.check_trigger_hybrid(agent, 3, nq * (1 + 1e-9), 1e9)
+        assert lin.check_trigger_hybrid(agent, 3, nq * (1 - 1e-9), (10**9, 1))
+        assert not lin.check_trigger_hybrid(agent, 3, nq * (1 + 1e-9), (10**9, 1))
 
     def test_count_rule_unchanged(self):
         rng = np.random.default_rng(8)
         cov, _resp, contexts = snapshot(rng, 2)
         for total, n, g2 in [(100, 1, Fraction(1, 200)), (100, 1, Fraction(1, 50)), (7, 7, 1.0), (7, 8, 1.0)]:
             agent = agent_at(cov, contexts[0], total)
-            assert lin.check_trigger_hybrid(agent, n, 1e9, g2) == ref_trigger(agent, n, contexts[0], 1e9, g2)
+            got = lin.check_trigger_hybrid(agent, n, 1e9, g2.as_integer_ratio())
+            assert got == ref_trigger(agent, n, contexts[0], 1e9, g2)
 
 
 def limit_agrees(counts_total, q, gamma1, gamma2):
     """trigger_limit_linear against check_trigger_hybrid at every pending
-    count from limit - 3 to limit + 3; returns the limit."""
-    limit = lin.trigger_limit_linear(counts_total, q, gamma1, gamma2)
+    count from limit - 3 to limit + 3, both at g1 = float(gamma1) and gamma2's
+    ratio (num, den) (gamma2 = 0: the forced ratio (0, 1)); returns the limit."""
+    g1, ratio = float(gamma1), Fraction(gamma2).as_integer_ratio()
+    limit = lin.trigger_limit_linear(counts_total, q, g1, ratio)
     agent = mab.AgentState(SimpleNamespace(counts_total=counts_total), 1, limit, q)
     for n in range(max(0, limit - 3), limit + 4):
-        fired = lin.check_trigger_hybrid(agent, n, gamma1, gamma2)
+        fired = lin.check_trigger_hybrid(agent, n, g1, ratio)
         assert fired == (n > limit), (counts_total, q, gamma1, gamma2, n)
     return limit
 
@@ -498,6 +502,12 @@ class TestTriggerLimitLinear:
         assert limit_agrees(10**6, 0.01, 0.05, 0.5) == 5
         # a count limit beyond 2^52 pulls
         assert limit_agrees(10**7, 1e-20, 1.0, 1e9) == count_limit(10**7, 1e9)
+
+    def test_forced_ratio(self):
+        # forced communication, gamma2's ratio (0, 1), fixes a limit of 0 whatever q and gamma1
+        for total in (5, 100, 10**7):
+            for q, gamma1 in ((0.0, 0.01), (5e-324, 0.01), (1e-3, 1.0), (0.5, 1e9), (2.0, 0.5)):
+                assert limit_agrees(total, q, gamma1, 0) == 0
 
 
 class TestBatchedWidths:
@@ -1415,21 +1425,24 @@ class TestCarriedTwoOverCounts:
 
 
 class TestIntegerTriggerLimit:
+    # Fraction(0) is the forced ratio (0, 1)
     @pytest.mark.parametrize(
         "gamma",
-        [Fraction(1, 100), Fraction(1, 3), Fraction(7, 2), Fraction(1, 10_000), 0.1, 1 / 3, 0.01, 2.5],
+        [Fraction(1, 100), Fraction(1, 3), Fraction(7, 2), Fraction(1, 10_000), 0.1, 1 / 3, 0.01, 2.5, Fraction(0)],
         ids=lambda g: repr(g),
     )
     def test_limit_and_its_successor_agree_with_the_exact_rule(self, gamma):
         g = Fraction(gamma)
+        ratio = g.as_integer_ratio()
         totals = list(range(1, 2_000)) + [g.denominator * q + r for q in (1, 3, 10**6) for r in (-1, 0, 1)]
         for total in totals:
             if total < 1:
                 continue
-            limit = mab.trigger_limit_mab(total, gamma)
-            agent = mab.AgentState(None, 1, limit)
+            limit = mab.trigger_limit_mab(total, ratio)
+            # a stored limit of -1: the rule reads the snapshot and the ratio alone
+            agent = mab.AgentState(SimpleNamespace(counts_total=total), 1, -1)
             for n in (limit, limit + 1):
-                assert mab.check_trigger_mab(agent, n) == ref_trigger_mab(total, n, gamma), (total, n)
+                assert mab.check_trigger_mab(agent, n, ratio) == ref_trigger_mab(total, n, gamma), (total, n)
             assert not ref_trigger_mab(total, limit, gamma) and ref_trigger_mab(total, limit + 1, gamma)
 
 

@@ -148,27 +148,29 @@ class TestSelectArmGreedy:
 
 
 class TestHybridTrigger:
+    # gamma2 is passed as its ratio (num, den); (10**9, 1) keeps the count rule quiet
+
     def test_determinant_condition_fires(self):
         agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5])
-        assert check_trigger_hybrid(agent, 1, 0.01, 1e9)  # det doubles
+        assert check_trigger_hybrid(agent, 1, 0.01, (10**9, 1))  # det doubles
 
     def test_quiet_with_no_data(self):
         agent = make_agent(np.eye(2), [1.0, 0.0], [5, 5])
-        assert not check_trigger_hybrid(agent, 0, 0.01, 0.01)
+        assert not check_trigger_hybrid(agent, 0, 0.01, (1, 100))
 
     def test_count_condition_fires_alone(self):
         agent = make_agent(np.eye(2), [1.0, 0.0], [1000, 1000])
         # det doubles, which stays below 1 + gamma1 = 11 ...
-        assert not check_trigger_hybrid(agent, 1, 10.0, 1e9)
+        assert not check_trigger_hybrid(agent, 1, 10.0, (10**9, 1))
         # ... so only the count ratio 2001/2000 > 1 + 1e-6 fires
-        assert check_trigger_hybrid(agent, 1, 10.0, Fraction(1, 10**6))
+        assert check_trigger_hybrid(agent, 1, 10.0, (1, 10**6))
 
     def test_determinant_condition_below_threshold(self):
         # det doubles; with gamma1=1.25 the ratio 2 <= 2.25 stays quiet
         agent = make_agent(np.eye(2), [1.0, 0.0], [50, 50])
-        assert not check_trigger_hybrid(agent, 1, 1.25, 1e9)
+        assert not check_trigger_hybrid(agent, 1, 1.25, (10**9, 1))
         # and just under the growth it fires
-        assert check_trigger_hybrid(agent, 1, 0.9, 1e9)
+        assert check_trigger_hybrid(agent, 1, 0.9, (10**9, 1))
 
 
 class TestServerMergeLinear:

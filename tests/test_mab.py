@@ -2,7 +2,6 @@
 count-ratio trigger, server merges, the breaking index, and downloads."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,13 +22,14 @@ from fedpex.mab import (
 )
 
 
-def make_agent(counts, gamma, target=1):
-    """An agent that downloaded a snapshot with these counts; the trigger
-    takes the number of pulls of its target since then."""
+def make_agent(counts, ratio, target=1):
+    """An agent that downloaded a snapshot with these counts at gamma's
+    ratio (num, den); the trigger takes the number of pulls of its target
+    since then."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     snapshot = server_state(np.zeros(len(counts)), counts)
-    return AgentState(snapshot, target, trigger_limit_mab(total, gamma))
+    return AgentState(snapshot, target, trigger_limit_mab(total, ratio))
 
 
 def server_state(mean_est, counts):
@@ -108,23 +108,23 @@ class TestSelectArm:
 
 class TestTrigger:
     def test_fires_above_threshold(self):
-        agent = make_agent([5, 5], 0.01)
-        assert check_trigger_mab(agent, 1)  # 11 > 10.1
+        agent = make_agent([5, 5], (1, 100))
+        assert check_trigger_mab(agent, 1, (1, 100))  # 11 > 10.1
 
     def test_quiet_below_threshold(self):
-        agent = make_agent([100, 100], 0.01)
-        assert not check_trigger_mab(agent, 1)  # 201 <= 202
+        agent = make_agent([100, 100], (1, 100))
+        assert not check_trigger_mab(agent, 1, (1, 100))  # 201 <= 202
 
     def test_strict_inequality_at_zero(self):
-        agent = make_agent([10, 10], 0.5)
-        assert not check_trigger_mab(agent, 0)
+        agent = make_agent([10, 10], (1, 2))
+        assert not check_trigger_mab(agent, 0, (1, 2))
 
     def test_exact_boundary_is_quiet(self):
         # pending exactly gamma * counts must not fire (strict >)
-        agent = make_agent([50, 50], Fraction(1, 100))
+        agent = make_agent([50, 50], (1, 100))
         assert agent.trigger_limit == 1
-        assert not check_trigger_mab(agent, 1)
-        assert check_trigger_mab(agent, 2)
+        assert not check_trigger_mab(agent, 1, (1, 100))
+        assert check_trigger_mab(agent, 2, (1, 100))
 
 
 class TestServerMerge:
@@ -166,11 +166,11 @@ class TestBreakingIndex:
 
 class TestDownload:
     @staticmethod
-    def download(server, gamma=Fraction(1, 10)):
+    def download(server, ratio=(1, 10)):
         """download_mab as the driver calls it, with the stop check's bonuses and pair."""
         bon = bonuses(server.counts, server.counts_total, 0.05, 0.3, 0.1)
         i, j, _b = breaking_index(server.mean_est, bon)
-        return download_mab(server, bon, i, j, gamma.as_integer_ratio())
+        return download_mab(server, bon, i, j, ratio)
 
     def test_holds_server_and_no_buffer(self):
         server = server_state([0.9, 0.1], [7, 4])
