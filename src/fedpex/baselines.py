@@ -86,7 +86,6 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         buffers = (pend_sums,)
     pend_counts = np.zeros((m_agents, k), dtype=np.int64)
     target: int | None = None  # the common frozen target of every agent
-    pulls = np.zeros(k, dtype=np.int64)
     tau = g = synced = 0  # synced: the global round of the last merge
     comm = init_comm = switches = downloads = fallbacks = 0
     final = None  # the stop check that stops the run, if one does
@@ -104,7 +103,6 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
                 else:
                     pend_sums[m, arm - 1] += reward
                 pend_counts[m, arm - 1] += 1
-                pulls[arm - 1] += 1
             tau += m_agents
         else:
             # every agent pulls the common frozen target, so the pulls up to the
@@ -121,7 +119,6 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
             else:
                 pend_sums[:, target - 1] = _fold(pend_sums[:, target - 1], rewards)
             pend_counts[:, target - 1] += rounds
-            pulls[target - 1] += rounds * m_agents
             tau += rounds * m_agents
             g += rounds
 
@@ -161,4 +158,6 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
             switches += m_agents
         target = agent.current_target
 
+    # the merged pulls, and those a round cap cut off inside an episode
+    pulls = server.counts + pend_counts.sum(axis=0)
     return run_result(fam, server, final, tau, pulls, comm, init_comm, switches, downloads, fallbacks)

@@ -157,10 +157,19 @@ def _parse_sweep(text: str) -> list[float]:
 
 def cmd_run(args) -> int:
     is_mab_algo = args.algo in _MAB_ALGOS
-    # usage errors and a bad config fail before any instance is generated
+    # usage errors, a bad config and a foreign --out fail before any instance
+    # is generated or loaded
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     config = _make_config(args, args.seed_base)
+    new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
+    if not new_file:
+        # rows may only follow the v1 header and a complete last line
+        with open(args.out, "rb") as fh:
+            header = next(csv.reader([fh.readline().decode("utf-8")]), None)
+            fh.seek(-1, os.SEEK_END)
+            if header != CSV_COLUMNS or fh.read(1) != b"\n":
+                raise ValueError(f"{args.out} is not a v1 results CSV ending in a newline")
     jobs: list[tuple[str, object]] = []  # (label, instance)
     if args.gap_sweep is not None:
         kind = "mab" if is_mab_algo else "linear"
@@ -183,14 +192,6 @@ def cmd_run(args) -> int:
     for _label, inst in jobs:
         config.resolved(inst.k_arms)
     audit = os.environ.get("FEDPEX_AUDIT", "") == "1"
-    new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
-    if not new_file:
-        # rows may only follow the v1 header and a complete last line
-        with open(args.out, "rb") as fh:
-            header = next(csv.reader([fh.readline().decode("utf-8")]), None)
-            fh.seek(-1, os.SEEK_END)
-            if header != CSV_COLUMNS or fh.read(1) != b"\n":
-                raise ValueError(f"{args.out} is not a v1 results CSV ending in a newline")
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

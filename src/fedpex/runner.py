@@ -245,13 +245,14 @@ class Audit:
     upload's check reads those two downloads' records, and the end reads all."""
 
     def __init__(self, fam, server, agents):
-        # each held download's [state, (target, snapshot bytes), agent, holders]
-        # by id, the latest download, and the linear family's covariance and
-        # response of every pull sent
-        self.fam, self.held, self.latest = fam, {}, agents[0]
+        # each agent's download record (state, (target, snapshot bytes), agent),
+        # set-up's one record shared by all M; the latest record; the per-arm
+        # count of the initial and the uploaded pulls; and the linear family's
+        # covariance and response of every pull sent
+        self.fam, self.pulls = fam, server.counts.tolist()
+        self.records = [self.download(agents[0], 0)] * len(agents)
+        self.latest = self.records[0]
         self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
-        for m, ag in enumerate(agents):
-            self.hold(ag, m)
 
     def download(self, ag, m):
         """Agent m's cached total, limit and target are the rules'; returns its record."""
@@ -260,60 +261,52 @@ class Audit:
             raise AuditError(f"agent {m + 1} downloaded a total or trigger limit that is not the rule's")
         if not self.fam.rule_target(ag):
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
-        return [ag, (ag.current_target, _state_bytes(snap)), m, 0]
+        return ag, (ag.current_target, _state_bytes(snap)), m
 
-    def hold(self, ag, m, n=1):
-        """n more agents, m among them, hold `ag` (n = -1: m lets go of it)."""
-        held = self.held[id(ag)] = self.held.get(id(ag)) or self.download(ag, m)
-        held[3] += n
-        if not held[3]:
-            del self.held[id(ag)]
-
-    def upload(self, server, agents, buffers, ag, sent, m, tau, pulls):
+    def upload(self, server, agents, buffers, ag, sent, m, tau):
         """After agent m, whose state was `ag`, uploaded the buffer `sent` in
         round tau, the server merged it and m downloaded unless the run stopped."""
-        fam, n = self.fam, len(sent)
+        fam, n, a = self.fam, len(sent), ag.current_target - 1
         # the rule fires at exactly this count: neither late nor early
         if n != ag.trigger_limit + 1 or not fam.rule_fires(ag, n) or fam.rule_fires(ag, n - 1):
             raise AuditError(f"agent {m + 1} uploaded {n} pulls at a trigger limit of {ag.trigger_limit}")
+        self.pulls[a] += n
         if self.sums is not None:
-            a, (cov, resp) = ag.current_target - 1, self.sums
+            cov, resp = self.sums
             cov += n * fam.outers[a]
             resp += reduce(add, sent, 0.0) * fam.contexts[a]
-        self.check(server, buffers, tau, pulls, dict.fromkeys((id(ag), id(self.latest))))
+        self.check(server, buffers, tau, {id(rec): rec for rec in (self.records[m], self.latest)})
         if agents[m] is not ag:
-            self.hold(ag, m, -1)
-            self.hold(agents[m], m)
-            self.latest = agents[m]
+            self.records[m] = self.latest = self.download(agents[m], m)
 
-    def check(self, server, buffers, tau, pulls, held):
+    def check(self, server, buffers, tau, records):
         """The server's cached values; conservation over every agent, where
-        `pulls` counts the initial and the uploaded pulls of each arm and the
-        buffers hold the rest of tau; and the held downloads of ids `held` as
-        they were downloaded."""
+        the audit's own tally counts the initial and the uploaded pulls of
+        each arm and the buffers hold the rest of tau; and the downloads of
+        `records` (by id) as they were downloaded."""
         if server.counts_total != int(server.counts.sum()):
             raise AuditError("server cached total diverged")
-        if server.counts.tolist() != pulls or server.counts_total + sum(map(len, buffers)) != tau:
+        if server.counts.tolist() != self.pulls or server.counts_total + sum(map(len, buffers)) != tau:
             raise AuditError("count conservation violated")
         if self.sums is None:
             if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
                 raise AuditError("server's carried 2/counts diverged")
         elif np.abs(server.cov - self.sums[0]).max() > 1e-9 or np.abs(server.resp - self.sums[1]).max() > 1e-9:
             raise AuditError("covariance or response conservation violated")
-        for ag, seen, m, _holders in map(self.held.get, held):
+        for ag, seen, m in records.values():
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
                 raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
 
-    def end(self, server, agents, buffers, tau, pulls):
-        """Everything above, once per held download; no agent over its limit."""
-        self.check(server, buffers, tau, pulls, self.held)
-        first = {}
+    def end(self, server, agents, buffers, tau):
+        """Everything above, once per distinct record; no agent over its limit."""
+        records = {id(rec): rec for rec in self.records}
+        self.check(server, buffers, tau, records)
         for m, (ag, buf) in enumerate(zip(agents, buffers)):
             n = len(buf)
             if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
                 raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
-            if first.setdefault(id(ag), m) == m:
-                self.download(ag, m)
+        for ag, _seen, m in records.values():
+            self.download(ag, m)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +325,8 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     downloads the initial state once, and every agent holds that download.
     The active agents and reward normals come in blocks from
     ActivationSchedule.block, equal to per-round draws.
-    Auditing, the audit log and the message and per-arm pull counters act
-    only at uploads.
+    Auditing, the audit log and the message counters act only at uploads;
+    the per-arm pulls are the server's counts plus the held buffers at the end.
     """
     inst, cfg = fam.instance, fam.cfg
     k, m_agents = inst.k_arms, cfg.n_agents
@@ -347,8 +340,6 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     first, fallback = fam.download(server, check)
     agents, buffers, fallbacks = [first] * m_agents, [[] for _ in range(m_agents)], m_agents * fallback
     audit = Audit(fam, server, agents) if audit else None
-    # the initial pulls and then the uploaded ones; held pulls join at the end
-    pulls = [1] * k
     comm = switches = downloads = 0
     tau = k
     draw = ActivationSchedule(cfg.activation, m_agents).block
@@ -366,7 +357,6 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
             if len(buf) > ag.trigger_limit:
                 arm = ag.current_target
                 comm += 1  # upload
-                pulls[arm - 1] += len(buf)
                 buffers[m] = []
                 server = fam.merge(server, ag, buf)
                 check = fam.stop(server)
@@ -380,14 +370,16 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
                     target = agents[m].current_target
                     switches += target != arm
                 if audit:
-                    audit.upload(server, agents, buffers, ag, buf, m, tau, pulls)
+                    audit.upload(server, agents, buffers, ag, buf, m, tau)
                 if audit_log is not None:
                     audit_log.append(AuditRecord(tau, m + 1, arm, len(buf), target, stopped, check[2]))
                 if stopped:
                     break
 
     if audit:
-        audit.end(server, agents, buffers, tau, pulls)
+        audit.end(server, agents, buffers, tau)
+    # the initial and the uploaded pulls, then the held ones
+    pulls = server.counts.tolist()
     for ag, buf in zip(agents, buffers):
         pulls[ag.current_target - 1] += len(buf)
     # the cap governs the event-triggered protocol, not forced communication

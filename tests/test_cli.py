@@ -279,6 +279,21 @@ class TestRun:
         assert code == 2 and calls == [] and not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_foreign_out_generates_nothing(self, tmp_path, monkeypatch, capsys):
+        # an --out that is not a v1 results CSV is refused before any of the
+        # 9,000 sweep instances is generated
+        calls = []
+        for name in ("gen_gap_instance_mab", "gen_gap_instance_linear"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args))
+        out = tmp_path / "res.csv"
+        existing = b"algo,instance,seed,tau\n1,2,3,4\n"
+        out.write_bytes(existing)
+        code = main(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out)])
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert calls == [] and captured.out == "" and out.read_bytes() == existing
+
     def test_gap_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["run", "--algo", "famabpe", "--gap-sweep", "0.3:0.5:0.1",

@@ -266,6 +266,12 @@ def linear_run(**kw):
     return run_falinpe(inst, RunConfig(n_agents=3, seed=7, epsilon=0.05), **kw)
 
 
+def write_one_ulp(state):
+    """One ulp, in place, into the first array of a server state."""
+    array = next(v for v in vars(state).values() if isinstance(v, np.ndarray))
+    array.flat[0] = np.nextafter(array.flat[0], np.inf)
+
+
 def mutate_driver(monkeypatch, old, new):
     """Swap in a copy of the round loop whose source has `old` replaced by `new`."""
     source = inspect.getsource(runner._run_async)
@@ -329,6 +335,54 @@ class TestAuditCatchesMutations:
         monkeypatch.setattr(family, "download", other)
         with pytest.raises(AuditError, match="downloaded a target"):
             run(audit=True)
+
+    @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
+    def test_merge_that_writes_the_state_it_merges_into(self, family, run, monkeypatch):
+        # the third merge writes into the server state before it, which the
+        # latest download holds
+        merge, calls = family.merge, []
+
+        def writing(self, server, ag, rewards):
+            calls.append(1)
+            out = merge(self, server, ag, rewards)
+            if len(calls) == 3:
+                write_one_ulp(server)
+            return out
+
+        monkeypatch.setattr(family, "merge", writing)
+        log = []
+        with pytest.raises(AuditError, match="snapshot changed between downloads"):
+            run(audit=True, audit_log=log)
+        # the log takes an upload after its audit: the third upload raised
+        assert len(log) == 2
+
+    @pytest.mark.parametrize("family", [MabFamily, LinearFamily])
+    def test_write_into_set_up_held_only_by_idle_agents(self, family, monkeypatch):
+        if family is MabFamily:
+            inst, run = gen_gap_instance_mab(5, 0.3, make_rng(40), sigma=0.3), run_famabpe
+        else:
+            inst, run = gen_gap_instance_linear(5, 5, 0.3, make_rng(41), sigma=0.3), run_falinpe
+        config = RunConfig(n_agents=1_000, seed=1, max_rounds=200)
+        # the first upload of an agent that uploaded before: no agent that
+        # holds set-up's download uploads in it, and the run is cut right after
+        log, seen = [], set()
+        run(inst, config, audit_log=log)
+        last = next(i for i, rec in enumerate(log) if rec.agent in seen or seen.add(rec.agent))
+        cut, merge, uploaders = replace(config, max_rounds=log[last].t), family.merge, []
+
+        def writing(self, server, ag, rewards):
+            uploaders.append(ag)
+            # the first upload is always made on set-up's download
+            if len(uploaders) == last + 1:
+                write_one_ulp(uploaders[0].snapshot)
+            return merge(self, server, ag, rewards)
+
+        monkeypatch.setattr(family, "merge", writing)
+        log = []
+        with pytest.raises(AuditError, match="snapshot changed between downloads"):
+            run(inst, cut, audit=True, audit_log=log)
+        # every upload passed its audit, so the run's end raised
+        assert len(log) == last + 1 and log[-1].agent in {rec.agent for rec in log[:-1]}
 
     @pytest.mark.parametrize("run", [mab_run, linear_run])
     def test_forced_communication_audited(self, run):
