@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linear as lin
 from . import mab
-from .core import MabInstance, RunConfig, RunResult, make_rng, sample_reward_linear, sample_reward_mab
+from .core import MabInstance, RunConfig, RunResult, make_rng
 from .runner import MAX_BLOCK, bandit_family, run_falinpe, run_famabpe, run_result
 
 
@@ -65,7 +65,7 @@ def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     """Synchronous baseline with full sharing every episode_len global rounds."""
     fam = bandit_family(instance, sync_config)
-    cfg, linear, means = fam.cfg, fam.linear, instance.means
+    cfg, linear, means = fam.cfg, fam.linear, np.asarray(instance.means)
     k = instance.k_arms
     m_agents = cfg.n_agents
     episode = cfg.episode_len
@@ -73,14 +73,12 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     warmup = math.ceil(k / m_agents)
 
     if linear:
-        contexts, dim = fam.contexts, instance.dim
-        sample = sample_reward_linear
+        dim = instance.dim
         server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
         pend_cov = np.zeros((m_agents, dim, dim))
         pend_resp = np.zeros((m_agents, dim))
         buffers = (pend_cov, pend_resp)
     else:
-        sample = sample_reward_mab
         server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
         pend_sums = np.zeros((m_agents, k))
         buffers = (pend_sums,)
@@ -91,36 +89,30 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     final = None  # the stop check that stops the run, if one does
 
     while tau + m_agents <= cfg.max_rounds:
+        # the pulls of a step are one (rounds, M) block of normals: the same
+        # stream, round by round and agent by agent, as one draw per pull
         if g < warmup:
-            g += 1
-            for m in range(m_agents):
-                arm = ((g - 1) * m_agents + m) % k + 1
-                reward = sample(instance, arm, rng)
-                if linear:
-                    x = contexts[arm - 1]
-                    pend_cov[m] += np.outer(x, x)
-                    pend_resp[m] += reward * x
-                else:
-                    pend_sums[m, arm - 1] += reward
-                pend_counts[m, arm - 1] += 1
-            tau += m_agents
+            # one warm-up round: agent m pulls arm (g M + m) mod K, 0-based
+            rounds, who = 1, np.arange(m_agents)
+            arms = (g * m_agents + who) % k
         else:
-            # every agent pulls the common frozen target, so the pulls up to the
-            # next episode boundary or the round cap are one (rounds, M) block of
-            # normals: the same stream, round by round and agent by agent, as one
-            # draw per pull. At most MAX_BLOCK rounds bound memory at long episodes.
+            # every agent pulls the common frozen target up to the next episode
+            # boundary or the round cap; at most MAX_BLOCK rounds bound memory
+            # at long episodes
             rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, MAX_BLOCK)
-            rewards = means[target - 1] + instance.sigma * rng.standard_normal((rounds, m_agents))
-            if linear:
-                x = contexts[target - 1]
-                # every agent's buffer has held the same x x^T terms since the last merge
-                pend_cov[:] = _fold(pend_cov[0], np.broadcast_to(np.outer(x, x), (rounds, dim, dim)))
-                pend_resp[:] = _fold(pend_resp, rewards[:, :, None] * x)
-            else:
-                pend_sums[:, target - 1] = _fold(pend_sums[:, target - 1], rewards)
-            pend_counts[:, target - 1] += rounds
-            tau += rounds * m_agents
-            g += rounds
+            who, arms = slice(None), target - 1
+        rewards = means[arms] + instance.sigma * rng.standard_normal((rounds, m_agents))
+        if linear:
+            # on a common arm every agent's buffer has held the same x x^T terms
+            # since the last merge, so the first agent's fold is everyone's
+            cov = pend_cov if np.ndim(arms) else pend_cov[0]
+            pend_cov[:] = _fold(cov, np.broadcast_to(fam.outers[arms], (rounds, *cov.shape)))
+            pend_resp[:] = _fold(pend_resp, rewards[:, :, None] * fam.contexts[arms])
+        else:
+            pend_sums[who, arms] = _fold(pend_sums[who, arms], rewards)
+        pend_counts[who, arms] += rounds
+        tau += rounds * m_agents
+        g += rounds
 
         at_sync = g % episode == 0
         at_init = g == warmup

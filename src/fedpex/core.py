@@ -383,7 +383,10 @@ def _is_numbers(value, depth: int) -> bool:
 
 def instance_from_json(text: str) -> Instance:
     """Parse an instance; a missing field or a malformed value is a ValueError."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # arrays nested beyond the parser's depth
+        raise ValueError("instance JSON nests too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("instance JSON must be an object")
     kind = obj.get("type")

@@ -15,6 +15,9 @@ from fedpex.cli import CSV_COLUMNS, main
 
 
 def run_cli(args, env_extra=None):
+    """Runs the CLI module in a fresh interpreter, for what only a real
+    process shows: the entry point's exit status, the environment and the
+    real stderr."""
     env = dict(os.environ)
     env.pop("FEDPEX_AUDIT", None)
     if env_extra:
@@ -26,6 +29,25 @@ def run_cli(args, env_extra=None):
         env=env,
     )
     return proc
+
+
+@pytest.fixture
+def refused(capsys):
+    """Runs main in-process and asserts a usage refusal: exit 2, exactly one
+    `error:` line on stderr and nothing on stdout; an exception escaping main
+    fails the test. Returns the error line."""
+
+    def check(args):
+        capsys.readouterr()
+        code = main(args)
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert captured.out == ""  # no run started
+        return lines[0]
+
+    return check
 
 
 def read_rows(path):
@@ -60,6 +82,7 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_usage_error_exit_2(self):
+        # through the module's entry point: argparse exits 2 itself
         proc = run_cli(["gen", "--type", "mab", "--gap", "0.3", "--out", "/tmp/x.json"])
         assert proc.returncode == 2  # missing --k
 
@@ -122,39 +145,29 @@ class TestRun:
         ],
         ids=["other-schema", "reordered", "text", "blank-first-line", "no-final-newline"],
     )
-    def test_append_to_foreign_csv_exit_2(self, tmp_path, existing):
+    def test_append_to_foreign_csv_exit_2(self, tmp_path, refused, existing):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",
               "--out", str(inst)])
         out = tmp_path / "res.csv"
         out.write_text(existing)
-        proc = run_cli(["run", "--algo", "famabpe", "--instance", str(inst), "--reps", "1",
-                        "--agents", "2", "--out", str(out)])
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert proc.stdout == ""  # no run started
+        refused(["run", "--algo", "famabpe", "--instance", str(inst), "--reps", "1", "--agents", "2",
+                 "--out", str(out)])
         assert out.read_text() == existing
 
     @pytest.mark.parametrize("algo", ["famabpe", "ugapec-sync"])
-    def test_agents_beyond_the_activation_draw_exit_2(self, tmp_path, capsys, monkeypatch, algo):
+    def test_agents_beyond_the_activation_draw_exit_2(self, tmp_path, refused, monkeypatch, algo):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "3",
               "--out", str(inst)])
-        capsys.readouterr()
         # 2^32 agents must never be built, also when the check regresses
         monkeypatch.setattr(cli, "_dispatch", lambda *args: pytest.fail("a run was started"))
         out = tmp_path / "res.csv"
-        code = main(["run", "--algo", algo, "--instance", str(inst), "--agents", "4294967296",
-                     "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-        assert captured.out == "" and not out.exists()
+        refused(["run", "--algo", algo, "--instance", str(inst), "--agents", "4294967296", "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["famabpe", "ugapec-sync"])
-    def test_max_rounds_within_the_arm_count_exit_2(self, tmp_path, algo):
+    def test_max_rounds_within_the_arm_count_exit_2(self, tmp_path, refused, algo):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "5", "--gap", "0.4", "--seed", "3",
               "--out", str(inst)])
@@ -165,32 +178,24 @@ class TestRun:
         for present in (False, True):
             if present:
                 out.write_bytes(existing)
-            proc = run_cli(args)
-            assert proc.returncode == 2
-            lines = proc.stderr.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-            assert proc.stdout == ""  # no run started
+            refused(args)
             assert out.read_bytes() == existing if present else not out.exists()
 
     @pytest.mark.parametrize("kind,algo", [("mab", "ugapec-sync"), ("linear", "lingape-sync")])
-    def test_sync_round_cap_inside_the_warm_up_exit_2(self, tmp_path, capsys, kind, algo):
+    def test_sync_round_cap_inside_the_warm_up_exit_2(self, tmp_path, refused, kind, algo):
         inst = tmp_path / "inst.json"
         main(["gen", "--type", kind, "--k", "5", "--d", "3", "--gap", "0.4", "--seed", "3", "--out", str(inst)])
-        capsys.readouterr()
         out = tmp_path / "res.csv"
         # ten agents on five arms warm up for one global round of ten pulls
         args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "10", "--out", str(out)]
-        assert main([*args, "--max-rounds", "9"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-        assert captured.out == "" and not out.exists()
+        refused([*args, "--max-rounds", "9"])
+        assert not out.exists()
         assert main([*args, "--max-rounds", "10"]) == 0
         assert read_rows(out)[1][3] == "10"
 
     @pytest.mark.parametrize("command", ["run", "bounds"])
     @pytest.mark.parametrize("flag", ["--gamma", "--gamma1", "--gamma2", "--lambda"])
-    def test_infinite_trigger_parameters_exit_2(self, tmp_path, flag, command):
+    def test_infinite_trigger_parameters_exit_2(self, tmp_path, refused, flag, command):
         # refused by the config before any file is opened; an infinite value
         # must reach neither Fraction() (an OverflowError) nor a run
         kind, algo = ("mab", "famabpe") if flag == "--gamma" else ("linear", "falinpe")
@@ -198,11 +203,8 @@ class TestRun:
         main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
         out = tmp_path / "out"
         args = [command, "--instance", str(inst), flag, "inf", "--out", str(out)]
-        proc = run_cli(args + (["--algo", algo] if command == "run" else []))
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert proc.stdout == "" and not out.exists()
+        refused(args + (["--algo", algo] if command == "run" else []))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "source,extra",
@@ -228,7 +230,7 @@ class TestRun:
              "sweep-from-0", "negative-sweep", "zero-reps", "no-source",
              "gen-linear-without-d"],
     )
-    def test_usage_refusal_exit_2(self, tmp_path, source, extra):
+    def test_usage_refusal_exit_2(self, tmp_path, refused, source, extra):
         out = tmp_path / "res.csv"
         args = ["run", "--algo", "famabpe", "--out", str(out), *extra]
         if source == "gen":
@@ -237,11 +239,8 @@ class TestRun:
             inst = tmp_path / "inst.json"
             main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--out", str(inst)])
             args += ["--instance", str(inst)]
-        proc = run_cli(args)
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert proc.stdout == "" and not out.exists()
+        refused(args)
+        assert not out.exists()
 
     def test_huge_sweep_is_refused_by_its_count(self):
         # 0.1:1e12:0.1 has 10^13 points; refusing it allocates no list of them
@@ -269,17 +268,16 @@ class TestRun:
         [["--reps", "0"], ["--seed-base", "-1"], ["--gamma2", "inf"], ["--max-rounds", "3"]],
         ids=["zero-reps", "negative-seed", "infinite-gamma2", "round-cap-within-the-arms"],
     )
-    def test_sweep_usage_error_generates_nothing(self, tmp_path, monkeypatch, capsys, extra):
+    def test_sweep_usage_error_generates_nothing(self, tmp_path, monkeypatch, refused, extra):
         # a usage error is refused before any of the 9,000 sweep instances is generated
         calls = []
         for name in ("gen_gap_instance_mab", "gen_gap_instance_linear"):
             monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args))
         out = tmp_path / "res.csv"
-        code = main(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out), *extra])
-        assert code == 2 and calls == [] and not out.exists()
-        assert capsys.readouterr().err.startswith("error:")
+        refused(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out), *extra])
+        assert calls == [] and not out.exists()
 
-    def test_foreign_out_generates_nothing(self, tmp_path, monkeypatch, capsys):
+    def test_foreign_out_generates_nothing(self, tmp_path, monkeypatch, refused):
         # an --out that is not a v1 results CSV is refused before any of the
         # 9,000 sweep instances is generated
         calls = []
@@ -288,11 +286,8 @@ class TestRun:
         out = tmp_path / "res.csv"
         existing = b"algo,instance,seed,tau\n1,2,3,4\n"
         out.write_bytes(existing)
-        code = main(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out)])
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), captured.err
-        assert calls == [] and captured.out == "" and out.read_bytes() == existing
+        refused(["run", "--algo", "falinpe", "--gap-sweep", "0.0001:0.9:0.0001", "--out", str(out)])
+        assert calls == [] and out.read_bytes() == existing
 
     def test_gap_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -319,6 +314,7 @@ class TestRun:
             assert comm * 50 == tau
 
     def test_audit_env_var(self, tmp_path):
+        # in a fresh interpreter, so that the variable is read from a real environment
         inst = tmp_path / "inst.json"
         main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "5",
               "--out", str(inst)])
@@ -340,6 +336,9 @@ class TestRun:
             assert code == 0
 
 
+NESTED = '{"type":"mab","sigma":0.3,"means":' + "[" * 100_000
+
+
 class TestInstanceBoundary:
     """Malformed or non-finite instance files exit 2 with a one-line error."""
 
@@ -354,25 +353,34 @@ class TestInstanceBoundary:
             # estimates of these overflow, so B is NaN and never reaches epsilon
             '{"type":"mab","means":[1e308,0.9e308,0.0],"sigma":1}',
             '{"type":"mab","means":[1e308,-1e308],"sigma":1}',
+            # deeper than the JSON parser recurses: a RecursionError, not a ValueError
+            NESTED,
         ],
         ids=["missing-means", "1d-contexts", "inf-sigma", "nan-mean", "inf-theta", "overflowing-means",
-             "overflowing-gap"],
+             "overflowing-gap", "deeply-nested"],
     )
     @pytest.mark.parametrize("command", ["run", "bounds"])
-    def test_exit_2_without_traceback(self, tmp_path, text, command):
+    def test_exit_2_without_traceback(self, tmp_path, refused, text, command):
         inst = tmp_path / "inst.json"
         inst.write_text(text)
-        args = ["bounds", "--instance", str(inst)]
+        out = tmp_path / "res.csv"
+        args = ["bounds", "--instance", str(inst), "--out", str(out)]
         if command == "run":
             algo = "famabpe" if '"mab"' in text else "falinpe"
             # a round cap keeps a regression that accepts the file from spinning
-            args = ["run", "--algo", algo, "--instance", str(inst), "--max-rounds", "20000",
-                    "--out", str(tmp_path / "res.csv")]
-        proc = run_cli(args)
+            args = ["run", "--algo", algo, "--instance", str(inst), "--max-rounds", "20000", "--out", str(out)]
+        refused(args)
+        assert not out.exists()
+
+    def test_real_stderr_shows_no_traceback(self, tmp_path):
+        # through the module's entry point, which prints what escapes main
+        inst = tmp_path / "inst.json"
+        inst.write_text(NESTED)
+        out = tmp_path / "res.csv"
+        proc = run_cli(["run", "--algo", "famabpe", "--instance", str(inst), "--out", str(out)])
         assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert not (tmp_path / "res.csv").exists()
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == "" and not out.exists()
 
 
 class TestBounds:
@@ -410,16 +418,13 @@ class TestBounds:
         assert values[1] == pytest.approx(4 * values[0])
 
     @pytest.mark.parametrize("tau", ["0", "-3"])
-    def test_tau_below_one_exit_2(self, tmp_path, tau):
+    def test_tau_below_one_exit_2(self, tmp_path, refused, tau):
         import fedpex
 
         inst = tmp_path / "inst.json"
         fedpex.save_instance(fedpex.MabInstance(means=(1.0, 0.5), sigma=0.3), inst)
         out = tmp_path / "bounds.json"
-        proc = run_cli(["bounds", "--instance", str(inst), "--tau", tau, "--out", str(out)])
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and "--tau" in lines[0], proc.stderr
+        assert "--tau" in refused(["bounds", "--instance", str(inst), "--tau", tau, "--out", str(out)])
         assert not out.exists()
 
     def test_json_file_output(self, tmp_path):
