@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from .baselines import SyncConfig, run_single_agent, run_synchronous
 from .core import (
     GenerationError,
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         both.add_argument("--gamma2", type=float, default=None)
         both.add_argument("--lambda", dest="ridge", type=float, default=None)
     run.add_argument("--arm-select", choices=("lp", "greedy"), default="lp")
-    run.add_argument("--greedy-sense", choices=("min", "max"), default="min")
     run.add_argument("--activation", choices=("uniform-random", "round-robin"),
                      default="uniform-random")
     run.add_argument("--episode-len", type=int, default=100, help="sync baseline episode length")
@@ -116,7 +116,7 @@ _SHARED = ("delta", "epsilon", "gamma", "gamma1", "gamma2", "ridge")
 
 
 def _make_config(args, seed: int):
-    names = _SHARED + ("arm_select", "greedy_sense", "activation")
+    names = _SHARED + ("arm_select", "activation")
     base = {name: getattr(args, name) for name in names}
     base.update(n_agents=args.agents, seed=seed, max_rounds=args.max_rounds)
     if args.algo.endswith("-sync"):
@@ -155,6 +155,14 @@ def _parse_sweep(text: str) -> list[float]:
     return gaps
 
 
+def _check_resolves(config, k_arms: int, sigma: float | None) -> None:
+    """Resolve `config` as a run against such an instance would, to refuse it
+    before any output; the run itself gives a ridge-cap warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config.resolved(k_arms, sigma)
+
+
 def cmd_run(args) -> int:
     is_mab_algo = args.algo in _MAB_ALGOS
     # usage errors, a bad config and a foreign --out fail before any instance
@@ -173,7 +181,7 @@ def cmd_run(args) -> int:
     jobs: list[tuple[str, object]] = []  # (label, instance)
     if args.gap_sweep is not None:
         kind = "mab" if is_mab_algo else "linear"
-        config.resolved(args.k)  # every sweep instance has --k arms
+        _check_resolves(config, args.k, None if is_mab_algo else args.sigma)  # every sweep instance has --k arms
         for idx, gap in enumerate(_parse_sweep(args.gap_sweep)):
             rng = make_rng(args.gen_seed + idx)
             if is_mab_algo:
@@ -190,7 +198,7 @@ def cmd_run(args) -> int:
         raise ValueError("provide --instance or --gap-sweep")
     # resolving against each instance checks max_rounds against its arm count
     for _label, inst in jobs:
-        config.resolved(inst.k_arms)
+        _check_resolves(config, inst.k_arms, None if is_mab_algo else inst.sigma)
     audit = os.environ.get("FEDPEX_AUDIT", "") == "1"
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
@@ -225,9 +233,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    # the bounds take log2(tau): a run has at least one round
-    if args.tau is not None and args.tau < 1:
-        raise ValueError("--tau must be >= 1")
+    # the bounds take log2(tau), a run has at least one round, and the linear
+    # bound divides tau as a float
+    if args.tau is not None and not 1 <= args.tau <= sys.float_info.max:
+        raise ValueError("--tau must be >= 1 and fit in a float")
     inst = load_instance(args.instance)
     config = RunConfig(n_agents=args.agents, **{name: getattr(args, name) for name in _SHARED})
     report = compute_theory_diagnostics(inst, config, tau=args.tau)

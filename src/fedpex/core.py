@@ -254,7 +254,6 @@ class RunConfig:
     gamma2: Fraction | float | None = None
     ridge: float | None = None
     arm_select: str = "lp"
-    greedy_sense: str = "min"
     activation: str = "uniform-random"
     seed: int = 0
     max_rounds: int = 10_000_000
@@ -272,8 +271,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.arm_select not in ("lp", "greedy"):
             raise ValueError("arm_select must be 'lp' or 'greedy'")
-        if self.greedy_sense not in ("min", "max"):
-            raise ValueError("greedy_sense must be 'min' or 'max'")
         if self.activation not in ("uniform-random", "round-robin"):
             raise ValueError("activation must be 'uniform-random' or 'round-robin'")
         if self.activation == "uniform-random" and self.n_agents >= 1 << 32:
@@ -288,6 +285,8 @@ class RunConfig:
 
         Defaults are recomputed from the current M and K every time, so a
         config reused across instances always gets the matching values.
+        sigma is given for a linear instance only. A config whose stop checks'
+        log argument overflows within max_rounds samples is refused.
         """
         if self.max_rounds <= k_arms:
             raise ValueError("max_rounds must exceed the arm count")
@@ -295,19 +294,31 @@ class RunConfig:
         gamma = _as_fraction(self.gamma) if self.gamma is not None else Fraction(1, 2 * m * k_arms)
         gamma1 = _as_fraction(self.gamma1) if self.gamma1 is not None else Fraction(1, m * m)
         gamma2 = _as_fraction(self.gamma2) if self.gamma2 is not None else Fraction(1, 2 * m * k_arms)
+        # the ridge cap binds linear instances only; a default ridge never exceeds it
+        cap = ridge_cap(sigma, gamma1, m, self.delta) if sigma is not None else 0.0
         ridge = self.ridge
-        if sigma is not None:
-            cap = ridge_cap(sigma, gamma1, m, self.delta)
-            if ridge is None:
-                ridge = min(1.0, cap) if cap > 0 else 1.0
-            elif cap > 0 and ridge > cap:
-                warnings.warn(
-                    f"ridge={ridge} exceeds the confidence-analysis cap {cap:.6g}; "
-                    "the stopping guarantee no longer applies",
-                    stacklevel=2,
-                )
-        elif ridge is None:
-            ridge = 1.0
+        if ridge is None:
+            ridge = min(1.0, cap) if cap > 0 else 1.0
+        # the stop checks' log argument, in their order of operations, at the
+        # most samples a run can hold (pull counts are int64); it grows with them
+        t = min(self.max_rounds, 2**63)
+        try:
+            if sigma is None:
+                arg = 4.0 * k_arms / self.delta * ((1.0 + float(gamma) * m) * t) ** 2
+            else:
+                arg = 2.0 / self.delta * (1.0 + ((1.0 + float(gamma2) * m) * t) / (min(float(gamma1), 1.0) * ridge))
+        except (OverflowError, ZeroDivisionError):
+            arg = math.inf
+        if not arg < math.inf:
+            raise ValueError(
+                "the confidence widths overflow within max_rounds samples: delta, the ridge or a gamma is too extreme"
+            )
+        if cap > 0 and ridge > cap:
+            warnings.warn(
+                f"ridge={ridge} exceeds the confidence-analysis cap {cap:.6g}; "
+                "the stopping guarantee no longer applies",
+                stacklevel=2,
+            )
         return replace(self, gamma=gamma, gamma1=gamma1, gamma2=gamma2, ridge=ridge)
 
 

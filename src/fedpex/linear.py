@@ -107,18 +107,16 @@ def select_pair_linear(theta_hat: np.ndarray, contexts: np.ndarray, cov: np.ndar
     return i + 1, j + 1
 
 
-def select_arm_greedy(zy: np.ndarray, zx: np.ndarray, sense: str = "min") -> int:
+def select_arm_greedy(zy: np.ndarray, zx: np.ndarray) -> int:
     """Arm whose extra observation most shrinks y^T (V + x x^T)^{-1} y.
 
     Every arm is scored at once by Sherman-Morrison,
     y^T V^{-1} y - (x^T V^{-1} y)^2 / (1 + x^T V^{-1} x), from the whitened
-    zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T). sense="min" picks the
-    uncertainty-minimizing arm; sense="max" keeps the literal maximizing form
-    for comparison runs. Ties break to the lowest index; y = 0 returns arm 1.
+    zy = L^{-1} y and zx = L^{-1} X^T (V = L L^T); the uncertainty-minimizing
+    arm wins. Ties break to the lowest index; y = 0 returns arm 1.
     """
     vals = zy @ zy - (zy @ zx) ** 2 / (1.0 + (zx * zx).sum(0))
-    best = int(vals.argmin()) if sense == "min" else int(vals.argmax())
-    return best + 1
+    return int(vals.argmin()) + 1
 
 
 def check_trigger_hybrid(agent: AgentState, n: int, g1: float, ratio: tuple[int, int]) -> bool:
@@ -190,7 +188,6 @@ def choose_informative_arm(
     i: int,
     j: int,
     arm_select: str,
-    greedy_sense: str,
     zx: np.ndarray,
     lp_memo: dict,
 ) -> tuple[int, bool]:
@@ -210,7 +207,7 @@ def choose_informative_arm(
             design = lp_memo[(i, j)] = _design(contexts, i, j)
         if design is not None:
             return least_sampled(counts.tolist(), design) + 1, False
-    return select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx, greedy_sense), arm_select == "lp"
+    return select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx), arm_select == "lp"
 
 
 def _design(contexts: np.ndarray, i: int, j: int) -> list[tuple[int, float]] | None:
@@ -227,11 +224,11 @@ def download_linear(server: LinServerState, stop: StopCheck, run) -> tuple[Agent
     back to greedy) with its x^T cov^{-1} x read from the stop check's pair
     and whitened contexts without a solve. `run` holds the run's resolved
     values (runner.LinearFamily): contexts, g1 = float(gamma1), limit_ratio
-    (gamma2's (num, den), or (0, 1) under forced communication), arm_select,
-    greedy_sense and lp_memo."""
+    (gamma2's (num, den), or (0, 1) under forced communication), arm_select
+    and lp_memo."""
     i, j, _b, zx = stop
     target, fallback = choose_informative_arm(
-        server.counts, run.contexts, i, j, run.arm_select, run.greedy_sense, zx=zx, lp_memo=run.lp_memo
+        server.counts, run.contexts, i, j, run.arm_select, zx=zx, lp_memo=run.lp_memo
     )
     z = zx[:, target - 1]
     q = float(z @ z)

@@ -150,7 +150,7 @@ class LinearFamily:
         self.instance = instance
         self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma)
         self.contexts = contexts = np.asarray(instance.contexts, dtype=float)
-        self.arm_select, self.greedy_sense, self.lp_memo = cfg.arm_select, cfg.greedy_sense, {}
+        self.arm_select, self.lp_memo = cfg.arm_select, {}
         # each arm's x x^T, and the stop check's right-hand side [X | resp]
         self.outers = contexts[:, :, None] * contexts[:, None, :]
         self.rhs = np.concatenate((contexts, np.zeros((1, instance.dim))))

@@ -194,16 +194,55 @@ class TestRun:
         assert read_rows(out)[1][3] == "10"
 
     @pytest.mark.parametrize("command", ["run", "bounds"])
-    @pytest.mark.parametrize("flag", ["--gamma", "--gamma1", "--gamma2", "--lambda"])
-    def test_infinite_trigger_parameters_exit_2(self, tmp_path, refused, flag, command):
+    @pytest.mark.parametrize(
+        "flag,value,kind,max_rounds",
+        [
+            pytest.param(flag, "inf", "mab" if flag == "--gamma" else "linear", "100", id=flag)
+            for flag in ("--gamma", "--gamma1", "--gamma2", "--lambda")
+        ]
+        + [
+            # finite values whose confidence widths overflow within the round
+            # cap (bounds: the default 10^7): they raised OverflowError, or ran
+            # to the cap, where a cap this short ends a run the check misses
+            pytest.param("--gamma", "1e200", "mab", "100", id="--gamma=1e200"),
+            pytest.param("--delta", "1e-300", "mab", "10000", id="--delta=1e-300"),
+            pytest.param("--delta", "1e-308", "linear", "100", id="--delta=1e-308-linear"),
+            pytest.param("--gamma2", "1e300", "linear", "10000000", id="--gamma2=1e300"),
+            pytest.param("--lambda", "1e-310", "linear", "100", id="--lambda=1e-310"),
+        ],
+    )
+    def test_infinite_trigger_parameters_exit_2(self, tmp_path, refused, flag, value, kind, max_rounds, command):
         # refused by the config before any file is opened; an infinite value
         # must reach neither Fraction() (an OverflowError) nor a run
-        kind, algo = ("mab", "famabpe") if flag == "--gamma" else ("linear", "falinpe")
+        algo = "famabpe" if kind == "mab" else "falinpe"
         inst = tmp_path / "inst.json"
         main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
         out = tmp_path / "out"
-        args = [command, "--instance", str(inst), flag, "inf", "--out", str(out)]
-        refused(args + (["--algo", algo] if command == "run" else []))
+        args = [command, "--instance", str(inst), flag, value, "--out", str(out)]
+        refused(args + (["--algo", algo, "--max-rounds", max_rounds] if command == "run" else []))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,algo,flag,value",
+        [("mab", "ugapec-sync", "--gamma", "1e200"), ("linear", "lingape-sync", "--delta", "1e-308")],
+    )
+    def test_sync_baselines_refuse_overflowing_widths(self, tmp_path, refused, kind, algo, flag, value):
+        # the baselines share the stop checks, so their configs are refused
+        # alike, before the CSV header is written
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
+        out = tmp_path / "res.csv"
+        args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "2", flag, value, "--out", str(out)]
+        refused([*args, "--max-rounds", "100"])
+        assert not out.exists()
+
+    def test_greedy_sense_flag_is_unknown(self, tmp_path, capsys):
+        # falinpe's greedy rule has one form; argparse refuses the old flag
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "falinpe", "--greedy-sense", "min", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --greedy-sense" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -417,12 +456,22 @@ class TestBounds:
             values.append(json.loads(capsys.readouterr().out)["complexity"])
         assert values[1] == pytest.approx(4 * values[0])
 
-    @pytest.mark.parametrize("tau", ["0", "-3"])
-    def test_tau_below_one_exit_2(self, tmp_path, refused, tau):
-        import fedpex
-
+    @pytest.mark.parametrize(
+        "tau,kind",
+        [
+            pytest.param("0", "mab", id="0"),
+            pytest.param("-3", "mab", id="-3"),
+            # 10^400 does not fit in a float: the linear bound raised OverflowError
+            pytest.param("1" + "0" * 400, "mab", id="1e400-mab"),
+            pytest.param("1" + "0" * 400, "linear", id="1e400-linear"),
+            # the first integer past the largest float
+            pytest.param(str(int(sys.float_info.max) + 1), "mab", id="max-float+1-mab"),
+            pytest.param(str(int(sys.float_info.max) + 1), "linear", id="max-float+1-linear"),
+        ],
+    )
+    def test_tau_below_one_exit_2(self, tmp_path, refused, tau, kind):
         inst = tmp_path / "inst.json"
-        fedpex.save_instance(fedpex.MabInstance(means=(1.0, 0.5), sigma=0.3), inst)
+        main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
         out = tmp_path / "bounds.json"
         assert "--tau" in refused(["bounds", "--instance", str(inst), "--tau", tau, "--out", str(out)])
         assert not out.exists()

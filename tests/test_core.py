@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedpex.baselines import SyncConfig
-from fedpex.runner import run_famabpe
+from fedpex.runner import run_falinpe, run_famabpe
 from fedpex.core import (
     MAX_ABS_MEAN,
     LinearInstance,
@@ -234,6 +234,27 @@ class TestRunConfig:
         # zero noise: cap degenerates to 0, default falls back to 1
         cfg0 = RunConfig(n_agents=10).resolved(5, sigma=0.0)
         assert cfg0.ridge == 1.0
+        # sigma = 1e-160: the default ridge is subnormal and the stop checks'
+        # log argument overflows, so the run is refused instead of never stopping
+        inst = gen_gap_instance_linear(2, 3, 0.4, make_rng(0), sigma=1e-160)
+        with pytest.raises(ValueError, match="overflow"):
+            run_falinpe(inst, RunConfig(n_agents=2, max_rounds=10_000))
+
+    @pytest.mark.parametrize(
+        "fields,sigma,fits,overflows",
+        [
+            # 12/delta * ((1 + gamma) T)^2 passes the largest float near T = 3,300
+            pytest.param({"delta": 1e-300}, None, 1_000, 10_000, id="mab"),
+            # 40 * (1 + (1 + gamma2) T / ridge) passes it near T = 3.8e6
+            pytest.param({"ridge": 1e-300}, 0.3, 1_000_000, 10_000_000, id="linear"),
+        ],
+    )
+    def test_log_argument_checked_at_max_rounds(self, fields, sigma, fits, overflows):
+        # the stop checks' log argument grows with the sample count: the same
+        # values pass under a short round cap and are refused under a long one
+        RunConfig(max_rounds=fits, **fields).resolved(3, sigma)
+        with pytest.raises(ValueError, match="overflow"):
+            RunConfig(max_rounds=overflows, **fields).resolved(3, sigma)
 
     def test_ridge_above_cap_warns(self):
         with pytest.warns(UserWarning):

@@ -184,9 +184,9 @@ def ref_stopping(cov, resp, contexts, c):
     return i + 1, j + 1, float(scores[j])
 
 
-def ref_greedy(cov, contexts, y, sense):
+def ref_greedy(cov, contexts, y):
     vals = np.array([ref_quad_form_inv(cov + np.outer(x, x), y) for x in contexts])
-    return (int(np.argmin(vals)) if sense == "min" else int(np.argmax(vals))) + 1
+    return int(np.argmin(vals)) + 1
 
 
 # The linear message path before a run's values were resolved once: the stop
@@ -230,13 +230,13 @@ def ref_informative_arm_lp(counts, p):
     return best + 1
 
 
-def ref_select_arm_greedy(cov, contexts, y, sense="min"):
+def ref_select_arm_greedy(cov, contexts, y):
     """The per-solve greedy rule: factor cov and whiten y and the contexts afresh."""
     z = forward_sub(cholesky(cov), np.column_stack((y, contexts.T)))
-    return lin.select_arm_greedy(z[:, 0], z[:, 1:], sense)
+    return lin.select_arm_greedy(z[:, 0], z[:, 1:])
 
 
-def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx=None, memo=None):
+def ref_choose(cov, counts, contexts, i, j, arm_select, zx=None, memo=None):
     """The arm from a memo of whole L1 solutions (a fresh one by default), by
     the loop informative_arm_lp; the greedy rule reads zx, or whitens afresh
     when it is not given."""
@@ -251,14 +251,14 @@ def ref_choose(cov, counts, contexts, i, j, arm_select, sense, zx=None, memo=Non
         if memo[(i, j)] is not None:
             return ref_informative_arm_lp(counts, memo[(i, j)].p), False
     if zx is None:
-        return ref_select_arm_greedy(cov, contexts, y, sense), arm_select == "lp"
-    return lin.select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx, sense), arm_select == "lp"
+        return ref_select_arm_greedy(cov, contexts, y), arm_select == "lp"
+    return lin.select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx), arm_select == "lp"
 
 
-def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, sense, memo):
+def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, memo):
     """A fresh x x^T and the trigger limit from float(gamma1) and gamma2's ratio."""
     i, j, _b, zx = stop
-    target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, sense, zx, memo)
+    target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, zx, memo)
     z = zx[:, target - 1]
     q = float(z @ z)
     x = contexts[target - 1]
@@ -313,7 +313,6 @@ def run_of(contexts, arm_select, gamma=Fraction(1, 100)):
         g1=float(gamma),
         limit_ratio=gamma.as_integer_ratio(),
         arm_select=arm_select,
-        greedy_sense="min",
         lp_memo={},
     )
 
@@ -546,26 +545,22 @@ class TestBatchedWidths:
 
 
 class TestShermanMorrisonGreedy:
-    @pytest.mark.parametrize("sense", ["min", "max"])
     @pytest.mark.parametrize("d", DIMS)
-    def test_matches_refactorization(self, d, sense):
+    def test_matches_refactorization(self, d):
         rng = np.random.default_rng(500 + d)
         for _ in range(30):
             cov, _resp, contexts = snapshot(rng, d)
             a, b = rng.choice(len(contexts), size=2, replace=False)
             y = contexts[a] - contexts[b]
-            assert ref_select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
+            assert ref_select_arm_greedy(cov, contexts, y) == ref_greedy(cov, contexts, y)
 
-    @pytest.mark.parametrize("sense", ["min", "max"])
-    def test_duplicate_arms_and_zero_direction(self, sense):
+    def test_duplicate_arms_and_zero_direction(self):
         rng = np.random.default_rng(10)
         cov, _resp, contexts = snapshot(rng, 5, k_arms=6)
         contexts[4] = contexts[1]
         y = contexts[0] - contexts[2]
-        assert ref_select_arm_greedy(cov, contexts, y, sense) == ref_greedy(cov, contexts, y, sense)
-        assert ref_select_arm_greedy(cov, contexts, np.zeros(5), sense) == 1 == ref_greedy(
-            cov, contexts, np.zeros(5), sense
-        )
+        assert ref_select_arm_greedy(cov, contexts, y) == ref_greedy(cov, contexts, y)
+        assert ref_select_arm_greedy(cov, contexts, np.zeros(5)) == 1 == ref_greedy(cov, contexts, np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +616,7 @@ class TestLpMemo:
         zx = forward_sub(cholesky(np.eye(2)), contexts.T)
         memo = {}
         for _ in range(3):
-            arm, fell_back = lin.choose_informative_arm(np.ones(3), contexts, 1, 2, "lp", "min", zx, memo)
+            arm, fell_back = lin.choose_informative_arm(np.ones(3), contexts, 1, 2, "lp", zx, memo)
             assert fell_back and arm == ref_select_arm_greedy(np.eye(2), contexts, np.zeros(2))
         assert len(lp_calls) == 1 and memo == {(1, 2): None}
 
@@ -637,7 +632,7 @@ class TestOneSupportDefinition:
         array = np.array(counts, dtype=np.int64)
         # a memo that holds the pair's support is all the LP branch reads
         eye, memo = np.eye(len(p)), {(1, 2): design_support(p)}
-        via_memo, fell_back = lin.choose_informative_arm(array, eye, 1, 2, "lp", "min", eye, memo)
+        via_memo, fell_back = lin.choose_informative_arm(array, eye, 1, 2, "lp", eye, memo)
         assert not fell_back
         want = ref_informative_arm_lp(counts, p)
         assert ref_informative_arm_lp(array, p) == want
@@ -707,7 +702,7 @@ class TestStopCheckReuse:
             agent, got_fallback = download(server, contexts, stop, arm_select)
             # the former download: factor again, re-solve theta, re-score the pair
             i, j = lin.select_pair_linear(ref_solve(cov, resp), contexts, cov, c)
-            arm, fallback = ref_choose(cov, server.counts, contexts, i, j, arm_select, "min")
+            arm, fallback = ref_choose(cov, server.counts, contexts, i, j, arm_select)
             assert (stop.i, stop.j) == (i, j)
             assert (agent.current_target, got_fallback) == (arm, fallback)
             assert agent.target_q == pytest.approx(quad_form_inv(cov, contexts[arm - 1]), rel=1e-12)
@@ -783,34 +778,31 @@ class TestOneSolvePath:
             close(lin.pair_widths(stop.zx, i), want, want.max())
             assert lin.pair_widths(stop.zx, i)[i] == 0.0
 
-    @pytest.mark.parametrize("sense", ["min", "max"])
     @pytest.mark.parametrize("d", DIMS)
-    def test_greedy_scores(self, d, sense):
+    def test_greedy_scores(self, d):
         rng = np.random.default_rng(900 + d)
-        pick = np.argmin if sense == "min" else np.argmax
         for _ in range(30):
             cov, resp, contexts = snapshot(rng, d)
             _server, stop = stop_at(cov, resp, contexts, 1.0)
             zx = stop.zx
             a, b = rng.choice(len(contexts), size=2, replace=False)
             y = contexts[a] - contexts[b]
-            got = lin.select_arm_greedy(zx[:, a] - zx[:, b], zx, sense)
-            assert got == ref_greedy(cov, contexts, y, sense)
+            got = lin.select_arm_greedy(zx[:, a] - zx[:, b], zx)
+            assert got == ref_greedy(cov, contexts, y)
             vals = np.array([ref_quad_form_inv(cov + np.outer(x, x), y) for x in contexts])
-            close(vals[got - 1], vals[pick(vals)], vals.max())
+            close(vals[got - 1], vals.min(), vals.max())
             # a zero direction scores every arm 0 and picks arm 1
-            zero = lin.select_arm_greedy(zx[:, a] - zx[:, a], zx, sense)
-            assert zero == 1 == ref_greedy(cov, contexts, np.zeros(d), sense)
+            zero = lin.select_arm_greedy(zx[:, a] - zx[:, a], zx)
+            assert zero == 1 == ref_greedy(cov, contexts, np.zeros(d))
 
-    @pytest.mark.parametrize("sense", ["min", "max"])
-    def test_duplicate_pair_falls_back_to_arm_1(self, sense):
+    def test_duplicate_pair_falls_back_to_arm_1(self):
         rng = np.random.default_rng(11)
         cov, resp, contexts = snapshot(rng, 5, k_arms=7)
         contexts[5] = contexts[2]
         _server, stop = stop_at(cov, resp, contexts, 1.0)
         counts = np.ones(7, dtype=np.int64)
-        got = lin.choose_informative_arm(counts, contexts, 3, 6, "lp", sense, stop.zx, {})
-        assert got == ref_choose(cov, counts, contexts, 3, 6, "lp", sense) == (1, True)
+        got = lin.choose_informative_arm(counts, contexts, 3, 6, "lp", stop.zx, {})
+        assert got == ref_choose(cov, counts, contexts, 3, 6, "lp") == (1, True)
 
     @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
     @pytest.mark.parametrize("d", DIMS)
@@ -823,7 +815,7 @@ class TestOneSolvePath:
             agent, fallback = download(server, contexts, stop, arm_select)
             arm, q = agent.current_target, agent.target_q
             # the per-solve path: the greedy rule factors cov and solves again
-            want = ref_choose(cov, server.counts, contexts, stop.i, stop.j, arm_select, "min")
+            want = ref_choose(cov, server.counts, contexts, stop.i, stop.j, arm_select)
             assert (arm, fallback) == want
             assert q == pytest.approx(ref_quad_form_inv(cov, contexts[arm - 1]), rel=RTOL)
 
@@ -869,18 +861,16 @@ class TestMessagePathAgainstSlowComposition:
     fresh right-hand side, c_scalar and the trigger limit on Fractions, and
     the loop informative_arm_lp."""
 
-    @pytest.mark.parametrize("sense", ["min", "max"])
     @pytest.mark.parametrize("arm_select", ["lp", "greedy"])
     @pytest.mark.parametrize("d,k", [(3, 5), (5, 5), (10, 20)])
-    def test_bit_equal(self, d, k, arm_select, sense):
+    def test_bit_equal(self, d, k, arm_select):
         rng = np.random.default_rng(1200 + 10 * d + k)
         inst = crafted_linear(rng, d, k)
         configs = [
-            RunConfig(n_agents=10, arm_select=arm_select, greedy_sense=sense),
-            RunConfig(n_agents=3, delta=0.01, gamma1=0.37, gamma2=Fraction(2, 13), arm_select=arm_select,
-                      greedy_sense=sense),
+            RunConfig(n_agents=10, arm_select=arm_select),
+            RunConfig(n_agents=3, delta=0.01, gamma1=0.37, gamma2=Fraction(2, 13), arm_select=arm_select),
         ]
-        seen = {"fallback": 0, "q0": 0, "tied": 0}
+        seen = {"fallback": 0, "tied": 0}
         for config in configs:
             fam = LinearFamily(inst, config)
             cfg, memo = fam.cfg, {}
@@ -894,22 +884,17 @@ class TestMessagePathAgainstSlowComposition:
                 assert (stop.i, stop.j, stop.b.hex()) == (want.i, want.j, want.b.hex())
                 assert stop.zx.tobytes() == want.zx.tobytes()
                 agent, fallback = fam.download(server, stop)
-                ref, ref_fallback = ref_download(
-                    server, fam.contexts, want, cfg.gamma1, cfg.gamma2, arm_select, sense, memo
-                )
+                ref, ref_fallback = ref_download(server, fam.contexts, want, cfg.gamma1, cfg.gamma2, arm_select, memo)
                 assert (agent.current_target, fallback) == (ref.current_target, ref_fallback)
                 assert (agent.target_q.hex(), agent.trigger_limit) == (ref.target_q.hex(), ref.trigger_limit)
                 # the agent holds the server state itself, not a copy of its fields
                 assert agent.snapshot is server and not hasattr(agent, "pending")
                 seen["fallback"] += fallback
-                seen["q0"] += agent.target_q == 0.0
                 seen["tied"] += kind == "tied" and stop.i == 1
         # the edge cases were reached, not only the common path
         assert seen["tied"] > 0
         if arm_select == "lp":
             assert seen["fallback"] > 0
-        if arm_select == "greedy" and sense == "max":
-            assert seen["q0"] > 0
 
 
 class TestDriverFactorizationAssumptions:
@@ -1738,7 +1723,7 @@ def ref_run_falinpe(instance, config, audit_log):
     agents, fallbacks = [], 0
     for _ in range(m_agents):
         agent, fb = ref_download(
-            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
+            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
         )
         agents.append(agent)
         fallbacks += int(fb)
@@ -1771,7 +1756,7 @@ def ref_run_falinpe(instance, config, audit_log):
                 comm += 1
                 downloads += 1
                 agents[m], fb = ref_download(
-                    server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
+                    server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
                 )
                 fallbacks += int(fb)
                 target = agents[m].current_target
@@ -1941,7 +1926,7 @@ def ref_run_sync_linear(instance, config):
             stopped, best_est = True, stop.i
             break
         agent, fb = ref_download(
-            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, cfg.greedy_sense, memo
+            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
         )
         new_target = agent.current_target
         fallbacks += int(fb)

@@ -119,10 +119,10 @@ class TestSelectPairLinear:
         assert i == 1 and j == 2
 
 
-def greedy(cov, contexts, y, sense="min"):
+def greedy(cov, contexts, y):
     """select_arm_greedy on y and the contexts whitened by cov's Cholesky factor."""
     z = forward_sub(cholesky(cov), np.column_stack((y, contexts.T)))
-    return select_arm_greedy(z[:, 0], z[:, 1:], sense)
+    return select_arm_greedy(z[:, 0], z[:, 1:])
 
 
 class TestSelectArmGreedy:
@@ -140,11 +140,6 @@ class TestSelectArmGreedy:
     def test_zero_direction_low_index(self):
         contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert greedy(np.eye(2), contexts, np.zeros(2)) == 1
-
-    def test_max_sense_flips_choice(self):
-        contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        y = np.array([0.0, 1.0])
-        assert greedy(np.diag([100.0, 1.0]), contexts, y, sense="max") == 1
 
 
 class TestHybridTrigger:

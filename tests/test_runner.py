@@ -164,19 +164,6 @@ class TestRunFalinpe:
         b = run_falinpe(inst, cfg, audit=True)
         assert a.to_json() == b.to_json()
 
-    def test_greedy_sense_max_supported(self):
-        # the literal maximizing rule keeps pulling the least helpful arm and
-        # typically stalls, which is the point of offering it for comparison;
-        # a capped run must come back cleanly either way
-        inst = gen_gap_instance_linear(2, 3, 0.4, make_rng(24))
-        cfg = RunConfig(
-            n_agents=2, seed=5, epsilon=0.1, arm_select="greedy", greedy_sense="max", max_rounds=5000
-        )
-        res = run_falinpe(inst, cfg)
-        assert res.tau <= 5000 and sum(res.pulls_per_arm) == res.tau
-        min_cfg = RunConfig(n_agents=2, seed=5, epsilon=0.1, arm_select="greedy", greedy_sense="min")
-        assert run_falinpe(inst, min_cfg).terminated
-
     def test_lp_pulls_stay_in_design_support(self):
         # with the LP selector every pulled arm lies in some pair's support;
         # sanity-proxy: runs finish and never fall back on generated instances
