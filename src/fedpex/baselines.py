@@ -21,7 +21,10 @@ import numpy as np
 from . import linear as lin
 from . import mab
 from .core import MabInstance, RunConfig, RunResult, make_rng
-from .runner import MAX_BLOCK, bandit_family, run_falinpe, run_famabpe, run_result
+from .runner import bandit_family, run_falinpe, run_famabpe, run_result
+
+# run_synchronous draws at most MAX_BLOCK rounds at once, bounding its memory
+MAX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -65,26 +68,22 @@ def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     """Synchronous baseline with full sharing every episode_len global rounds."""
     fam = bandit_family(instance, sync_config)
-    cfg, linear, means = fam.cfg, fam.linear, np.asarray(instance.means)
+    cfg, means = fam.cfg, np.asarray(instance.means)
     k = instance.k_arms
     m_agents = cfg.n_agents
     episode = cfg.episode_len
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
 
-    if linear:
+    if fam.linear:
         dim = instance.dim
         server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
-        pend_cov = np.zeros((m_agents, dim, dim))
-        pend_resp = np.zeros((m_agents, dim))
-        buffers = (pend_cov, pend_resp)
     else:
         server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
-        pend_sums = np.zeros((m_agents, k))
-        buffers = (pend_sums,)
-    pend_counts = np.zeros((m_agents, k), dtype=np.int64)
+    # each agent's reward sum and pull count per arm since the last merge
+    pend_sums, pend_counts = np.zeros((m_agents, k)), np.zeros((m_agents, k), dtype=np.int64)
     target: int | None = None  # the common frozen target of every agent
-    tau = g = synced = 0  # synced: the global round of the last merge
+    tau = g = 0
     comm = init_comm = switches = downloads = fallbacks = 0
     final = None  # the stop check that stops the run, if one does
 
@@ -102,14 +101,7 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
             rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, MAX_BLOCK)
             who, arms = slice(None), target - 1
         rewards = means[arms] + instance.sigma * rng.standard_normal((rounds, m_agents))
-        if linear:
-            # on a common arm every agent's buffer has held the same x x^T terms
-            # since the last merge, so the first agent's fold is everyone's
-            cov = pend_cov if np.ndim(arms) else pend_cov[0]
-            pend_cov[:] = _fold(cov, np.broadcast_to(fam.outers[arms], (rounds, *cov.shape)))
-            pend_resp[:] = _fold(pend_resp, rewards[:, :, None] * fam.contexts[arms])
-        else:
-            pend_sums[who, arms] = _fold(pend_sums[who, arms], rewards)
+        pend_sums[who, arms] = _fold(pend_sums[who, arms], rewards)
         pend_counts[who, arms] += rounds
         tau += rounds * m_agents
         g += rounds
@@ -118,16 +110,12 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         at_init = g == warmup
         if not (at_sync or at_init):
             continue
-        # every agent pulled once per global round since the last merge
-        n, synced = g - synced, g
+        # each agent uploads, for every arm it pulled, its pulls and their sum
         for m in range(m_agents):
-            if linear:
-                server = lin.server_merge_linear(server, pend_cov[m], pend_resp[m], server.counts + pend_counts[m], n)
-            else:
-                for a in np.flatnonzero(pend_counts[m]):
-                    server = mab.server_merge_mab(server, a + 1, int(pend_counts[m, a]), float(pend_sums[m, a]))
-        for buf in (*buffers, pend_counts):
-            buf[:] = 0
+            for a in np.flatnonzero(pend_counts[m]):
+                server = fam.merge(server, a + 1, int(pend_counts[m, a]), float(pend_sums[m, a]))
+        pend_sums[:] = 0
+        pend_counts[:] = 0
         if at_sync:
             comm += 2 * m_agents
         else:

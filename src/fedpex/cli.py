@@ -240,10 +240,13 @@ def cmd_bounds(args) -> int:
     inst = load_instance(args.instance)
     config = RunConfig(n_agents=args.agents, **{name: getattr(args, name) for name in _SHARED})
     report = compute_theory_diagnostics(inst, config, tau=args.tau)
+    # the linear bound's tau / (ridge d) can overflow at a finite tau
+    if not math.isfinite(report.get("comm_bound", 0.0)):
+        raise ValueError("--tau is too large: the communication bound overflows a float")
     report["instance"] = args.instance
     if math.isinf(report["complexity"]):
         report["complexity"] = "+inf"
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

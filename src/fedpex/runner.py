@@ -10,9 +10,10 @@ terminated run.
 An agent of either family is one mab.AgentState, what its last download
 fixed; every agent holds the one state that set-up downloads. The driver
 keeps each agent's buffer of unsent rewards: the round loop appends each
-reward to it and compares its length with the agent's limit, and the
-family's merge alone turns a buffer into server statistics. Everything
-else, the audit and the audit log included, happens at uploads.
+reward to it and compares its length with the agent's limit. An upload is
+n pulls of the agent's one target, so either family's merge takes the
+arm, n and the rewards' sum. Everything else, the audit and the audit log
+included, happens at uploads.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .core import (
 )
 from .design_lp import solve_l1
 from .stream import ActivationSchedule
-
-# The drivers draw or fold at most MAX_BLOCK pulls at once, which bounds their
-# memory however long an episode or an agent's buffer is.
-MAX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,9 @@ class MabFamily:
         rewards = np.array([sample_reward_mab(self.instance, a, rng) for a in range(1, k + 1)])
         return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
 
-    def merge(self, server, ag, rewards):
-        """`server` with agent `ag`'s buffered rewards added left to right
-        (builtin sum() compensates float sums from Python 3.12 on, which
-        changes the bits)."""
-        return mab.server_merge_mab(server, ag.current_target, len(rewards), reduce(add, rewards, 0.0))
+    def merge(self, server, arm, n, reward_sum):
+        """`server` with an upload of n pulls of `arm` whose rewards sum to `reward_sum`."""
+        return mab.server_merge_mab(server, arm, n, reward_sum)
 
     def stop(self, server):
         """(i, j, B, bonuses) of a server state."""
@@ -171,23 +166,13 @@ class LinearFamily:
             resp += reward * x
         return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
 
-    def merge(self, server, ag, rewards):
-        """`server` with n x x^T and the sum of r x over agent `ag`'s buffered
-        rewards added, each summed from zero in pull order as per-pull adds
-        would: the rows [x x^T; r x] of at most MAX_BLOCK pulls at a time,
-        carried in row 0."""
-        a, n, d = ag.current_target - 1, len(rewards), self.instance.dim
-        block = np.zeros((min(n, MAX_BLOCK) + 1, d + 1, d))
-        for lo in range(0, n, MAX_BLOCK):
-            part = rewards[lo : lo + MAX_BLOCK]
-            rows = block[: len(part) + 1]
-            rows[1:, :d] = self.outers[a]
-            np.multiply(np.array(part)[:, None], self.contexts[a], out=rows[1:, d])
-            np.add.accumulate(rows, axis=0, out=rows)
-            block[0] = rows[-1]
+    def merge(self, server, arm, n, reward_sum):
+        """`server` with an upload of n pulls of `arm`, context x: n x x^T and
+        reward_sum x added, as the audit adds them."""
+        a = arm - 1
         counts = server.counts.copy()
         counts[a] += n
-        return lin.server_merge_linear(server, block[0, :d], block[0, d], counts, n)
+        return lin.server_merge_linear(server, n * self.outers[a], reward_sum * self.contexts[a], counts, n)
 
     def stop(self, server):
         """The StopCheck (i, j, B, whitened contexts) of a server state, at
@@ -248,7 +233,7 @@ class Audit:
         # each agent's download record (state, (target, snapshot bytes), agent),
         # set-up's one record shared by all M; the latest record; the per-arm
         # count of the initial and the uploaded pulls; and the linear family's
-        # covariance and response of every pull sent
+        # covariance and response, summed as its merge sums them
         self.fam, self.pulls = fam, server.counts.tolist()
         self.records = [self.download(agents[0], 0)] * len(agents)
         self.latest = self.records[0]
@@ -282,8 +267,9 @@ class Audit:
     def check(self, server, buffers, tau, records):
         """The server's cached values; conservation over every agent, where
         the audit's own tally counts the initial and the uploaded pulls of
-        each arm and the buffers hold the rest of tau; and the downloads of
-        `records` (by id) as they were downloaded."""
+        each arm and the buffers hold the rest of tau, and the linear sums
+        are the audit's own to the bit; and the downloads of `records` (by
+        id) as they were downloaded."""
         if server.counts_total != int(server.counts.sum()):
             raise AuditError("server cached total diverged")
         if server.counts.tolist() != self.pulls or server.counts_total + sum(map(len, buffers)) != tau:
@@ -291,7 +277,7 @@ class Audit:
         if self.sums is None:
             if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
                 raise AuditError("server's carried 2/counts diverged")
-        elif np.abs(server.cov - self.sums[0]).max() > 1e-9 or np.abs(server.resp - self.sums[1]).max() > 1e-9:
+        elif server.cov.tobytes() != self.sums[0].tobytes() or server.resp.tobytes() != self.sums[1].tobytes():
             raise AuditError("covariance or response conservation violated")
         for ag, seen, m in records.values():
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
@@ -358,7 +344,8 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
                 arm = ag.current_target
                 comm += 1  # upload
                 buffers[m] = []
-                server = fam.merge(server, ag, buf)
+                # not sum(), which compensates float sums from Python 3.12 on
+                server = fam.merge(server, arm, len(buf), reduce(add, buf, 0.0))
                 check = fam.stop(server)
                 if check[2] <= epsilon:
                     stopped, target = True, None

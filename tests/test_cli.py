@@ -476,6 +476,17 @@ class TestBounds:
         assert "--tau" in refused(["bounds", "--instance", str(inst), "--tau", tau, "--out", str(out)])
         assert not out.exists()
 
+    def test_overflowing_linear_bound_exit_2(self, tmp_path, refused):
+        # tau / (ridge d) overflows a float at tau = 10^307, ridge 0.001, d = 2;
+        # the report held "comm_bound": Infinity, which is not JSON
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", "linear", "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
+        out = tmp_path / "bounds.json"
+        args = ["bounds", "--instance", str(inst), "--lambda", "0.001", "--tau", "1" + "0" * 307]
+        assert "--tau" in refused(args)
+        assert "--tau" in refused(args + ["--out", str(out)])
+        assert not out.exists()
+
     def test_json_file_output(self, tmp_path):
         import fedpex
 

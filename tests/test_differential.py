@@ -10,7 +10,8 @@ fixed at download. For famabpe: the driver with K-length pending arrays per
 agent, the exact rational trigger, the masked server merge, a stop check
 that computes the widths from the counts and B from numpy scalars, and a
 download that recomputes the target from the snapshot. For both families' merges:
-buffers that add every pull as it happens. For the pull path: drivers
+reward sums that add every pull as it happens, merged for falinpe by a
+second copy of its rule (n x x^T and the sum times x). For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
 `sample_reward_*`, one pull at a time, including the per-round synchronous
 loops that the block-drawn episodes replaced.
@@ -20,16 +21,17 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedpex import baselines, linalg, runner, stream
+from fedpex import baselines, linalg, stream
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
@@ -54,7 +56,6 @@ from fedpex.design_lp import (
 )
 from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
-    MAX_BLOCK,
     ActivationSchedule,
     AuditRecord,
     LinearFamily,
@@ -140,18 +141,15 @@ def ref_trigger(agent, n, x, gamma1, gamma2):
 
 @dataclass
 class RefLinAgent:
-    """A reference driver's agent: a copy of its snapshot's fields and
-    buffers that add every pull as it happens."""
+    """A reference driver's agent: a copy of its snapshot's fields and a
+    reward sum that adds every pull as it happens."""
 
     cov: np.ndarray
     counts: np.ndarray
-    pending_cov: np.ndarray  # sum of x x^T over the pulls not yet uploaded
-    pending_resp: np.ndarray  # sum of r x over the same pulls
+    pending_sum: float  # sum of the rewards not yet uploaded
     current_target: int
     counts_total: int
     pending_total: int
-    target_context: np.ndarray
-    target_outer: np.ndarray
     target_q: float
     trigger_limit: int
 
@@ -256,24 +254,20 @@ def ref_choose(cov, counts, contexts, i, j, arm_select, zx=None, memo=None):
 
 
 def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, memo):
-    """A fresh x x^T and the trigger limit from float(gamma1) and gamma2's ratio."""
+    """A fresh agent: its target, q and the trigger limit from float(gamma1)
+    and gamma2's ratio."""
     i, j, _b, zx = stop
     target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, zx, memo)
     z = zx[:, target - 1]
     q = float(z @ z)
-    x = contexts[target - 1]
-    d = len(x)
     limit = lin.trigger_limit_linear(server.counts_total, q, float(gamma1), gamma2.as_integer_ratio())
     agent = RefLinAgent(
         cov=server.cov,
         counts=server.counts,
-        pending_cov=np.zeros((d, d)),
-        pending_resp=np.zeros(d),
+        pending_sum=0.0,
         current_target=target,
         counts_total=server.counts_total,
         pending_total=0,
-        target_context=x,
-        target_outer=x[:, None] * x,
         target_q=q,
         trigger_limit=limit,
     )
@@ -965,11 +959,11 @@ class TestGufuncsAgainstPublicCalls:
 # Each family's merge against per-pull adds
 # ---------------------------------------------------------------------------
 
-# buffer lengths on both sides of one and two fold blocks
-MERGE_LENGTHS = (1, 2, 3, 17, MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1, 2 * MAX_BLOCK + 5, 5_000)
+# buffer lengths from one pull to thousands
+MERGE_LENGTHS = (1, 2, 3, 17, 1023, 1024, 1025, 2053, 5_000)
 
-# contexts with exact zero components under a negative reward: the products
-# r x hold -0.0, which a sum from +0.0 turns into +0.0
+# contexts with exact zero components under a negative reward sum: the
+# products reward_sum x hold -0.0, which a sum from +0.0 turns into +0.0
 SIGNED_ZERO_CONTEXTS = np.array([[0.8, 0.0, -0.5], [0.0, -0.9, 0.25], [0.6, 0.0, 0.0]])
 SIGNED_ZERO_THETA = np.array([-0.3, 0.5, 0.1])  # means -0.29, -0.425 and -0.18
 
@@ -979,9 +973,25 @@ def buffered(fam, rng, arm, n):
     return [fam.instance.means[arm - 1] + fam.instance.sigma * z for z in rng.standard_normal(n).tolist()]
 
 
+def upload(fam, server, arm, rewards):
+    """The family's merge of a buffer of `arm`, as the round loop calls it."""
+    return fam.merge(server, arm, len(rewards), reduce(add, rewards, 0.0))
+
+
+def ref_merge_linear(server, contexts, arm, n, reward_sum):
+    """The linear merge rule: n pulls of `arm`, whose context is x and whose
+    rewards sum to reward_sum, add n x x^T to cov and reward_sum x to resp."""
+    x = contexts[arm - 1]
+    counts = server.counts.copy()
+    counts[arm - 1] += n
+    return lin.LinServerState(server.cov + n * np.outer(x, x), server.resp + reward_sum * x, counts,
+                              server.counts_total + n)
+
+
 class TestMergeAgainstPerPullAdds:
-    """MabFamily.merge and LinearFamily.merge fold an agent's buffer into the
-    bytes that per-pull adds to buffers held since the download give."""
+    """MabFamily.merge and LinearFamily.merge, given a buffer's reward sum
+    as the round loop sums it, give the bytes of a sum that adds every pull
+    as it happens, merged by each family's rule."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("n", MERGE_LENGTHS)
@@ -996,7 +1006,7 @@ class TestMergeAgainstPerPullAdds:
                 sums[arm - 1] += reward
                 counts[arm - 1] += 1
             want = ref_merge_mab(server, sums, counts)
-            got = fam.merge(server, mab.AgentState(server, arm, n - 1), rewards)
+            got = upload(fam, server, arm, rewards)
             assert got.mean_est.tobytes() == want.mean_est.tobytes()
             assert got.counts.tobytes() == want.counts.tobytes() and got.counts_total == want.counts_total
             assert got.two_over_counts.tobytes() == want.two_over_counts.tobytes()
@@ -1011,7 +1021,7 @@ class TestMergeAgainstPerPullAdds:
         for reward in [-0.0] * n:
             sums[1] += reward
         want = ref_merge_mab(server, sums, np.array([0, n]))
-        got = fam.merge(server, mab.AgentState(server, 2, n - 1), [-0.0] * n)
+        got = upload(fam, server, 2, [-0.0] * n)
         assert got.mean_est.tobytes() == want.mean_est.tobytes()
         assert not np.signbit(got.mean_est[1])
 
@@ -1021,53 +1031,25 @@ class TestMergeAgainstPerPullAdds:
         inst = LinearInstance(contexts=SIGNED_ZERO_CONTEXTS, theta=SIGNED_ZERO_THETA, sigma=sigma)
         fam = LinearFamily(inst, RunConfig(n_agents=3))
         rng = make_rng(n)
-        # a response of -0.0, which no run reaches, shows a fold's start: only
-        # a sum from +0.0 turns -0.0 + (products of -0.0) into +0.0
+        # a response of -0.0, which no run reaches, shows that the merge adds
+        # reward_sum x to resp itself: -0.0 + (-0.0) stays -0.0, where a sum
+        # from +0.0 would give +0.0
         server = replace(fam.init(rng), resp=np.full(3, -0.0))
         negative_zeros = 0
         for arm in range(1, 4):
             x, rewards = SIGNED_ZERO_CONTEXTS[arm - 1], buffered(fam, rng, arm, n)
-            pending_cov, pending_resp = np.zeros((3, 3)), np.zeros(3)
+            reward_sum = 0.0
             for reward in rewards:
-                pending_cov += np.outer(x, x)
-                product = reward * x
-                negative_zeros += int((np.signbit(product) & (product == 0.0)).sum())
-                pending_resp += product
-            counts = server.counts.copy()
-            counts[arm - 1] += n
-            want = lin.server_merge_linear(server, pending_cov, pending_resp, counts, n)
-            got = fam.merge(server, mab.AgentState(server, arm, n - 1), rewards)
+                reward_sum += reward
+            product = reward_sum * x
+            negative_zeros += int((np.signbit(product) & (product == 0.0)).sum())
+            want = ref_merge_linear(server, SIGNED_ZERO_CONTEXTS, arm, n, reward_sum)
+            got = upload(fam, server, arm, rewards)
             for name in ("cov", "resp", "counts"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.counts_total == want.counts_total
             server = got
         assert negative_zeros > 0
-
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_linear_across_many_blocks(self, block, monkeypatch):
-        """Small blocks carry the partial sums across many block boundaries."""
-        inst = LinearInstance(contexts=SIGNED_ZERO_CONTEXTS, theta=SIGNED_ZERO_THETA, sigma=0.7)
-        fam = LinearFamily(inst, RunConfig(n_agents=3))
-        server = fam.init(make_rng(block))
-        rewards = buffered(fam, make_rng(block + 1), 2, 40)
-        want = fam.merge(server, mab.AgentState(server, 2, 0), rewards)
-        monkeypatch.setattr(runner, "MAX_BLOCK", block)
-        got = fam.merge(server, mab.AgentState(server, 2, 0), rewards)
-        assert (got.cov.tobytes(), got.resp.tobytes()) == (want.cov.tobytes(), want.resp.tobytes())
-
-    def test_linear_fold_memory_is_one_block(self):
-        # 20,000 pulls at d = 10 would be a 17.6 MB stack; one block is 0.9 MB
-        inst = gen_gap_instance_linear(10, 20, 0.3, make_rng(3), sigma=0.3)
-        fam = LinearFamily(inst, RunConfig(n_agents=3))
-        server = fam.init(make_rng(4))
-        agent, rewards = mab.AgentState(server, 5, 0), buffered(fam, make_rng(5), 5, 20_000)
-        tracemalloc.start()
-        try:
-            fam.merge(server, agent, rewards)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
 
 
 @pytest.fixture
@@ -1735,17 +1717,13 @@ def ref_run_falinpe(instance, config, audit_log):
         m = ref_next_agent(cfg.activation, m_agents, tau, k, rng)
         ag = agents[m]
         arm = ag.current_target
-        reward = sample_reward_linear(instance, arm, rng)
-        ag.pending_cov += ag.target_outer
-        ag.pending_resp += reward * ag.target_context
+        ag.pending_sum += sample_reward_linear(instance, arm, rng)
         ag.pending_total += 1
         pulls[arm - 1] += 1
         if ref_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2):
             comm += 1
-            counts = np.zeros(k, dtype=np.int64)
-            counts[arm - 1] = ag.pending_total  # every pending pull was of the frozen target
-            counts += server.counts
-            server = lin.server_merge_linear(server, ag.pending_cov, ag.pending_resp, counts, ag.pending_total)
+            # every pending pull was of the frozen target
+            server = ref_merge_linear(server, contexts, arm, ag.pending_total, ag.pending_sum)
             stop = ref_stop_check(
                 server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
             )
@@ -1885,8 +1863,7 @@ def ref_run_sync_linear(instance, config):
     warmup = math.ceil(k / m_agents)
     memo: dict = {}
     server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
-    pend_cov = [np.zeros((dim, dim)) for _ in range(m_agents)]
-    pend_resp = [np.zeros(dim) for _ in range(m_agents)]
+    pend_sums = [np.zeros(k) for _ in range(m_agents)]
     pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
     targets = [None] * m_agents
     pulls = np.zeros(k, dtype=np.int64)
@@ -1896,10 +1873,7 @@ def ref_run_sync_linear(instance, config):
         g += 1
         for m in range(m_agents):
             arm = ((g - 1) * m_agents + m) % k + 1 if g <= warmup else targets[m]
-            x = contexts[arm - 1]
-            reward = sample_reward_linear(instance, arm, rng)
-            pend_cov[m] += np.outer(x, x)
-            pend_resp[m] += reward * x
+            pend_sums[m][arm - 1] += sample_reward_linear(instance, arm, rng)
             pend_counts[m][arm - 1] += 1
             pulls[arm - 1] += 1
             tau += 1
@@ -1907,11 +1881,9 @@ def ref_run_sync_linear(instance, config):
         if not (at_sync or at_init):
             continue
         for m in range(m_agents):
-            server = lin.server_merge_linear(
-                server, pend_cov[m], pend_resp[m], server.counts + pend_counts[m], int(pend_counts[m].sum())
-            )
-            pend_cov[m][:] = 0.0
-            pend_resp[m][:] = 0.0
+            for a in np.flatnonzero(pend_counts[m]):
+                server = ref_merge_linear(server, contexts, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
+            pend_sums[m][:] = 0.0
             pend_counts[m][:] = 0
         if at_sync:
             comm += 2 * m_agents

@@ -171,6 +171,14 @@ class TestRunFalinpe:
         res = run_falinpe(inst, RunConfig(n_agents=3, seed=6, epsilon=0.05, arm_select="lp"))
         assert res.lp_fallbacks == 0 and res.terminated
 
+    def test_long_audited_run_keeps_conservation(self):
+        # the sums grow past 1e5 here, where a per-pull fold of x x^T and r x
+        # differs from n x x^T and (sum r) x by more than 1e-9; the audit's
+        # sums are the merge's own operations, so they stay equal to the bit
+        inst = gen_gap_instance_linear(5, 5, 0.01, make_rng(0), sigma=1.0)
+        res = run_falinpe(inst, RunConfig(n_agents=10, seed=0, epsilon=0.0, max_rounds=700_000), audit=True)
+        assert res.tau == 700_000 and not res.terminated
+
 
 class TestSetUpIsOneDownload:
     """Every agent holds the one download of the initialized state: set-up
@@ -219,8 +227,8 @@ class TestAuditCatchesWrites:
         # into the state before each merge, which other agents may still hold
         merge = LinearFamily.merge
 
-        def writing(self, server, ag, rewards):
-            out = merge(self, server, ag, rewards)
+        def writing(self, server, arm, n, reward_sum):
+            out = merge(self, server, arm, n, reward_sum)
             server.cov[0, 0] = np.nextafter(server.cov[0, 0], np.inf)
             return out
 
@@ -282,21 +290,41 @@ class TestAuditCatchesMutations:
     def test_merge_that_drops_one_pull(self, family, run, monkeypatch):
         merge = family.merge
 
-        def dropping(self, server, ag, rewards):
-            return merge(self, server, ag, rewards[:-1])
+        def dropping(self, server, arm, n, reward_sum):
+            return merge(self, server, arm, n - 1, reward_sum)
 
         monkeypatch.setattr(family, "merge", dropping)
         with pytest.raises(AuditError, match="count conservation"):
             run(audit=True)
 
     def test_linear_merge_that_drops_the_last_reward(self, monkeypatch):
+        mutate_driver(monkeypatch, "reduce(add, buf, 0.0)", "reduce(add, buf[:-1], 0.0)")
+        with pytest.raises(AuditError, match="response conservation"):
+            linear_run(audit=True)
+
+    def test_linear_merge_one_ulp_off(self, monkeypatch):
+        # one ulp of the reward sum, far below any absolute float tolerance
         merge = LinearFamily.merge
 
-        def dropping(self, server, ag, rewards):
-            return merge(self, server, ag, rewards[:-1] + [0.0])
+        def off(self, server, arm, n, reward_sum):
+            return merge(self, server, arm, n, np.nextafter(reward_sum, np.inf))
 
-        monkeypatch.setattr(LinearFamily, "merge", dropping)
+        monkeypatch.setattr(LinearFamily, "merge", off)
         with pytest.raises(AuditError, match="response conservation"):
+            linear_run(audit=True)
+
+    def test_linear_merge_covariance_one_ulp_off(self, monkeypatch):
+        # one ulp of the merged covariance's first entry, in a fresh array
+        merge = LinearFamily.merge
+
+        def off(self, server, arm, n, reward_sum):
+            out = merge(self, server, arm, n, reward_sum)
+            cov = out.cov.copy()
+            cov[0, 0] = np.nextafter(cov[0, 0], np.inf)
+            return replace(out, cov=cov)
+
+        monkeypatch.setattr(LinearFamily, "merge", off)
+        with pytest.raises(AuditError, match="covariance or response conservation"):
             linear_run(audit=True)
 
     @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
@@ -329,9 +357,9 @@ class TestAuditCatchesMutations:
         # latest download holds
         merge, calls = family.merge, []
 
-        def writing(self, server, ag, rewards):
+        def writing(self, server, *upload):
             calls.append(1)
-            out = merge(self, server, ag, rewards)
+            out = merge(self, server, *upload)
             if len(calls) == 3:
                 write_one_ulp(server)
             return out
@@ -355,14 +383,14 @@ class TestAuditCatchesMutations:
         log, seen = [], set()
         run(inst, config, audit_log=log)
         last = next(i for i, rec in enumerate(log) if rec.agent in seen or seen.add(rec.agent))
-        cut, merge, uploaders = replace(config, max_rounds=log[last].t), family.merge, []
+        cut, merge, merged = replace(config, max_rounds=log[last].t), family.merge, []
 
-        def writing(self, server, ag, rewards):
-            uploaders.append(ag)
-            # the first upload is always made on set-up's download
-            if len(uploaders) == last + 1:
-                write_one_ulp(uploaders[0].snapshot)
-            return merge(self, server, ag, rewards)
+        def writing(self, server, *upload):
+            merged.append(server)
+            # the first upload merges into set-up's state, the download it was made on
+            if len(merged) == last + 1:
+                write_one_ulp(merged[0])
+            return merge(self, server, *upload)
 
         monkeypatch.setattr(family, "merge", writing)
         log = []
