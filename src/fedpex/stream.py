@@ -6,6 +6,8 @@ way.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .core import Rng
@@ -14,7 +16,7 @@ from .core import Rng
 # XSL-RR of the new state: its high half xor its low half, rotated right by
 # its top six bits. A state whose high half is 0 outputs its low half.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_BLOCK_TRIPLETS = 128  # A N N word triplets per uniform block, two rounds each
+_CHUNK = 4096  # raw words decoded per uniform block, or normals per other block
 _LOW32, _LOW9, _LOW52 = np.uint64(0xFFFFFFFF), np.uint64(0x1FF), np.uint64((1 << 52) - 1)
 _SHIFT32, _SHIFT9 = np.uint64(32), np.uint64(9)
 _ziggurat = None  # numpy's (wi, ki) ziggurat tables, read on first use
@@ -41,6 +43,7 @@ class ActivationSchedule:
         self.n_agents = n_agents
         self._next = 0
         self._threshold = ((1 << 32) - n_agents) % n_agents
+        self._spare = None  # the Generator that draws slow normals, built on first use
 
     def block(self, rng: Rng, n: int) -> tuple[list, list]:
         """The active agents and standard normals of the next rounds, at most
@@ -51,54 +54,122 @@ class ActivationSchedule:
         marked used, which it never reads). rng must run on PCG64, as
         make_rng's does; on another bit generator each call draws one round.
 
-        A uniform round with M > 1 takes a 32-bit half of a buffered 64-bit
-        word and then whole words, so the block decodes raw PCG64 words: from
-        an empty buffer they run A N N A N N ..., an A word serving two
-        rounds (low half, then high half), and a full buffer puts one round
-        first, N A N N .... Rounds are taken up to the first irregular one,
-        an activation that redraws or a normal off the ziggurat's fast path;
-        that round is drawn per round from its first word by numpy's own calls.
+        A uniform round with M > 1 takes 32-bit halves of buffered 64-bit
+        words and then whole words, so the block decodes a chunk of raw PCG64
+        words, each once as a normal and as two halves: from an empty buffer
+        they run A N N A N N ..., an A word serving two rounds (low half, then
+        high half), and a round that takes a buffered half reads only its
+        normal's words. An activation that redraws takes the halves after its
+        own. A normal off the ziggurat's fast path is drawn by numpy's own
+        call on a second PCG64 put at its word, and decoding goes on from the
+        word after those numpy read. The block ends after n rounds or where a
+        round reads past the chunk; if round 0 does, numpy's own calls draw it.
         """
         m = self.n_agents
         if m == 1 or self.policy == "round-robin":
-            z = rng.standard_normal(min(n, 2 * _BLOCK_TRIPLETS)).tolist()
+            z = rng.standard_normal(min(n, _CHUNK)).tolist()
             a = self._next
             self._next = (a + len(z)) % m
             return [(a + i) % m for i in range(len(z))], z
         bg = rng.bit_generator
-        state = bg.state if isinstance(bg, np.random.PCG64) else None
-        buffered = state["has_uint32"] if state else 0
-        t = min((n - buffered) // 2, _BLOCK_TRIPLETS)
-        if t < 1 or state is None:
+        if not isinstance(bg, np.random.PCG64):
             return [int(rng.integers(m))], [rng.standard_normal()]
-        words = bg.random_raw(buffered + 3 * t)
-        triplets = words[buffered:].reshape(t, 3)
-        halves = triplets[:, 0].astype("<u8").view("<u4").astype(np.uint64)
-        normal_words = triplets[:, 1:].ravel()
-        if buffered:
-            halves = np.concatenate((np.array([state["uinteger"]], dtype=np.uint64), halves))
-            normal_words = np.concatenate((words[:1], normal_words))
-        prods = halves * np.uint64(m)
-        normals, regular = _decode_normals(normal_words, _ziggurat_tables())
-        if self._threshold:
-            regular &= (prods & _LOW32) >= np.uint64(self._threshold)
-        r = int(regular.argmin())
-        if regular[r]:
-            r = len(regular)
-        agents, normals = (prods[:r] >> _SHIFT32).tolist(), normals[:r].tolist()
-        if r < len(regular):
-            # back to round r's first word, which empties the 32-bit buffer; a
-            # round that took the buffered half keeps an accepted product, and
-            # numpy's redraw of a rejected one reads only the words after it
-            k, from_buffer = divmod(r - buffered, 2)
-            bg.advance((buffered + 3 * k + 2 * from_buffer - len(words)) % (1 << 128))
-            prod = int(prods[r])
-            accepted = from_buffer and prod & 0xFFFFFFFF >= self._threshold
-            agents.append(prod >> 32 if accepted else int(rng.integers(m)))
-            normals.append(rng.standard_normal())
-        elif buffered:
-            bg.advance(0)  # round 0 took the buffered half; this empties the buffer
-        return agents, normals
+        state = bg.state
+        size = min(_CHUNK, 2 * n + 8)  # n rounds read 1.5 n words, and more for redraws and slow normals
+        words = bg.random_raw(size)
+        normals, fast = _decode_normals(words, _ziggurat_tables())
+        # half 0 is the state's buffered one, 2w + 1 and 2w + 2 the low and
+        # high halves of word w: a redraw reads the halves after its own
+        prods = np.empty(2 * size + 1, dtype=np.uint64)
+        prods[0] = state["uinteger"]
+        prods[1:] = words.astype("<u8").view("<u4")
+        prods *= np.uint64(m)
+        accepted = (prods & _LOW32) >= np.uint64(self._threshold)
+        # word w opens a regular A N N triplet when both its halves are
+        # accepted and both normals after it take the fast path; the other
+        # words end the stretches of triplets that start at a word w' = w mod 3
+        regular = accepted[1::2] & accepted[2::2]
+        regular[:-2] &= fast[1:-1] & fast[2:]
+        regular[-2:] = False
+        ends = ([], [], [])
+        for w in np.flatnonzero(~regular).tolist() + [size, size + 1, size + 2]:
+            ends[w % 3].append(w)
+
+        # each stretch of rounds as its first half, first normal's word and
+        # count; a count above 1 only for triplets
+        halves, normal_words, counts = [], [], []
+        word, held = 0, 0 if state["has_uint32"] else None  # the next word, the buffered half
+        spare, at, overrun = None, 0, False  # the second PCG64, at chunk word `at`
+        rounds = 0
+        while rounds < n:
+            if held is None:
+                stretch = ends[word % 3]
+                r = min(2 * ((stretch[bisect_left(stretch, word)] - word) // 3), n - rounds)
+                if r:
+                    halves.append(2 * word + 1)
+                    normal_words.append(word + 1)
+                    counts.append(r)
+                    rounds += r
+                    word += 3 * (r // 2)
+                    if r % 2:  # only the last stretch: its last round opened a word
+                        held, word = 2 * word + 2, word + 2
+                    if rounds == n:
+                        break
+            if held is not None and accepted[held]:
+                half, after, q = held, None, word
+            else:
+                # numpy reads halves in order until one is accepted: the low
+                # half of the next word leaves its high half buffered
+                half = 2 * word + 1
+                if word < size and not accepted[half]:
+                    half += int(accepted[half:].argmax())
+                after, q = (half + 1, (half + 1) // 2) if half % 2 else (None, half // 2)
+            if q >= size or not accepted[half]:
+                break
+            if fast[q]:
+                word = q + 1
+            else:
+                if spare is None:
+                    if self._spare is None:
+                        self._spare = np.random.Generator(np.random.PCG64(0))
+                    spare = self._spare.bit_generator
+                    spare.state = {**state, "has_uint32": 0, "uinteger": 0}
+                spare.advance((q - at) % (1 << 128))
+                normals[q] = self._spare.standard_normal()
+                # decoding goes on at the word after those numpy read
+                after_normal = spare.random_raw()
+                word = q + 1
+                while word < size and int(words[word]) != after_normal:
+                    word += 1
+                overrun = word == size
+                at = word + 1
+            halves.append(half)
+            normal_words.append(q)
+            counts.append(1)
+            rounds += 1
+            held = after
+            if overrun:
+                break
+
+        if not rounds:  # round 0 does not fit the chunk: numpy draws it
+            bg.state = state
+            return [int(rng.integers(m))], [rng.standard_normal()]
+        if overrun:  # numpy's normal read past the chunk, and the spare one word past that
+            spare.advance((1 << 128) - 1)
+            bg.state = spare.state
+        else:
+            bg.advance((word - size) % (1 << 128))  # back to the first unused word; empties the buffer
+        if held is not None:
+            restored = bg.state
+            restored["has_uint32"], restored["uinteger"] = 1, int(words[held // 2 - 1]) >> 32
+            bg.state = restored
+        counts = np.array(counts)
+        i = np.arange(rounds) - np.repeat(np.cumsum(counts) - counts, counts)
+        # round i of a stretch is in its triplet i // 2, 3 words and 6 halves
+        # on, and takes the low half and first normal, or the high and second
+        step = 3 * (i >> 1) + (i & 1)
+        agents = prods[np.repeat(halves, counts) + step + 3 * (i >> 1)] >> _SHIFT32
+        return agents.tolist(), normals[np.repeat(normal_words, counts) + step].tolist()
 
 
 def _decode_normals(words: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:

@@ -1437,26 +1437,29 @@ def per_round_stream(activation, m_agents, rng, n):
     return agents, normals
 
 
-def block_stream(schedule, rng, n, full_starts=None):
+def block_stream(schedule, rng, n, full_starts=None, request=None):
+    """n rounds of blocks, each asking for the rounds left or at most
+    `request` of them."""
     agents, normals = [], []
     while len(agents) < n:
         if full_starts is not None:
             full_starts.append(rng.bit_generator.state["has_uint32"])
-        a, z = schedule.block(rng, n - len(agents))
-        assert 1 <= len(a) == len(z) <= n - len(agents)
+        ask = min(n - len(agents), request or n)
+        a, z = schedule.block(rng, ask)
+        assert 1 <= len(a) == len(z) <= ask
         agents += a
         normals += z
     return agents, normals
 
 
-def assert_same_stream(activation, m_agents, seed, n=STREAM_ROUNDS, lead=0, full_starts=None):
+def assert_same_stream(activation, m_agents, seed, n=STREAM_ROUNDS, lead=0, full_starts=None, request=None):
     """Blocks against per-round draws from the same seed, after `lead`
     Generator.integers draws on both (an odd lead leaves the buffer full)."""
     rng, ref = make_rng(seed), make_rng(seed)
     for _ in range(lead):
         assert int(rng.integers(m_agents)) == int(ref.integers(m_agents))
     schedule = ActivationSchedule(activation, m_agents)
-    got = block_stream(schedule, rng, n, full_starts)
+    got = block_stream(schedule, rng, n, full_starts, request)
     want = per_round_stream(activation, m_agents, ref, n)
     assert got[0] == want[0]
     assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
@@ -1475,11 +1478,13 @@ class TestBlockStream:
         _wi, ki = stream._ziggurat_tables()
         assert (ki > 0).mean() > 0.99
         schedule, rng = ActivationSchedule("uniform-random", 10), make_rng(1)
+        # a block decodes a whole chunk, repairing its ~40 normals off the
+        # fast path in place: 4096 words hold at most 2731 rounds
         sizes = [len(schedule.block(rng, 10**6)[0]) for _ in range(200)]
-        assert max(sizes) <= 257 and sum(sizes) > 40 * len(sizes)
-        # about three in four 20-round blocks hold no irregular round
+        assert max(sizes) <= 2 * stream._CHUNK // 3 + 1 and min(sizes) > 2600
+        # a request of n rounds draws 2n + 8 words, which hold them all
         sizes = [len(schedule.block(rng, 21)[0]) for _ in range(200)]
-        assert max(sizes) <= 21 and sum(size >= 20 for size in sizes) > 100
+        assert all(size == 21 for size in sizes)
 
     def test_decode_at_every_fast_path_edge(self):
         # random words hit rabs = ki[idx] with probability 2^-52, so each
@@ -1519,8 +1524,9 @@ class TestBlockStream:
     @pytest.mark.parametrize("m_agents", UNIFORM_M)
     def test_blocks_that_start_with_a_full_buffer(self, m_agents):
         full_starts = []
-        assert_same_stream("uniform-random", m_agents, 11, lead=1, full_starts=full_starts)
-        # the first block, and the blocks after most irregular even rounds
+        assert_same_stream("uniform-random", m_agents, 11, lead=1, full_starts=full_starts, request=101)
+        # the first block, and the blocks after an odd count of rounds that
+        # began on an empty buffer
         assert full_starts[0] == 1 and sum(full_starts) > 50
 
     @pytest.mark.parametrize("m_agents", [3, 10, 2**31 + 1])
@@ -1573,7 +1579,8 @@ class TestBlockStream:
         monkeypatch.setattr(stream, "_ziggurat", (wi, np.zeros_like(ki)))
         rng = make_rng(6)
         schedule = ActivationSchedule("uniform-random", m_agents)
-        assert all(len(schedule.block(rng, 100)[0]) == 1 for _ in range(100))
+        # every normal is drawn by numpy on the second generator, in its block
+        assert all(len(schedule.block(rng, 100)[0]) == 100 for _ in range(100))
         assert_same_stream("uniform-random", m_agents, 6)
         assert_same_stream("uniform-random", m_agents, 7, lead=1)
 
@@ -1591,6 +1598,52 @@ class TestBlockStream:
         monkeypatch.setattr(stream, "_ziggurat", (wi, ki))
         assert_same_stream("uniform-random", 10, 8, n=3000)
 
+    @pytest.mark.parametrize("seed,lead,words_past,held", [(17, 0, 1, 0), (48, 0, 1, 1), (124, 1, 2, 0), (166, 1, 2, 1)])
+    def test_slow_normal_read_past_the_chunk(self, seed, lead, words_past, held):
+        # the first block's last normal is off the fast path, and numpy's draw
+        # of it reads past the chunk's last word: rng takes the second
+        # generator's state, with the buffered half when that round opened a word
+        rng, ref = make_rng(seed), make_rng(seed)
+        for _ in range(lead):
+            assert int(rng.integers(10)) == int(ref.integers(10))
+        probe = np.random.PCG64()
+        probe.state = rng.bit_generator.state
+        schedule = ActivationSchedule("uniform-random", 10)
+        agents, normals = schedule.block(rng, 10**6)
+        probe.random_raw(stream._CHUNK + words_past)
+        assert rng.bit_generator.state["state"] == probe.state["state"]
+        assert rng.bit_generator.state["has_uint32"] == held
+        rest = block_stream(schedule, rng, 500)
+        want = per_round_stream("uniform-random", 10, ref, len(agents) + 500)
+        assert agents + rest[0] == want[0]
+        assert np.array(normals + rest[1]).tobytes() == np.array(want[1]).tobytes()
+        assert live_state(rng) == live_state(ref)
+
+    def test_building_a_schedule_creates_no_bit_generator(self, monkeypatch):
+        # every run builds one; the second generator comes with the first
+        # normal off the fast path
+        def refused(*args, **kwargs):
+            raise AssertionError("a bit generator was created")
+
+        monkeypatch.setattr(np.random, "PCG64", refused)
+        for activation, m_agents in [("uniform-random", 10), ("uniform-random", 1), ("round-robin", 10)]:
+            ActivationSchedule(activation, m_agents)
+
+    @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
+    def test_famabpe_cut_at_a_chunk_end(self, activation, server_states):
+        # the run's first block asks for more rounds than a chunk holds; caps
+        # at that chunk's last round, one before it and one after it (sigma 3
+        # keeps B above epsilon 0 that long)
+        inst = gen_gap_instance_mab(5, 0.01, make_rng(12), sigma=3.0)
+        rng = make_rng(13)
+        rng.standard_normal(5)  # the initialization's rewards
+        last = len(ActivationSchedule(activation, 10).block(rng, 10**6)[0])
+        assert last > 2600
+        for cap in (5 + last - 1, 5 + last, 5 + last + 1):
+            cfg = RunConfig(n_agents=10, seed=13, activation=activation, epsilon=0.0, max_rounds=cap)
+            res = assert_same_famabpe(inst, cfg, server_states, audit=True)
+            assert res.tau == cap and not res.terminated
+
     @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
     def test_famabpe_cut_by_max_rounds_mid_block(self, activation, server_states):
         # epsilon 0 on a small gap: the round cap, not B, ends every run
@@ -1603,7 +1656,7 @@ class TestBlockStream:
 
 def crafted_state(first, later=None, buffered=None):
     """A PCG64 state whose next outputs are the word `first` and, for
-    later = (j, w) with j in (1, 2), the word w at output j, with `buffered`
+    later = (j, w) with j odd or 2, the word w at output j, with `buffered`
     as its buffered 32-bit half. A state with high half h of 0 or 1 and low
     half w ^ h outputs w; the increment and the state before `first` are
     solved for with the multiplier's inverse, as stream._read_ziggurat does."""
@@ -1611,10 +1664,11 @@ def crafted_state(first, later=None, buffered=None):
     inc = 1
     if later is not None:
         j, w = later
-        lead = first * pow(mult, j, mod)  # output j's state is lead + inc (1 + mult)^(j - 1)
-        if j == 1:
-            inc = (w - lead) % mod
+        lead = first * pow(mult, j, mod)  # output j's state is lead + inc (1 + mult + ... + mult^(j - 1))
+        if j % 2:  # a sum of an odd count of odd powers is odd, so invertible
+            inc = (w - lead) * pow(sum(pow(mult, i, mod) for i in range(j)), -1, mod) % mod
         else:
+            assert j == 2
             h = (lead ^ w) & 1  # keeps that state's parity that of lead, as 1 + mult is even
             inc = ((h << 64 | w ^ h) - lead) % mod // 2 * pow((1 + mult) // 2, -1, mod) % mod
     state = {"state": (first - inc) * pow(mult, -1, mod) % mod, "inc": inc}
@@ -1660,16 +1714,37 @@ class TestProductEdge:
         rng, ref = make_rng(0), make_rng(0)
         rng.bit_generator.state = ref.bit_generator.state = state
         agents, normals = schedule.block(rng, 20)
-        # a regular edge round is decoded in the block; any other ends it,
-        # drawn per round
-        if accepted and not slow:
-            assert len(agents) > edge + 1
-        else:
-            assert len(agents) == edge + 1
+        # the block goes on past the edge round: a redraw is decoded from the
+        # halves after it, and numpy draws a slow normal on the second generator
+        assert len(agents) > edge + 1
         rest = block_stream(schedule, rng, 20 - len(agents))
         want = per_round_stream("uniform-random", m_agents, ref, 20)
         assert agents + rest[0] == want[0]
         assert np.array(normals + rest[1]).tobytes() == np.array(want[1]).tobytes()
+        assert live_state(rng) == live_state(ref)
+
+    @pytest.mark.parametrize("opening", [True, False], ids=["opening", "buffered"])
+    @pytest.mark.parametrize("m_agents", [3, 7])
+    def test_redraw_mid_chunk(self, m_agents, opening):
+        # three regular triplets take words 0-8, so round 6 opens word 9: a
+        # rejected low half is redrawn from its high half; a rejected high
+        # half is round 7's buffered one, redrawn from word 11's low half
+        threshold = ActivationSchedule("uniform-random", m_agents)._threshold
+        ok, below = half_with_low(m_agents, threshold), half_with_low(m_agents, threshold - 1)
+        word = ok << 32 | below if opening else below << 32 | ok
+        state = crafted_state(ok << 32 | ok, (9, word))
+        rng, ref, probe = make_rng(0), make_rng(0), np.random.PCG64()
+        rng.bit_generator.state = ref.bit_generator.state = probe.state = state
+        schedule = ActivationSchedule("uniform-random", m_agents)
+        agents, normals = schedule.block(rng, 20)
+        assert len(agents) > 8
+        want = per_round_stream("uniform-random", m_agents, ref, 6)
+        probe.random_raw(9)
+        assert live_state(ref) == live_state(np.random.Generator(probe))
+        more = per_round_stream("uniform-random", m_agents, ref, 14)
+        rest = block_stream(schedule, rng, 20 - len(agents))
+        assert agents + rest[0] == want[0] + more[0]
+        assert np.array(normals + rest[1]).tobytes() == np.array(want[1] + more[1]).tobytes()
         assert live_state(rng) == live_state(ref)
 
 
