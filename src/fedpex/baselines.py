@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linear as lin
-from . import mab
 from .core import MabInstance, RunConfig, RunResult, make_rng
 from .runner import bandit_family, run_falinpe, run_famabpe, run_result
 
@@ -75,11 +73,9 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
 
-    if fam.linear:
-        dim = instance.dim
-        server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
-    else:
-        server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
+    # each pending sum is folded from +0.0, so no merge receives -0.0, and
+    # the empty state's -0.0 estimates merge as +0.0 ones would
+    server = fam.empty()
     # each agent's reward sum and pull count per arm since the last merge
     pend_sums, pend_counts = np.zeros((m_agents, k)), np.zeros((m_agents, k), dtype=np.int64)
     target: int | None = None  # the common frozen target of every agent
@@ -120,8 +116,9 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
             comm += 2 * m_agents
         else:
             init_comm += 2 * m_agents
-        # no target is defined until every arm has a server observation
-        if int(server.counts.min()) == 0:
+        # no target is defined until every arm has a server observation: the
+        # g M < K pulls before the warm-up's end miss an arm, its g M >= K cover all
+        if g < warmup:
             continue
         check = fam.stop(server)
         # the warm-up boundary never stops, even when it coincides with an

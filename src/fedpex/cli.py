@@ -265,8 +265,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_bounds(args)
-    except (AuditError, GenerationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AuditError, GenerationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

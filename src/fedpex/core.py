@@ -19,6 +19,7 @@ import numpy as np
 Rng = np.random.Generator
 
 _NORM_TOL = 1e-9
+_MAX_RETRIES = 100  # the instances gen_gap_instance_linear draws before it gives up
 
 # A run multiplies an estimate by a pull count, adds sums of up to 2^63 pulls
 # and subtracts two estimates; means up to 2^-66 of the largest float (about
@@ -186,9 +187,7 @@ def _unit_orthogonal(direction: np.ndarray, rng: Rng) -> np.ndarray:
     raise GenerationError("could not sample an orthogonal direction")
 
 
-def gen_gap_instance_linear(
-    dim: int, k_arms: int, gap: float, rng: Rng, sigma: float = 0.3, max_retries: int = 100
-) -> LinearInstance:
+def gen_gap_instance_linear(dim: int, k_arms: int, gap: float, rng: Rng, sigma: float = 0.3) -> LinearInstance:
     """Linear instance with unit-ball contexts spanning R^d and min gap >= gap."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -196,7 +195,7 @@ def gen_gap_instance_linear(
         raise ValueError("k_arms must be >= max(dim, 2) so the design spans R^d")
     if not 0 < gap < 1:
         raise ValueError("gap must lie in (0, 1)")
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         theta = rng.standard_normal(dim)
         theta = theta / np.linalg.norm(theta)
         star = int(rng.integers(k_arms))
@@ -216,7 +215,7 @@ def gen_gap_instance_linear(
         inst = LinearInstance(contexts=contexts, theta=theta, sigma=sigma)
         if inst.best_arm() == star + 1 and inst.min_gap() >= gap:
             return inst
-    raise GenerationError(f"no feasible instance after {max_retries} retries (gap={gap})")
+    raise GenerationError(f"no feasible instance after {_MAX_RETRIES} retries (gap={gap})")
 
 
 # ---------------------------------------------------------------------------

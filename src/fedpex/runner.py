@@ -32,9 +32,7 @@ from .core import (
     MabInstance,
     RunConfig,
     RunResult,
-    Rng,
     make_rng,
-    sample_reward_linear,
     sample_reward_mab,
 )
 from .design_lp import solve_l1
@@ -96,11 +94,12 @@ class MabFamily:
         # the trigger's gamma as (numerator, denominator), (0, 1) when forced
         self.forced, self.limit_ratio = forced, (0, 1) if forced else cfg.gamma.as_integer_ratio()
 
-    def init(self, rng: Rng):
-        """The server state after one pull of every arm; its estimates are the rewards."""
+    def empty(self):
+        """The server state of no pulls. Its estimates are -0.0, the identity
+        of float addition, so a first merge's mean (-0.0 * 0 + s) / 1 is the
+        reward sum s bit for bit, a sum of -0.0 included."""
         k = self.instance.k_arms
-        rewards = np.array([sample_reward_mab(self.instance, a, rng) for a in range(1, k + 1)])
-        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
+        return mab.MabServerState(np.full(k, -0.0), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
 
     def merge(self, server, arm, n, reward_sum):
         """`server` with an upload of n pulls of `arm` whose rewards sum to `reward_sum`."""
@@ -157,14 +156,10 @@ class LinearFamily:
         self.radius = (math.sqrt(cfg.ridge), coef * instance.sigma, 1.0 + g2 * m, min(g1, 1.0) * cfg.ridge)
         self.radius += (2.0 / cfg.delta, instance.dim)
 
-    def init(self, rng: Rng):
-        inst, k = self.instance, self.instance.k_arms
-        rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, k + 1)])
-        cov, resp = self.cfg.ridge * np.eye(inst.dim), np.zeros(inst.dim)
-        for x, reward in zip(self.contexts, rewards):
-            cov += np.outer(x, x)
-            resp += reward * x
-        return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
+    def empty(self):
+        """The server state of no pulls: the ridge prior and a zero response."""
+        dim, k = self.instance.dim, self.instance.k_arms
+        return lin.LinServerState(self.cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
 
     def merge(self, server, arm, n, reward_sum):
         """`server` with an upload of n pulls of `arm`, context x: n x x^T and
@@ -308,7 +303,8 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     holds more rewards than the trigger limit fixed at its last download (0
     for a family built forced). The server merges the buffer, and the run
     stops at B <= epsilon or the agent downloads the merged state. Set-up
-    downloads the initial state once, and every agent holds that download.
+    merges one pull of every arm into the family's empty state and downloads
+    the result once, and every agent holds that download.
     The active agents and reward normals come in blocks from
     ActivationSchedule.block, equal to per-round draws.
     Auditing, the audit log and the message counters act only at uploads;
@@ -318,10 +314,13 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     k, m_agents = inst.k_arms, cfg.n_agents
     rng = make_rng(cfg.seed)
     # initialization rounds 1..K: arm t pulled once (by agent ((t-1) mod M)+1,
-    # an attribution that affects no statistic), then every agent downloads
-    # the initialized state: one download that all M agents hold, counted
-    # once per agent as a message and by its fallback
-    server = fam.init(rng)
+    # an attribution that affects no statistic) and merged as a one-pull
+    # upload into the empty state, then every agent downloads the initialized
+    # state: one download that all M agents hold, counted once per agent as
+    # a message and by its fallback
+    server = fam.empty()
+    for a in range(1, k + 1):
+        server = fam.merge(server, a, 1, sample_reward_mab(inst, a, rng))
     check = fam.stop(server)
     first, fallback = fam.download(server, check)
     agents, buffers, fallbacks = [first] * m_agents, [[] for _ in range(m_agents)], m_agents * fallback

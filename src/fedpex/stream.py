@@ -52,7 +52,7 @@ class ActivationSchedule:
         followed by rng.standard_normal() in every round, and leaving rng
         where those calls leave it (but for a 32-bit half that numpy has
         marked used, which it never reads). rng must run on PCG64, as
-        make_rng's does; on another bit generator each call draws one round.
+        make_rng's does.
 
         A uniform round with M > 1 takes 32-bit halves of buffered 64-bit
         words and then whole words, so the block decodes a chunk of raw PCG64
@@ -72,8 +72,6 @@ class ActivationSchedule:
             self._next = (a + len(z)) % m
             return [(a + i) % m for i in range(len(z))], z
         bg = rng.bit_generator
-        if not isinstance(bg, np.random.PCG64):
-            return [int(rng.integers(m))], [rng.standard_normal()]
         state = bg.state
         size = min(_CHUNK, 2 * n + 8)  # n rounds read 1.5 n words, and more for redraws and slow normals
         words = bg.random_raw(size)

@@ -91,6 +91,20 @@ class TestGen:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys, message):
+        # the generator raises as numpy does for an arm count it cannot
+        # allocate, without attempting the allocation
+        def unallocatable(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "gen_gap_instance_mab", unallocatable)
+        out = tmp_path / "x.json"
+        code = main(["gen", "--type", "mab", "--k", "10000000000", "--gap", "0.1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [f"error: {message or 'out of memory'}"]
+
 
 class TestRun:
     def test_csv_schema_and_aggregate(self, tmp_path, capsys):

@@ -11,7 +11,8 @@ agent, the exact rational trigger, the masked server merge, a stop check
 that computes the widths from the counts and B from numpy scalars, and a
 download that recomputes the target from the snapshot. For both families' merges:
 reward sums that add every pull as it happens, merged for falinpe by a
-second copy of its rule (n x x^T and the sum times x). For the pull path: drivers
+second copy of its rule (n x x^T and the sum times x), and set-up's K
+one-pull merges into the empty state against the former `init`. For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
 `sample_reward_*`, one pull at a time, including the per-round synchronous
 loops that the block-drawn episodes replaced.
@@ -968,6 +969,77 @@ SIGNED_ZERO_CONTEXTS = np.array([[0.8, 0.0, -0.5], [0.0, -0.9, 0.25], [0.6, 0.0,
 SIGNED_ZERO_THETA = np.array([-0.3, 0.5, 0.1])  # means -0.29, -0.425 and -0.18
 
 
+def ref_init(fam, rng):
+    """The server state after one pull of every arm, as the families' former
+    `init` built it: the MAB estimates are the rewards themselves, and the
+    linear sums start at ridge I and 0 and add x x^T and r x in arm order."""
+    inst, k = fam.instance, fam.instance.k_arms
+    if isinstance(fam, MabFamily):
+        rewards = np.array([sample_reward_mab(inst, a, rng) for a in range(1, k + 1)])
+        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
+    rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, k + 1)])
+    cov, resp = fam.cfg.ridge * np.eye(inst.dim), np.zeros(inst.dim)
+    for x, reward in zip(fam.contexts, rewards):
+        cov += np.outer(x, x)
+        resp += reward * x
+    return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
+
+
+def set_up(fam, rng):
+    """The server state after set-up: one-pull merges of arms 1..K into the
+    family's empty state, as the asynchronous driver makes them."""
+    server = fam.empty()
+    for a in range(1, fam.instance.k_arms + 1):
+        server = fam.merge(server, a, 1, sample_reward_mab(fam.instance, a, rng))
+    return server
+
+
+def assert_same_state(got, want):
+    """Every field of two server states, arrays by their bytes."""
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+        else:
+            assert getattr(got, name) == value and type(getattr(got, name)) is type(value), name
+
+
+class TestSetUpAgainstInit:
+    """Set-up's K one-pull merges into the family's empty state give the
+    bytes of every field of the state the former `init` built. An empty MAB
+    estimate is -0.0, the identity of float addition, so a first merge's
+    estimate is its reward to the bit, -0.0 included."""
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.3], ids=["0.0", "-0.0", "0.3"])
+    @pytest.mark.parametrize("linear", [False, True], ids=["mab", "linear"])
+    def test_every_field_bit_equal(self, linear, sigma, monkeypatch):
+        if linear:
+            # a mean x.theta is a dot product summed from +0.0, never -0.0;
+            # the zero context's mean is 0.0 and the others are negative
+            contexts = np.vstack((SIGNED_ZERO_CONTEXTS, np.zeros(3)))
+            inst = LinearInstance(contexts=contexts, theta=SIGNED_ZERO_THETA, sigma=sigma)
+            family, run = LinearFamily, run_falinpe
+        else:
+            inst, family, run = MabInstance(means=(0.4, -0.0, 0.0, -0.2), sigma=sigma), MabFamily, run_famabpe
+        # the driver's first stop check reads the set-up state
+        checked, stop = [], family.stop
+        monkeypatch.setattr(family, "stop", lambda self, server: checked.append(server) or stop(self, server))
+        negative_zeros = 0
+        for seed in range(8):
+            config = RunConfig(n_agents=3, seed=seed, max_rounds=inst.k_arms + 1)
+            fam = family(inst, config)
+            want = ref_init(fam, make_rng(seed))
+            checked.clear()
+            run(inst, config)
+            assert_same_state(checked[0], want)
+            assert_same_state(set_up(fam, make_rng(seed)), want)
+            if not linear:
+                negative_zeros += int((np.signbit(want.mean_est) & (want.mean_est == 0.0)).sum())
+        if not linear and sigma == 0.0:
+            assert negative_zeros > 0
+
+
 def buffered(fam, rng, arm, n):
     """n rewards of `arm`, as the round loop computes them."""
     return [fam.instance.means[arm - 1] + fam.instance.sigma * z for z in rng.standard_normal(n).tolist()]
@@ -998,7 +1070,7 @@ class TestMergeAgainstPerPullAdds:
     def test_mab(self, n, sigma):
         fam = MabFamily(MabInstance(means=(0.3, -0.0, 0.0, -0.4), sigma=sigma), RunConfig(n_agents=3))
         rng = make_rng(n)
-        server = fam.init(rng)
+        server = set_up(fam, rng)
         for arm in range(1, 5):
             rewards = buffered(fam, rng, arm, n)
             sums, counts = np.zeros(4), np.zeros(4, dtype=np.int64)
@@ -1034,7 +1106,7 @@ class TestMergeAgainstPerPullAdds:
         # a response of -0.0, which no run reaches, shows that the merge adds
         # reward_sum x to resp itself: -0.0 + (-0.0) stays -0.0, where a sum
         # from +0.0 would give +0.0
-        server = replace(fam.init(rng), resp=np.full(3, -0.0))
+        server = replace(set_up(fam, rng), resp=np.full(3, -0.0))
         negative_zeros = 0
         for arm in range(1, 4):
             x, rewards = SIGNED_ZERO_CONTEXTS[arm - 1], buffered(fam, rng, arm, n)
@@ -1055,7 +1127,7 @@ class TestMergeAgainstPerPullAdds:
 @pytest.fixture
 def read_only_states(monkeypatch):
     """Makes every array of every server state that a merge or a family's
-    init returns read-only; returns the count of states made so."""
+    empty returns read-only; returns the count of states made so."""
     made = []
 
     def read_only(fn):
@@ -1072,7 +1144,7 @@ def read_only_states(monkeypatch):
     monkeypatch.setattr(mab, "server_merge_mab", read_only(mab.server_merge_mab))
     monkeypatch.setattr(lin, "server_merge_linear", read_only(lin.server_merge_linear))
     for family in (MabFamily, LinearFamily):
-        monkeypatch.setattr(family, "init", read_only(family.init))
+        monkeypatch.setattr(family, "empty", read_only(family.empty))
     return made
 
 
@@ -1562,16 +1634,6 @@ class TestBlockStream:
             with pytest.raises(ValueError):
                 RunConfig(n_agents=m_agents)
         RunConfig(n_agents=2**32, activation="round-robin")  # draws nothing
-
-    def test_other_bit_generators_draw_per_round(self):
-        rng, ref = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
-        schedule = ActivationSchedule("uniform-random", 10)
-        got = [schedule.block(rng, 100) for _ in range(2000)]
-        assert all(len(agents) == 1 for agents, _ in got)
-        want = per_round_stream("uniform-random", 10, ref, 2000)
-        assert [a for agents, _ in got for a in agents] == want[0]
-        assert [z for _, normals in got for z in normals] == want[1]
-        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
     @pytest.mark.parametrize("m_agents", [3, 10])
     def test_every_round_irregular(self, m_agents, monkeypatch):

@@ -276,6 +276,18 @@ def mutate_driver(monkeypatch, old, new):
     monkeypatch.setattr(runner, "_run_async", namespace["_run_async"])
 
 
+def mutate_uploads(monkeypatch, family, mutated):
+    """Installs `mutated` as family.merge for every upload's merge. Set-up's
+    K one-pull merges, the only merges into a state of fewer than K pulls,
+    run the family's own merge."""
+    merge = family.merge
+
+    def patched(self, server, *upload):
+        return (merge if server.counts_total < self.instance.k_arms else mutated)(self, server, *upload)
+
+    monkeypatch.setattr(family, "merge", patched)
+
+
 class TestAuditCatchesMutations:
     """Each mutation of the protocol makes an audited run raise."""
 
@@ -293,7 +305,7 @@ class TestAuditCatchesMutations:
         def dropping(self, server, arm, n, reward_sum):
             return merge(self, server, arm, n - 1, reward_sum)
 
-        monkeypatch.setattr(family, "merge", dropping)
+        mutate_uploads(monkeypatch, family, dropping)
         with pytest.raises(AuditError, match="count conservation"):
             run(audit=True)
 
@@ -364,7 +376,7 @@ class TestAuditCatchesMutations:
                 write_one_ulp(server)
             return out
 
-        monkeypatch.setattr(family, "merge", writing)
+        mutate_uploads(monkeypatch, family, writing)
         log = []
         with pytest.raises(AuditError, match="snapshot changed between downloads"):
             run(audit=True, audit_log=log)
@@ -392,7 +404,7 @@ class TestAuditCatchesMutations:
                 write_one_ulp(merged[0])
             return merge(self, server, *upload)
 
-        monkeypatch.setattr(family, "merge", writing)
+        mutate_uploads(monkeypatch, family, writing)
         log = []
         with pytest.raises(AuditError, match="snapshot changed between downloads"):
             run(inst, cut, audit=True, audit_log=log)
