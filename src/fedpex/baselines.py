@@ -36,13 +36,13 @@ class SyncConfig(RunConfig):
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
 
-    def resolved(self, k_arms: int, sigma: float | None = None) -> "SyncConfig":
+    def resolved(self, k_arms: int, sigma: float | None = None, means: tuple | None = None) -> "SyncConfig":
         """RunConfig.resolved, refusing a round cap that ends inside the
         warm-up, where no target is defined."""
         warmup = math.ceil(k_arms / self.n_agents) * self.n_agents
         if self.max_rounds < warmup:
             raise ValueError(f"max_rounds must reach the warm-up's {warmup} pulls")
-        return super().resolved(k_arms, sigma)
+        return super().resolved(k_arms, sigma, means)
 
 
 def run_single_agent(instance, config: RunConfig) -> RunResult:
@@ -136,5 +136,5 @@ def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
         target = agent.current_target
 
     # the merged pulls, and those a round cap cut off inside an episode
-    pulls = server.counts + pend_counts.sum(axis=0)
+    pulls = np.asarray(server.counts) + pend_counts.sum(axis=0)
     return run_result(fam, server, final, tau, pulls, comm, init_comm, switches, downloads, fallbacks)

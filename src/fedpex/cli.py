@@ -155,12 +155,13 @@ def _parse_sweep(text: str) -> list[float]:
     return gaps
 
 
-def _check_resolves(config, k_arms: int, sigma: float | None) -> None:
-    """Resolve `config` as a run against such an instance would, to refuse it
-    before any output; the run itself gives a ridge-cap warning."""
+def _check_resolves(config, k_arms: int, sigma: float, means: tuple | None) -> None:
+    """Resolve `config` as a run against such an instance would (`means` for
+    a MAB instance only), to refuse it before any output; the run itself
+    gives a ridge-cap warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        config.resolved(k_arms, sigma)
+        config.resolved(k_arms, sigma, means)
 
 
 def cmd_run(args) -> int:
@@ -181,7 +182,8 @@ def cmd_run(args) -> int:
     jobs: list[tuple[str, object]] = []  # (label, instance)
     if args.gap_sweep is not None:
         kind = "mab" if is_mab_algo else "linear"
-        _check_resolves(config, args.k, None if is_mab_algo else args.sigma)  # every sweep instance has --k arms
+        # every sweep instance has --k arms, and a MAB one means within [0, 1)
+        _check_resolves(config, args.k, args.sigma, (1.0,) if is_mab_algo else None)
         for idx, gap in enumerate(_parse_sweep(args.gap_sweep)):
             rng = make_rng(args.gen_seed + idx)
             if is_mab_algo:
@@ -198,7 +200,7 @@ def cmd_run(args) -> int:
         raise ValueError("provide --instance or --gap-sweep")
     # resolving against each instance checks max_rounds against its arm count
     for _label, inst in jobs:
-        _check_resolves(config, inst.k_arms, None if is_mab_algo else inst.sigma)
+        _check_resolves(config, inst.k_arms, inst.sigma, inst.means if is_mab_algo else None)
     audit = os.environ.get("FEDPEX_AUDIT", "") == "1"
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:

@@ -279,22 +279,26 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-    def resolved(self, k_arms: int, sigma: float | None = None) -> "RunConfig":
+    def resolved(self, k_arms: int, sigma: float | None = None, means: tuple | None = None) -> "RunConfig":
         """Fill default trigger/ridge parameters for a K-arm instance.
 
         Defaults are recomputed from the current M and K every time, so a
         config reused across instances always gets the matching values.
-        sigma is given for a linear instance only. A config whose stop checks'
-        log argument overflows within max_rounds samples is refused.
+        sigma is the instance's noise: given alone, a linear instance's
+        (whose means lie within [-1, 1]); a MAB instance gives its means
+        with it. A config whose stop checks' log argument overflows within
+        max_rounds samples is refused, and so is a sigma under which a
+        reward sum of max_rounds pulls or a MAB stop check's score could.
         """
         if self.max_rounds <= k_arms:
             raise ValueError("max_rounds must exceed the arm count")
         m = self.n_agents
+        linear = sigma is not None and means is None
         gamma = _as_fraction(self.gamma) if self.gamma is not None else Fraction(1, 2 * m * k_arms)
         gamma1 = _as_fraction(self.gamma1) if self.gamma1 is not None else Fraction(1, m * m)
         gamma2 = _as_fraction(self.gamma2) if self.gamma2 is not None else Fraction(1, 2 * m * k_arms)
         # the ridge cap binds linear instances only; a default ridge never exceeds it
-        cap = ridge_cap(sigma, gamma1, m, self.delta) if sigma is not None else 0.0
+        cap = ridge_cap(sigma, gamma1, m, self.delta) if linear else 0.0
         ridge = self.ridge
         if ridge is None:
             ridge = min(1.0, cap) if cap > 0 else 1.0
@@ -302,16 +306,24 @@ class RunConfig:
         # most samples a run can hold (pull counts are int64); it grows with them
         t = min(self.max_rounds, 2**63)
         try:
-            if sigma is None:
-                arg = 4.0 * k_arms / self.delta * ((1.0 + float(gamma) * m) * t) ** 2
-            else:
+            if linear:
                 arg = 2.0 / self.delta * (1.0 + ((1.0 + float(gamma2) * m) * t) / (min(float(gamma1), 1.0) * ridge))
+            else:
+                arg = 4.0 * k_arms / self.delta * ((1.0 + float(gamma) * m) * t) ** 2
         except (OverflowError, ZeroDivisionError):
             arg = math.inf
         if not arg < math.inf:
             raise ValueError(
                 "the confidence widths overflow within max_rounds samples: delta, the ridge or a gamma is too extreme"
             )
+        if sigma is not None:
+            # numpy's normals stay below 14 in magnitude, so every reward lies
+            # within |mean| + 16 sigma; a MAB score adds the difference of two
+            # estimates to two widths, the widest at one pull and t samples
+            reach = (1.0 if linear else max(map(abs, means))) + 16.0 * sigma
+            width = 0.0 if linear else sigma * math.sqrt(2.0 * math.log(arg))
+            if not (reach * t < math.inf and 2.0 * (reach + width) < math.inf):
+                raise ValueError("sigma is too large: a reward sum of max_rounds pulls or a confidence width overflows")
         if cap > 0 and ridge > cap:
             warnings.warn(
                 f"ridge={ridge} exceeds the confidence-analysis cap {cap:.6g}; "

@@ -86,7 +86,7 @@ class MabFamily:
 
     def __init__(self, instance: MabInstance, config: RunConfig, forced: bool = False):
         self.instance = instance
-        self.cfg = cfg = config.resolved(instance.k_arms)
+        self.cfg = cfg = config.resolved(instance.k_arms, instance.sigma, instance.means)
         # the confidence widths' arguments after the counts and their total:
         # the formula's for the audit, and resolved once for the stop checks
         self.widths = (cfg.delta, instance.sigma, float(cfg.gamma) * cfg.n_agents)
@@ -95,10 +95,14 @@ class MabFamily:
         self.forced, self.limit_ratio = forced, (0, 1) if forced else cfg.gamma.as_integer_ratio()
 
     def empty(self):
-        """The server state of no pulls. Its estimates are -0.0, the identity
-        of float addition, so a first merge's mean (-0.0 * 0 + s) / 1 is the
-        reward sum s bit for bit, a sum of -0.0 included."""
+        """The server state of no pulls: tuples up to mab.SCALAR_MAX_ARMS arms,
+        numpy arrays above, and every merge keeps the representation. Its
+        estimates are -0.0, the identity of float addition, so a first
+        merge's mean (-0.0 * 0 + s) / 1 is the reward sum s bit for bit, a
+        sum of -0.0 included."""
         k = self.instance.k_arms
+        if k <= mab.SCALAR_MAX_ARMS:
+            return mab.MabServerState((-0.0,) * k, (0,) * k, 0, (math.inf,) * k)
         return mab.MabServerState(np.full(k, -0.0), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
 
     def merge(self, server, arm, n, reward_sum):
@@ -131,7 +135,8 @@ class MabFamily:
 
     def rule_target(self, ag) -> bool:
         snap = ag.snapshot
-        return ag.current_target == mab.agent_target_mab(snap.mean_est, snap.counts, snap.counts_total, *self.widths)
+        mean, counts = np.asarray(snap.mean_est), np.asarray(snap.counts)
+        return ag.current_target == mab.agent_target_mab(mean, counts, snap.counts_total, *self.widths)
 
 
 class LinearFamily:
@@ -213,7 +218,8 @@ def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
 
 
 def _state_bytes(state) -> tuple:
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(state).values())
+    """A state's fields, each array or tuple as its bytes."""
+    return tuple(np.asarray(v).tobytes() if isinstance(v, (np.ndarray, tuple)) else v for v in vars(state).values())
 
 
 class Audit:
@@ -229,7 +235,7 @@ class Audit:
         # set-up's one record shared by all M; the latest record; the per-arm
         # count of the initial and the uploaded pulls; and the linear family's
         # covariance and response, summed as its merge sums them
-        self.fam, self.pulls = fam, server.counts.tolist()
+        self.fam, self.pulls = fam, np.asarray(server.counts).tolist()
         self.records = [self.download(agents[0], 0)] * len(agents)
         self.latest = self.records[0]
         self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
@@ -237,7 +243,7 @@ class Audit:
     def download(self, ag, m):
         """Agent m's cached total, limit and target are the rules'; returns its record."""
         snap = ag.snapshot
-        if snap.counts_total != int(snap.counts.sum()) or ag.trigger_limit != self.fam.rule_limit(ag):
+        if snap.counts_total != int(np.sum(snap.counts)) or ag.trigger_limit != self.fam.rule_limit(ag):
             raise AuditError(f"agent {m + 1} downloaded a total or trigger limit that is not the rule's")
         if not self.fam.rule_target(ag):
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
@@ -265,12 +271,13 @@ class Audit:
         each arm and the buffers hold the rest of tau, and the linear sums
         are the audit's own to the bit; and the downloads of `records` (by
         id) as they were downloaded."""
-        if server.counts_total != int(server.counts.sum()):
+        counts = np.asarray(server.counts)
+        if server.counts_total != int(counts.sum()):
             raise AuditError("server cached total diverged")
-        if server.counts.tolist() != self.pulls or server.counts_total + sum(map(len, buffers)) != tau:
+        if counts.tolist() != self.pulls or server.counts_total + sum(map(len, buffers)) != tau:
             raise AuditError("count conservation violated")
         if self.sums is None:
-            if server.two_over_counts.tobytes() != (2.0 / server.counts).tobytes():
+            if np.asarray(server.two_over_counts).tobytes() != (2.0 / counts).tobytes():
                 raise AuditError("server's carried 2/counts diverged")
         elif server.cov.tobytes() != self.sums[0].tobytes() or server.resp.tobytes() != self.sums[1].tobytes():
             raise AuditError("covariance or response conservation violated")
@@ -365,7 +372,7 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     if audit:
         audit.end(server, agents, buffers, tau)
     # the initial and the uploaded pulls, then the held ones
-    pulls = server.counts.tolist()
+    pulls = np.asarray(server.counts).tolist()
     for ag, buf in zip(agents, buffers):
         pulls[ag.current_target - 1] += len(buf)
     # the cap governs the event-triggered protocol, not forced communication

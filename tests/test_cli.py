@@ -250,6 +250,32 @@ class TestRun:
         refused([*args, "--max-rounds", "100"])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind,algo",
+        [("mab", a) for a in ("famabpe", "ugapec-sync", "ugapec-single")]
+        + [("linear", a) for a in ("falinpe", "lingape-sync", "lingape-single")],
+    )
+    def test_overflowing_reward_noise_exit_2(self, tmp_path, refused, kind, algo):
+        # rewards of sigma 1e308 overflow: the runs computed their estimates,
+        # and so a stopping arm, from inf and NaN, with RuntimeWarnings
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", kind, "--k", "3", "--d", "2", "--gap", "0.4", "--out", str(inst)])
+        spec = json.loads(inst.read_text())
+        inst.write_text(json.dumps({**spec, "sigma": 1e308}))
+        out = tmp_path / "res.csv"
+        args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "2", "--max-rounds", "5000"]
+        assert "sigma is too large" in refused([*args, "--out", str(out)])
+        # bounds resolves the config at its round cap of 10^7, as for the log argument
+        assert "sigma is too large" in refused(["bounds", "--instance", str(inst), "--out", str(out)])
+        assert not out.exists()
+
+    def test_overflowing_reward_noise_in_a_sweep_exit_2(self, tmp_path, refused, monkeypatch):
+        # refused before any sweep instance is generated
+        monkeypatch.setattr(cli, "gen_gap_instance_mab", lambda *args, **kw: pytest.fail("an instance was generated"))
+        out = tmp_path / "res.csv"
+        refused(["run", "--algo", "famabpe", "--gap-sweep", "0.2:0.4:0.1", "--sigma", "1e307", "--out", str(out)])
+        assert not out.exists()
+
     def test_greedy_sense_flag_is_unknown(self, tmp_path, capsys):
         # falinpe's greedy rule has one form; argparse refuses the old flag
         out = tmp_path / "res.csv"

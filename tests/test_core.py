@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedpex.baselines import SyncConfig
+from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
 from fedpex.runner import run_falinpe, run_famabpe
 from fedpex.core import (
     MAX_ABS_MEAN,
@@ -255,6 +255,38 @@ class TestRunConfig:
         RunConfig(max_rounds=fits, **fields).resolved(3, sigma)
         with pytest.raises(ValueError, match="overflow"):
             RunConfig(max_rounds=overflows, **fields).resolved(3, sigma)
+
+    @pytest.mark.parametrize("means", [(0.5, 0.4, 0.1), None], ids=["mab", "linear"])
+    def test_reward_noise_checked_at_max_rounds(self, means):
+        # a reward lies within |mean| + 16 sigma: at sigma 1e300 a sum of 10^6
+        # pulls stays finite and one of 10^9 pulls may not
+        RunConfig(max_rounds=10**6).resolved(3, 1e300, means)
+        with pytest.raises(ValueError, match="sigma is too large"):
+            RunConfig(max_rounds=10**9).resolved(3, 1e300, means)
+        # one reward of sigma 1e308 overflows under any round cap
+        with pytest.raises(ValueError, match="sigma is too large"):
+            RunConfig(max_rounds=4).resolved(3, 1e308, means)
+
+    def test_mab_mean_counts_toward_the_reward_bound(self):
+        # the same sigma and round cap, refused once a mean is large: at 2^63
+        # pulls, 16 sigma is 1.62e308 / 2^63 and the largest mean 0.22e308 / 2^63
+        config = RunConfig(max_rounds=2**63)
+        config.resolved(2, 1.1e288, (1.0, 0.0))
+        with pytest.raises(ValueError, match="sigma is too large"):
+            config.resolved(2, 1.1e288, (MAX_ABS_MEAN, 0.0))
+
+    def test_largest_accepted_noise_runs_without_overflow(self):
+        # 16 sigma * 2000 pulls passes the largest float near sigma = 5.6e303;
+        # runs just inside that raise no floating-point warning (they are errors here)
+        cfg = RunConfig(n_agents=2, max_rounds=2_000, seed=3)
+        mab_inst = MabInstance(means=(0.5, 0.4, 0.1), sigma=5e303)
+        lin_inst = gen_gap_instance_linear(2, 3, 0.3, make_rng(1), sigma=5e303)
+        with pytest.raises(ValueError, match="sigma is too large"):
+            run_famabpe(MabInstance(means=(0.5, 0.4, 0.1), sigma=6e303), cfg)
+        for inst, run in ((mab_inst, run_famabpe), (lin_inst, run_falinpe)):
+            assert run(inst, cfg, audit=True).tau == 2_000
+            sync = run_synchronous(inst, SyncConfig(n_agents=2, max_rounds=2_000, seed=3, episode_len=3))
+            assert sync.tau == 2_000 and run_single_agent(inst, cfg).tau == 2_000
 
     def test_ridge_above_cap_warns(self):
         with pytest.warns(UserWarning):

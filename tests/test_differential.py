@@ -995,12 +995,14 @@ def set_up(fam, rng):
 
 
 def assert_same_state(got, want):
-    """Every field of two server states, arrays by their bytes."""
+    """Every field of two server states, arrays and tuples by their dtype
+    and bytes, so that a tuple state matches the array state it stands for."""
     assert type(got) is type(want)
     for name, value in vars(want).items():
-        if isinstance(value, np.ndarray):
-            assert getattr(got, name).dtype == value.dtype, name
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        if isinstance(value, (np.ndarray, tuple)):
+            got_array, value = np.asarray(getattr(got, name)), np.asarray(value)
+            assert got_array.dtype == value.dtype, name
+            assert got_array.tobytes() == value.tobytes(), name
         else:
             assert getattr(got, name) == value and type(getattr(got, name)) is type(value), name
 
@@ -1079,9 +1081,7 @@ class TestMergeAgainstPerPullAdds:
                 counts[arm - 1] += 1
             want = ref_merge_mab(server, sums, counts)
             got = upload(fam, server, arm, rewards)
-            assert got.mean_est.tobytes() == want.mean_est.tobytes()
-            assert got.counts.tobytes() == want.counts.tobytes() and got.counts_total == want.counts_total
-            assert got.two_over_counts.tobytes() == want.two_over_counts.tobytes()
+            assert_same_state(got, want)
             server = got
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -1127,7 +1127,9 @@ class TestMergeAgainstPerPullAdds:
 @pytest.fixture
 def read_only_states(monkeypatch):
     """Makes every array of every server state that a merge or a family's
-    empty returns read-only; returns the count of states made so."""
+    empty returns read-only, and checks that its other sequences are tuples
+    of Python numbers, which no holder can write; returns the type of each
+    such state's counts."""
     made = []
 
     def read_only(fn):
@@ -1136,7 +1138,9 @@ def read_only_states(monkeypatch):
             for value in vars(state).values():
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
-            made.append(1)
+                elif type(value) is not int:
+                    assert type(value) is tuple and {type(v) for v in value} <= {float, int}
+            made.append(type(state.counts))
             return state
 
         return wrapper
@@ -1150,7 +1154,9 @@ def read_only_states(monkeypatch):
 
 class TestSnapshotsAreNeverWritten:
     """Agents hold the server states they downloaded by reference, so no
-    driver, merge, stop check, download or audit may write one."""
+    driver, merge, stop check, download or audit may write one. MAB states
+    up to mab.SCALAR_MAX_ARMS arms are tuples and cannot be written; the
+    runs here hold both kinds."""
 
     @pytest.mark.parametrize("m", [1, 3, 10])
     def test_audited_async_runs(self, m, read_only_states):
@@ -1160,15 +1166,21 @@ class TestSnapshotsAreNeverWritten:
         for arm_select in ("lp", "greedy"):
             run_falinpe(lin_inst, RunConfig(n_agents=m, seed=m, epsilon=0.05, arm_select=arm_select), audit=True)
         run_single_agent(mab_inst, RunConfig(seed=m))
+        wide = gen_gap_instance_mab(25, 0.3, make_rng(65 + m), sigma=0.3)
+        run_famabpe(wide, RunConfig(n_agents=m, seed=m, max_rounds=1_000), audit=True)
         assert len(read_only_states) > 100
+        assert read_only_states.count(tuple) > 50 and read_only_states.count(np.ndarray) > 50
 
     def test_synchronous_runs(self, read_only_states):
         mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(80), sigma=0.3)
         lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(81), sigma=0.2)
+        wide = gen_gap_instance_mab(25, 0.3, make_rng(82), sigma=0.3)
         for e in (1, 7):
             run_synchronous(mab_inst, SyncConfig(n_agents=3, seed=e, episode_len=e))
             run_synchronous(lin_inst, SyncConfig(n_agents=3, seed=e, episode_len=e, epsilon=0.05))
+            run_synchronous(wide, SyncConfig(n_agents=3, seed=e, episode_len=e, max_rounds=600))
         assert len(read_only_states) > 100
+        assert read_only_states.count(tuple) > 50 and read_only_states.count(np.ndarray) > 50
 
 
 # ---------------------------------------------------------------------------
@@ -1208,10 +1220,12 @@ def ref_trigger_mab(counts_total, pending_total, gamma):
 
 
 def ref_merge_mab(server, pending_sums, pending_counts):
-    new_counts = server.counts + pending_counts
-    mean = server.mean_est.copy()
+    """The merge in numpy, from a server state of either representation."""
+    counts = np.asarray(server.counts)
+    new_counts = counts + pending_counts
+    mean = np.array(server.mean_est)
     touched = pending_counts > 0
-    old = server.mean_est[touched] * server.counts[touched]
+    old = mean[touched] * counts[touched]
     mean[touched] = (old + pending_sums[touched]) / new_counts[touched]
     return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()), 2.0 / new_counts)
 
@@ -1440,7 +1454,7 @@ class TestCarriedTwoOverCounts:
         # a synchronous run's first merges leave arms at zero counts, where 2/0 is inf
         with np.errstate(divide="ignore"):
             for _server, out in mab_merges:
-                assert out.two_over_counts.tobytes() == (2.0 / out.counts).tobytes()
+                assert np.asarray(out.two_over_counts).tobytes() == (2.0 / np.asarray(out.counts)).tobytes()
 
     def test_counts_near_2_53(self):
         # from 2^53 on, counts round to even floats before the division
@@ -1461,6 +1475,185 @@ class TestCarriedTwoOverCounts:
             run_synchronous(inst, SyncConfig(n_agents=3, seed=1, episode_len=7))
         first = mab_merges[0][0]
         assert first.counts_total == 0 and np.isposinf(first.two_over_counts).all()
+
+
+# ---------------------------------------------------------------------------
+# famabpe's message path: tuple server states in Python floats against arrays
+# ---------------------------------------------------------------------------
+
+# arm counts below, at and above the cut of mab.SCALAR_MAX_ARMS = 18
+CUT_ARMS = (2, 5, 18, 19, 24, 25, 50)
+
+
+def as_tuples(state):
+    """The tuple representation of an array server state."""
+    fields = (state.mean_est.tolist(), state.counts.tolist(), state.two_over_counts.tolist())
+    mean, counts, two_over_counts = map(tuple, fields)
+    return mab.MabServerState(mean, counts, state.counts_total, two_over_counts)
+
+
+def state_bytes(state):
+    """Every field of a server state, each tuple or array as its dtype and bytes."""
+    return tuple(
+        (np.asarray(v).dtype.str, np.asarray(v).tobytes()) if isinstance(v, (tuple, np.ndarray)) else v
+        for v in vars(state).values()
+    )
+
+
+def check_bits(check):
+    """A stop check's i, j, the bits of B and the bytes of the widths."""
+    i, j, b, bon = check
+    return i, j, float(b).hex(), np.asarray(bon).dtype.str, np.asarray(bon).tobytes()
+
+
+@pytest.fixture
+def forced_path(monkeypatch):
+    """Runs `fn` once with every MAB server state as numpy arrays and once as
+    tuples, forced through the cut; returns both outputs and both logs of
+    (state bytes, stop check bits) of every stop check, each with the field
+    types the run's states held."""
+
+    def run_both(fn):
+        outs = []
+        stop = MabFamily.stop
+        for cut in (0, 10**9):
+            log, kinds = [], set()
+
+            def logged(self, server):
+                check = stop(self, server)
+                kinds.add(type(server.mean_est))
+                log.append((state_bytes(server), check_bits(check)))
+                return check
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mab, "SCALAR_MAX_ARMS", cut)
+                patch.setattr(MabFamily, "stop", logged)
+                outs.append((fn(), log, kinds))
+        (arrays, arrays_log, arrays_kinds), (tuples, tuples_log, tuples_kinds) = outs
+        assert arrays_kinds == {np.ndarray} and tuples_kinds == {tuple}
+        assert tuples_log == arrays_log and arrays_log
+        return arrays, tuples
+
+    return run_both
+
+
+class TestScalarAgainstArrayPath:
+    """Up to mab.SCALAR_MAX_ARMS arms famabpe's server states are tuples and
+    the merge, the stop check and the download run in Python floats; they
+    give the array path's bits: every state's fields (dtype included), the
+    stop check's pair, B and widths, the target and limit, and every run's
+    RunResult and audit log. Each path is forced here by the cut or by the
+    state's representation, at arm counts on both sides of the cut."""
+
+    # sigma = -0.0 makes every width -0.0
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.3, 2.0], ids=["0.0", "-0.0", "0.3", "2.0"])
+    @pytest.mark.parametrize("k", CUT_ARMS)
+    def test_message_path_bit_equal(self, k, sigma):
+        rng = np.random.default_rng(2900 + k)
+        inst = MabInstance(means=tuple(np.linspace(1.0, 0.0, k)), sigma=sigma)
+        configs = [RunConfig(n_agents=10), RunConfig(n_agents=3, delta=0.01, gamma=Fraction(2, 13))]
+        seen = {"tied-means": 0, "tied-scores": 0, "j-first": 0, "negative-zero": 0}
+        for config in configs:
+            fam = MabFamily(inst, config)
+            for n in range(100):
+                kind = ("random", "tied", "equal", "signed-zero", "near-2^53")[n % 5]
+                arrays = mab_state(rng, k, kind)
+                tuples = as_tuples(arrays)
+                assert state_bytes(tuples) == state_bytes(arrays)
+                check, scalar_check = fam.stop(arrays), fam.stop(tuples)
+                assert type(scalar_check[3]) is list
+                assert check_bits(scalar_check) == check_bits(check)
+                agent, _ = fam.download(arrays, check)
+                scalar_agent, _ = fam.download(tuples, scalar_check)
+                assert (scalar_agent.current_target, scalar_agent.trigger_limit) == (
+                    agent.current_target,
+                    agent.trigger_limit,
+                )
+                # an upload of either sign of zero, or of a random sum
+                arm = int(rng.integers(1, k + 1))
+                pulls = int(rng.integers(1, 2_000))
+                reward_sum = (0.0, -0.0, float(rng.normal(0.0, 3.0)) * pulls)[n % 3]
+                merged = fam.merge(arrays, arm, pulls, reward_sum)
+                scalar_merged = fam.merge(tuples, arm, pulls, reward_sum)
+                assert all(type(v) is tuple for v in (scalar_merged.mean_est, scalar_merged.counts))
+                assert state_bytes(scalar_merged) == state_bytes(merged)
+                mean, bon = arrays.mean_est, check[3]
+                seen["tied-means"] += int((mean == mean.max()).sum()) > 1
+                seen["tied-scores"] += bool(bon[check[0] - 1] == bon[check[1] - 1])
+                seen["j-first"] += check[1] < check[0]
+                seen["negative-zero"] += check[2] == 0.0 and math.copysign(1.0, check[2]) < 0
+        # the edge cases were reached, not only the common path
+        assert seen["tied-means"] > 0 and seen["tied-scores"] > 0 and seen["j-first"] > 0
+        if math.copysign(1.0, sigma) < 0:
+            assert seen["negative-zero"] > 0
+
+    def test_representation_is_chosen_by_the_arm_count(self):
+        cut = mab.SCALAR_MAX_ARMS
+        for k, kind in ((2, tuple), (cut, tuple), (cut + 1, np.ndarray), (50, np.ndarray)):
+            fam = MabFamily(MabInstance(means=tuple(np.linspace(1.0, 0.0, k)), sigma=0.3), RunConfig())
+            state = fam.merge(fam.empty(), 1, 1, 0.5)
+            assert {type(v) for v in (state.mean_est, state.counts, state.two_over_counts)} == {kind}
+
+    def test_signed_zero_ties(self):
+        # -0.0 and 0.0 compare equal: the first of them is the maximum, for
+        # the estimates and for the scores, with its own sign
+        fam = MabFamily(MabInstance(means=(0.5, 0.1, 0.0), sigma=0.0), RunConfig(n_agents=2))
+        for mean in ((-0.0, 0.0, -0.5), (0.0, -0.0, -0.5), (-0.5, -0.0, 0.0), (-0.0, -0.5, 0.0)):
+            counts = np.array([3, 4, 5])
+            arrays = mab.MabServerState(np.array(mean), counts, 12, 2.0 / counts)
+            check, scalar_check = fam.stop(arrays), fam.stop(as_tuples(arrays))
+            assert check_bits(scalar_check) == check_bits(check)
+
+    def test_merges_near_2_53(self):
+        # from 2^53 on, counts round to even floats before the divisions
+        counts = np.full(3, 2**53 - 3, dtype=np.int64)
+        arrays = mab.MabServerState(np.array([0.3, -0.0, 1.5]), counts, int(counts.sum()), 2.0 / counts)
+        tuples = as_tuples(arrays)
+        for arm, n in ((1, 1), (1, 3), (2, 5), (3, 6), (1, 1), (2, 1), (3, 2), (1, 7)):
+            arrays = mab.server_merge_mab(arrays, arm, n, 0.7 * n)
+            tuples = mab.server_merge_mab(tuples, arm, n, 0.7 * n)
+            assert state_bytes(tuples) == state_bytes(arrays)
+
+    @pytest.mark.parametrize("k", CUT_ARMS)
+    def test_async_runs(self, k, forced_path):
+        inst = gen_gap_instance_mab(k, 0.3, make_rng(2950 + k), sigma=0.3)
+        for m, activation in ((1, "uniform-random"), (3, "round-robin"), (10, "uniform-random")):
+            cfg = RunConfig(n_agents=m, seed=m + k, activation=activation, max_rounds=40 * k + 600)
+
+            def run():
+                log = []
+                return run_famabpe(inst, cfg, audit=True, audit_log=log).to_json(), log
+
+            arrays, tuples = forced_path(run)
+            assert tuples == arrays
+
+    @pytest.mark.parametrize("k", CUT_ARMS)
+    def test_synchronous_and_single_agent_runs(self, k, forced_path):
+        inst = gen_gap_instance_mab(k, 0.3, make_rng(2960 + k), sigma=0.3)
+        sync = SyncConfig(n_agents=3, seed=k, episode_len=5, max_rounds=60 * k + 600)
+        single = RunConfig(seed=k, epsilon=0.1, max_rounds=40 * k + 600)
+        arrays, tuples = forced_path(lambda: (run_synchronous(inst, sync).to_json(), run_single_agent(inst, single).to_json()))
+        assert tuples == arrays
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.3], ids=["0.0", "-0.0", "0.3"])
+    def test_signed_zero_rewards_and_tied_means(self, sigma, forced_path):
+        # arms tied at -0.0, 0.0 and 0.2: noiseless, rewards of -0.0 and 0.0
+        # and zero widths, which stop a run at its first stop check; noisy,
+        # long runs whose estimates start out tied
+        inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2, -0.0, 0.2), sigma=sigma)
+
+        def runs():
+            out = []
+            for m in (1, 3):
+                log = []
+                cfg = RunConfig(n_agents=m, seed=m, epsilon=0.1, max_rounds=3_000)
+                out.append((run_famabpe(inst, cfg, audit=True, audit_log=log).to_json(), log))
+            out.append(run_synchronous(inst, SyncConfig(n_agents=4, seed=2, episode_len=3, epsilon=0.1)).to_json())
+            out.append(run_single_agent(inst, RunConfig(seed=5, epsilon=0.1)).to_json())
+            return out
+
+        arrays, tuples = forced_path(runs)
+        assert tuples == arrays
 
 
 class TestIntegerTriggerLimit:
@@ -2078,7 +2271,7 @@ def server_states(monkeypatch):
         def wrapper(*args, **kwargs):
             state = args[0]
             arrays = (state.cov, state.resp, state.counts) if name == "stopping_linear" else args[:2]
-            log.append((name, tuple(a.tobytes() for a in arrays)))
+            log.append((name, tuple(np.asarray(a).tobytes() for a in arrays)))
             return original(*args, **kwargs)
 
         return wrapper

@@ -262,9 +262,24 @@ def linear_run(**kw):
 
 
 def write_one_ulp(state):
-    """One ulp, in place, into the first array of a server state."""
-    array = next(v for v in vars(state).values() if isinstance(v, np.ndarray))
-    array.flat[0] = np.nextafter(array.flat[0], np.inf)
+    """One ulp into the first entry of a server state's first array, in
+    place; a tuple, which cannot be written, is replaced in the state."""
+    name, value = next((n, v) for n, v in vars(state).items() if isinstance(v, (np.ndarray, tuple)))
+    if isinstance(value, tuple):
+        setattr(state, name, (math.nextafter(value[0], math.inf), *value[1:]))
+    else:
+        value.flat[0] = np.nextafter(value.flat[0], np.inf)
+
+
+@pytest.fixture(params=["tuples", "arrays"])
+def representation(request, monkeypatch):
+    """famabpe's server states of mab_run's five arms as tuples of Python
+    numbers (the default up to mab.SCALAR_MAX_ARMS arms) or as numpy arrays,
+    forced by the cut; returns the sequence type of a state's fields."""
+    if request.param == "arrays":
+        monkeypatch.setattr(mab, "SCALAR_MAX_ARMS", 0)
+        return np.ndarray
+    return tuple
 
 
 def mutate_driver(monkeypatch, old, new):
@@ -410,6 +425,49 @@ class TestAuditCatchesMutations:
             run(inst, cut, audit=True, audit_log=log)
         # every upload passed its audit, so the run's end raised
         assert len(log) == last + 1 and log[-1].agent in {rec.agent for rec in log[:-1]}
+
+    def test_mab_merge_that_drops_one_pull_on_either_representation(self, representation, monkeypatch):
+        merge, seen = MabFamily.merge, []
+
+        def dropping(self, server, arm, n, reward_sum):
+            seen.append(type(server.counts))
+            return merge(self, server, arm, n - 1, reward_sum)
+
+        mutate_uploads(monkeypatch, MabFamily, dropping)
+        with pytest.raises(AuditError, match="count conservation"):
+            mab_run(audit=True)
+        assert seen == [representation]
+
+    def test_mab_carried_two_over_counts_one_ulp_off_on_either_representation(self, representation, monkeypatch):
+        # one ulp of the merged arm's 2/counts, in a fresh field
+        merge, seen = MabFamily.merge, []
+
+        def off(self, server, arm, n, reward_sum):
+            out = merge(self, server, arm, n, reward_sum)
+            seen.append(type(out.two_over_counts))
+            carried = list(out.two_over_counts)
+            carried[arm - 1] = math.nextafter(carried[arm - 1], math.inf)
+            return replace(out, two_over_counts=tuple(carried) if seen[-1] is tuple else np.array(carried))
+
+        mutate_uploads(monkeypatch, MabFamily, off)
+        with pytest.raises(AuditError, match="2/counts"):
+            mab_run(audit=True)
+        assert seen == [representation]
+
+    def test_mab_write_into_a_held_snapshot_on_either_representation(self, representation, monkeypatch):
+        merge, calls = MabFamily.merge, []
+
+        def writing(self, server, *upload):
+            calls.append(type(server.mean_est))
+            out = merge(self, server, *upload)
+            if len(calls) == 3:
+                write_one_ulp(server)
+            return out
+
+        mutate_uploads(monkeypatch, MabFamily, writing)
+        with pytest.raises(AuditError, match="snapshot changed between downloads"):
+            mab_run(audit=True)
+        assert calls == [representation] * 3
 
     @pytest.mark.parametrize("run", [mab_run, linear_run])
     def test_forced_communication_audited(self, run):
