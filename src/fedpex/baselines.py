@@ -3,12 +3,14 @@ synchronous fixed-episode runs with full data sharing at sync points.
 
 A synchronous run advances in global rounds where every agent pulls once.
 The first ceil(K/M) global rounds are a warm-up that pulls arms round-robin
-so each arm is observed; the warm-up ends with one initialization sync whose
-2M messages are counted in init_comm. Afterwards agents pull their frozen
-targets; at every episode boundary all M agents upload and download (2M
-messages in comm_cost, also on the stopping boundary, which is what makes
-comm_cost = 2 * tau / episode_len an exact identity), and the stopping rule
-is evaluated.
+so each arm is observed, each pull a one-pull upload; its end is one
+initialization sync whose 2M messages count in init_comm, unless it is an
+episode boundary. Afterwards every agent pulls the common frozen target, so
+its pulls between syncs are one upload of (target, n, reward sum); at every
+episode boundary all M agents upload and download (2M messages in
+comm_cost, also on the stopping boundary, which is what makes comm_cost =
+2 * tau / episode_len an exact identity), and the stopping rule is
+evaluated.
 """
 
 from __future__ import annotations
@@ -64,77 +66,63 @@ def _fold(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def run_synchronous(instance, sync_config: SyncConfig) -> RunResult:
-    """Synchronous baseline with full sharing every episode_len global rounds."""
+    """Synchronous baseline with full sharing every episode_len global rounds:
+    the warm-up is one block of one-pull uploads, and each episode is M
+    uploads of (target, L, reward sum), merged in agent order."""
     fam = bandit_family(instance, sync_config)
-    cfg, means = fam.cfg, np.asarray(instance.means)
-    k = instance.k_arms
-    m_agents = cfg.n_agents
-    episode = cfg.episode_len
+    cfg, means, sigma = fam.cfg, np.asarray(instance.means), instance.sigma
+    k, m_agents, episode = instance.k_arms, cfg.n_agents, cfg.episode_len
     rng = make_rng(cfg.seed)
     warmup = math.ceil(k / m_agents)
 
-    # each pending sum is folded from +0.0, so no merge receives -0.0, and
-    # the empty state's -0.0 estimates merge as +0.0 ones would
-    server = fam.empty()
-    # each agent's reward sum and pull count per arm since the last merge
-    pend_sums, pend_counts = np.zeros((m_agents, k)), np.zeros((m_agents, k), dtype=np.int64)
-    target: int | None = None  # the common frozen target of every agent
-    tau = g = 0
-    comm = init_comm = switches = downloads = fallbacks = 0
-    final = None  # the stop check that stops the run, if one does
+    # in warm-up round g agent m pulls arm (g M + m) mod K, 0-based, never an
+    # arm twice; one (warmup, M) block of normals is the stream round by round
+    # and agent by agent
+    mu, z = means.tolist(), rng.standard_normal((warmup, m_agents)).tolist()
+    server, start = fam.empty(), 0
+    for end in (*range(episode, warmup, episode), warmup):
+        # at each sync and at the warm-up's end, each agent uploads its pulls
+        # since the last one in arm order; a sum folded from +0.0 merges no
+        # -0.0, so the empty state's -0.0 estimates merge as +0.0 ones would
+        for m in range(m_agents):
+            for a, r in sorted(((r * m_agents + m) % k, r) for r in range(start, end)):
+                server = fam.merge(server, a + 1, 1, 0.0 + (mu[a] + sigma * z[r][m]))
+        start = end
+    comm, init_comm = 2 * m_agents * (warmup // episode), 0 if warmup % episode == 0 else 2 * m_agents
+    # the warm-up's end never stops, even on an episode boundary; this keeps
+    # episode_len=1, M=1 pull-for-pull identical to the single-agent baseline
+    agent, fallback = fam.download(server, fam.stop(server))
+    target, downloads, fallbacks, switches = agent.current_target, m_agents, int(fallback), 0
+    tau, g, final = warmup * m_agents, warmup, None  # final: the stop check that stops the run
+    # each agent's reward sum of its `held` pulls of the target since the last sync
+    sums, held = np.zeros(m_agents), 0
 
     while tau + m_agents <= cfg.max_rounds:
-        # the pulls of a step are one (rounds, M) block of normals: the same
-        # stream, round by round and agent by agent, as one draw per pull
-        if g < warmup:
-            # one warm-up round: agent m pulls arm (g M + m) mod K, 0-based
-            rounds, who = 1, np.arange(m_agents)
-            arms = (g * m_agents + who) % k
-        else:
-            # every agent pulls the common frozen target up to the next episode
-            # boundary or the round cap; at most MAX_BLOCK rounds bound memory
-            # at long episodes
-            rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, MAX_BLOCK)
-            who, arms = slice(None), target - 1
-        rewards = means[arms] + instance.sigma * rng.standard_normal((rounds, m_agents))
-        pend_sums[who, arms] = _fold(pend_sums[who, arms], rewards)
-        pend_counts[who, arms] += rounds
+        # every agent pulls the target up to the next episode boundary or the
+        # round cap; at most MAX_BLOCK rounds bound memory at long episodes
+        rounds = min(episode - g % episode, (cfg.max_rounds - tau) // m_agents, MAX_BLOCK)
+        sums = _fold(sums, means[target - 1] + sigma * rng.standard_normal((rounds, m_agents)))
+        held += rounds
         tau += rounds * m_agents
         g += rounds
-
-        at_sync = g % episode == 0
-        at_init = g == warmup
-        if not (at_sync or at_init):
+        if g % episode:
             continue
-        # each agent uploads, for every arm it pulled, its pulls and their sum
-        for m in range(m_agents):
-            for a in np.flatnonzero(pend_counts[m]):
-                server = fam.merge(server, a + 1, int(pend_counts[m, a]), float(pend_sums[m, a]))
-        pend_sums[:] = 0
-        pend_counts[:] = 0
-        if at_sync:
-            comm += 2 * m_agents
-        else:
-            init_comm += 2 * m_agents
-        # no target is defined until every arm has a server observation: the
-        # g M < K pulls before the warm-up's end miss an arm, its g M >= K cover all
-        if g < warmup:
-            continue
+        for s in sums.tolist():
+            server = fam.merge(server, target, held, s)
+        sums, held = np.zeros(m_agents), 0
+        comm += 2 * m_agents
         check = fam.stop(server)
-        # the warm-up boundary never stops, even when it coincides with an
-        # episode boundary; this keeps episode_len=1, M=1 pull-for-pull
-        # identical to the single-agent baseline
-        if at_sync and g > warmup and check[2] <= cfg.epsilon:
+        if check[2] <= cfg.epsilon:
             final = check
             break
         # every agent downloads the merged state and re-freezes its target
         agent, fallback = fam.download(server, check)
         fallbacks += fallback
         downloads += m_agents
-        if target is not None and target != agent.current_target:
-            switches += m_agents
+        switches += m_agents * (agent.current_target != target)
         target = agent.current_target
 
     # the merged pulls, and those a round cap cut off inside an episode
-    pulls = np.asarray(server.counts) + pend_counts.sum(axis=0)
+    pulls = np.asarray(server.counts).tolist()
+    pulls[target - 1] += held * m_agents
     return run_result(fam, server, final, tau, pulls, comm, init_comm, switches, downloads, fallbacks)

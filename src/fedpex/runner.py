@@ -441,15 +441,24 @@ def run_falinpe(
 # ---------------------------------------------------------------------------
 
 
+def _squared_ratio(s: float, d: float) -> float:
+    """s^2 / d^2 for d > 0, and (s / d)^2 where a square leaves the float
+    range: +inf past the largest float, 0 at s = 0."""
+    try:
+        return s**2 / d**2
+    except (OverflowError, ZeroDivisionError):
+        return (s / d) * (s / d)
+
+
 def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = None) -> dict:
     """Problem-complexity value and the communication bound at a given tau.
 
     The MAB complexity sums sigma^2 / max((gap+eps)/3, eps)^2 over arms; at
     eps = 0 its best-arm term divides by zero, so the value is reported as
-    +inf and flagged. The linear complexity maximizes rho(y) p_k(y) over
-    ordered arm pairs per arm; identical-context pairs contribute nothing and
-    every remaining pair has a positive denominator, so it stays finite even
-    at eps = 0.
+    +inf and flagged, and a term past the largest float is +inf unflagged.
+    The linear complexity maximizes rho(y) p_k(y) over ordered arm pairs per
+    arm; identical-context pairs contribute nothing and every remaining pair
+    has a positive denominator, so it stays finite even at eps = 0.
     """
     eps = config.epsilon
     fam = bandit_family(instance, config)
@@ -473,7 +482,7 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
     else:
         denoms = [max((g + eps) / 3.0, eps) for g in gaps]
         infinite = 0.0 in denoms
-        report["complexity"] = math.inf if infinite else float(sum(instance.sigma**2 / d**2 for d in denoms))
+        report["complexity"] = math.inf if infinite else float(sum(_squared_ratio(instance.sigma, d) for d in denoms))
         report["epsilon_zero_flag"] = infinite
     if tau is not None:
         report["comm_bound"] = fam.comm_bound(tau)

@@ -485,6 +485,25 @@ class TestBounds:
         rep = json.loads(capsys.readouterr().out)
         assert rep["complexity"] == "+inf"
 
+    @pytest.mark.parametrize(
+        "sigma,eps,want",
+        [
+            # d^2 underflows to 0 at eps 1e-200 (ZeroDivisionError, exit 1)
+            pytest.param(0.3, "1e-200", "+inf", id="d-squared-underflows"),
+            # sigma^2 overflows (OverflowError, exit 1)
+            pytest.param(1e200, "0.1", "+inf", id="sigma-squared-overflows"),
+            pytest.param(0.0, "1e-200", 0.0, id="sigma-0"),
+        ],
+    )
+    def test_mab_squares_beyond_the_float_range(self, tmp_path, capsys, sigma, eps, want):
+        import fedpex
+
+        inst = tmp_path / "inst.json"
+        fedpex.save_instance(fedpex.MabInstance(means=(0.5, 0.4, 0.1), sigma=sigma), inst)
+        assert main(["bounds", "--instance", str(inst), "--epsilon", eps]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["complexity"] == want and rep["epsilon_zero_flag"] is False
+
     def test_sigma_scaling_in_output(self, tmp_path, capsys):
         import fedpex
 

@@ -2345,6 +2345,17 @@ class TestSyncAgainstPerRoundLoops:
         lin_inst = gen_gap_instance_linear(3, 8, 0.3, make_rng(1201), sigma=0.2)
         assert_same_sync(lin_inst, SyncConfig(n_agents=1, seed=2, episode_len=3, epsilon=0.05), server_states)
 
+    @pytest.mark.parametrize("e", [1, 2, 3, 100])
+    def test_smallest_accepted_cap(self, e, server_states):
+        # M=3, K=5: the warm-up's ceil(K/M) M = 6 > K pulls are the whole run,
+        # which ends at the warm-up's download before any episode
+        mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1400), sigma=0.3)
+        lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1401), sigma=0.2)
+        for inst in (mab_inst, lin_inst):
+            got = assert_same_sync(inst, SyncConfig(n_agents=3, seed=e, episode_len=e, max_rounds=6), server_states)
+            assert (got.tau, got.terminated, got.n_downloads) == (6, False, 3)
+            assert got.comm_cost + got.init_comm == 6 * (2 if e == 1 else 1)
+
     def test_signed_zero_rewards(self, server_states):
         # sigma = 0 with means of -0.0 and 0.0: rewards are -0.0 or 0.0 by the sign of z
         inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2), sigma=0.0)

@@ -553,6 +553,42 @@ class TestDiagnostics:
         rep = compute_theory_diagnostics(MabInstance((1.0, 0.5), 0.3), RunConfig(epsilon=0.0))
         assert math.isinf(rep["complexity"]) and rep["epsilon_zero_flag"]
 
+    @pytest.mark.parametrize(
+        "sigma,eps,want",
+        [
+            # the best arm's d^2 underflows to 0: its term is past the largest float
+            pytest.param(0.3, 1e-200, math.inf, id="d-squared-underflows"),
+            pytest.param(1e200, 0.1, math.inf, id="sigma-squared-overflows"),
+            pytest.param(0.0, 1e-200, 0.0, id="sigma-0"),
+            # both squares of the best arm underflow, and its ratio is 1
+            pytest.param(1e-200, 1e-200, 1.0, id="both-underflow"),
+        ],
+    )
+    def test_mab_squares_beyond_the_float_range(self, sigma, eps, want):
+        # these raised ZeroDivisionError or OverflowError
+        rep = compute_theory_diagnostics(MabInstance((0.5, 0.4, 0.1), sigma), RunConfig(epsilon=eps))
+        assert rep["complexity"] == want and not rep["epsilon_zero_flag"]
+
+    def test_mab_gap_squared_overflows(self):
+        # the outer arms' d^2 overflows, and their terms are below the smallest float
+        rep = compute_theory_diagnostics(MabInstance((1e280, 0.4, -1e280), 1e-3), RunConfig(epsilon=0.1))
+        assert rep["complexity"] == pytest.approx(1e-4, rel=1e-12)
+
+    def test_mab_in_range_values_bit_for_bit(self):
+        # wherever sigma^2 / d^2 computes without an exception, the value is that quotient's
+        rng = make_rng(41)
+        checked = 0
+        for _ in range(400):
+            sigma, eps = 10.0 ** rng.uniform(-170, 170), 10.0 ** rng.uniform(-170, -0.01)
+            inst = MabInstance((0.5, 0.4, 0.1), sigma)
+            try:
+                want = float(sum(sigma**2 / max((g + eps) / 3.0, eps) ** 2 for g in (0.0, inst.gap(2), inst.gap(3))))
+            except (OverflowError, ZeroDivisionError):
+                continue
+            assert compute_theory_diagnostics(inst, RunConfig(epsilon=eps))["complexity"] == want
+            checked += 1
+        assert checked > 100
+
     def test_comm_bound_reference_value(self):
         # 2 (10 + 100) log2(10^4)
         assert mab_comm_bound(10, 0.01, 10_000) == pytest.approx(2923.2967235008789, abs=1e-6)
