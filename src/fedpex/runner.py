@@ -8,20 +8,18 @@ communication-cost bounds are asserted as hard postconditions of every
 terminated run.
 
 An agent of either family is one mab.AgentState, what its last download
-fixed; every agent holds the one state that set-up downloads. The driver
-keeps each agent's buffer of unsent rewards: the round loop appends each
-reward to it and compares its length with the agent's limit. An upload is
-n pulls of the agent's one target, so either family's merge takes the
-arm, n and the rewards' sum. Everything else, the audit and the audit log
-included, happens at uploads.
+fixed; every agent holds the one state that set-up downloads. An upload
+is n pulls of the agent's one target, so either family's merge takes the
+arm, n and the rewards' sum, and the driver keeps just those per agent:
+the count of pulls it holds, which the round loop compares with the
+agent's limit, and their running reward sum. Everything else, the audit
+and the audit log included, happens at uploads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -212,7 +210,7 @@ def bandit_family(instance, config: RunConfig) -> MabFamily | LinearFamily:
 
 
 # ---------------------------------------------------------------------------
-# The audit: between messages an agent only appends rewards of its frozen
+# The audit: between messages an agent only adds pulls of its frozen
 # target, so the invariants are checked at messages and at the run's end
 # ---------------------------------------------------------------------------
 
@@ -249,10 +247,10 @@ class Audit:
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
         return ag, (ag.current_target, _state_bytes(snap)), m
 
-    def upload(self, server, agents, buffers, ag, sent, m, tau):
-        """After agent m, whose state was `ag`, uploaded the buffer `sent` in
-        round tau, the server merged it and m downloaded unless the run stopped."""
-        fam, n, a = self.fam, len(sent), ag.current_target - 1
+    def upload(self, server, agents, held, ag, n, total, m, tau):
+        """After agent m, whose state was `ag`, uploaded n pulls summing to
+        `total` in round tau, the server merged them and m downloaded unless it stopped."""
+        fam, a = self.fam, ag.current_target - 1
         # the rule fires at exactly this count: neither late nor early
         if n != ag.trigger_limit + 1 or not fam.rule_fires(ag, n) or fam.rule_fires(ag, n - 1):
             raise AuditError(f"agent {m + 1} uploaded {n} pulls at a trigger limit of {ag.trigger_limit}")
@@ -260,21 +258,21 @@ class Audit:
         if self.sums is not None:
             cov, resp = self.sums
             cov += n * fam.outers[a]
-            resp += reduce(add, sent, 0.0) * fam.contexts[a]
-        self.check(server, buffers, tau, {id(rec): rec for rec in (self.records[m], self.latest)})
+            resp += total * fam.contexts[a]
+        self.check(server, held, tau, {id(rec): rec for rec in (self.records[m], self.latest)})
         if agents[m] is not ag:
             self.records[m] = self.latest = self.download(agents[m], m)
 
-    def check(self, server, buffers, tau, records):
+    def check(self, server, held, tau, records):
         """The server's cached values; conservation over every agent, where
         the audit's own tally counts the initial and the uploaded pulls of
-        each arm and the buffers hold the rest of tau, and the linear sums
-        are the audit's own to the bit; and the downloads of `records` (by
-        id) as they were downloaded."""
+        each arm and the agents hold the rest of tau, and the linear sums
+        are the audit's own, from the uploads' reward sums, to the bit; and
+        the downloads of `records` (by id) as they were downloaded."""
         counts = np.asarray(server.counts)
         if server.counts_total != int(counts.sum()):
             raise AuditError("server cached total diverged")
-        if counts.tolist() != self.pulls or server.counts_total + sum(map(len, buffers)) != tau:
+        if counts.tolist() != self.pulls or server.counts_total + sum(held) != tau:
             raise AuditError("count conservation violated")
         if self.sums is None:
             if np.asarray(server.two_over_counts).tobytes() != (2.0 / counts).tobytes():
@@ -285,12 +283,11 @@ class Audit:
             if seen != (ag.current_target, _state_bytes(ag.snapshot)):
                 raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
 
-    def end(self, server, agents, buffers, tau):
+    def end(self, server, agents, held, tau):
         """Everything above, once per distinct record; no agent over its limit."""
         records = {id(rec): rec for rec in self.records}
-        self.check(server, buffers, tau, records)
-        for m, (ag, buf) in enumerate(zip(agents, buffers)):
-            n = len(buf)
+        self.check(server, held, tau, records)
+        for m, (ag, n) in enumerate(zip(agents, held)):
             if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
                 raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
         for ag, _seen, m in records.values():
@@ -305,17 +302,17 @@ class Audit:
 def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
     """One asynchronous event-triggered run of either bandit family.
 
-    Each round the active agent pulls its frozen target, the driver appends
-    the reward to the agent's buffer, and the agent uploads once its buffer
-    holds more rewards than the trigger limit fixed at its last download (0
-    for a family built forced). The server merges the buffer, and the run
-    stops at B <= epsilon or the agent downloads the merged state. Set-up
+    Each round the active agent m pulls its frozen target, counted in held[m]
+    and its reward added to sums[m] from 0.0. Once held[m] exceeds the
+    trigger limit fixed at its last download (0 for a family built forced),
+    the server merges (target, held[m], sums[m]), both restart at 0, and the
+    run stops at B <= epsilon or the agent downloads the merged state. Set-up
     merges one pull of every arm into the family's empty state and downloads
     the result once, and every agent holds that download.
     The active agents and reward normals come in blocks from
     ActivationSchedule.block, equal to per-round draws.
     Auditing, the audit log and the message counters act only at uploads;
-    the per-arm pulls are the server's counts plus the held buffers at the end.
+    the per-arm pulls are the server's counts plus the held ones at the end.
     """
     inst, cfg = fam.instance, fam.cfg
     k, m_agents = inst.k_arms, cfg.n_agents
@@ -330,7 +327,7 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
         server = fam.merge(server, a, 1, sample_reward_mab(inst, a, rng))
     check = fam.stop(server)
     first, fallback = fam.download(server, check)
-    agents, buffers, fallbacks = [first] * m_agents, [[] for _ in range(m_agents)], m_agents * fallback
+    agents, held, sums, fallbacks = [first] * m_agents, [0] * m_agents, [0.0] * m_agents, m_agents * fallback
     audit = Audit(fam, server, agents) if audit else None
     comm = switches = downloads = 0
     tau = k
@@ -343,15 +340,15 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
 
     while not stopped and tau < max_rounds:
         for m, z in zip(*draw(rng, max_rounds - tau)):
-            ag, buf = agents[m], buffers[m]
-            buf.append(means[ag.current_target - 1] + sigma * z)
+            ag = agents[m]
+            held[m] += 1
+            sums[m] += means[ag.current_target - 1] + sigma * z
             tau += 1
-            if len(buf) > ag.trigger_limit:
-                arm = ag.current_target
+            if held[m] > ag.trigger_limit:
+                arm, n, total = ag.current_target, held[m], sums[m]
+                held[m], sums[m] = 0, 0.0
                 comm += 1  # upload
-                buffers[m] = []
-                # not sum(), which compensates float sums from Python 3.12 on
-                server = fam.merge(server, arm, len(buf), reduce(add, buf, 0.0))
+                server = fam.merge(server, arm, n, total)
                 check = fam.stop(server)
                 if check[2] <= epsilon:
                     stopped, target = True, None
@@ -363,18 +360,18 @@ def _run_async(fam, audit: bool, audit_log: list | None) -> RunResult:
                     target = agents[m].current_target
                     switches += target != arm
                 if audit:
-                    audit.upload(server, agents, buffers, ag, buf, m, tau)
+                    audit.upload(server, agents, held, ag, n, total, m, tau)
                 if audit_log is not None:
-                    audit_log.append(AuditRecord(tau, m + 1, arm, len(buf), target, stopped, check[2]))
+                    audit_log.append(AuditRecord(tau, m + 1, arm, n, target, stopped, check[2]))
                 if stopped:
                     break
 
     if audit:
-        audit.end(server, agents, buffers, tau)
-    # the initial and the uploaded pulls, then the held ones
+        audit.end(server, agents, held, tau)
+    # the initial and the uploaded pulls, then the held ones (the stopping agent's were sent)
     pulls = np.asarray(server.counts).tolist()
-    for ag, buf in zip(agents, buffers):
-        pulls[ag.current_target - 1] += len(buf)
+    for ag, n in zip(agents, held):
+        pulls[ag.current_target - 1] += n
     # the cap governs the event-triggered protocol, not forced communication
     if stopped and not fam.forced:
         bound = fam.comm_bound(tau)
@@ -456,17 +453,20 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
     The MAB complexity sums sigma^2 / max((gap+eps)/3, eps)^2 over arms; at
     eps = 0 its best-arm term divides by zero, so the value is reported as
     +inf and flagged, and a term past the largest float is +inf unflagged.
-    The linear complexity maximizes rho(y) p_k(y) over ordered arm pairs per
-    arm; identical-context pairs contribute nothing and every remaining pair
-    has a positive denominator, so it stays finite even at eps = 0.
+    The linear complexity maximizes rho(y) p_k(y) / denominator^2 over
+    ordered arm pairs per arm; identical-context pairs and the arms a pair's
+    design does not weight contribute nothing, and a weighted term past the
+    largest float, its squared denominator 0 included, is +inf.
+    No reward is drawn, so a MAB config is resolved without a run's checks
+    on reward noise; a linear one keeps them, as its default ridge reads sigma.
     """
-    eps = config.epsilon
-    fam = bandit_family(instance, config)
-    k = instance.k_arms
+    eps, k = config.epsilon, instance.k_arms
+    linear = isinstance(instance, LinearInstance)
+    cfg = config.resolved(k, instance.sigma) if linear else config.resolved(k)
     gaps = [instance.gap(a) for a in range(1, k + 1)]
-    report: dict = {"epsilon": eps, "type": "linear" if fam.linear else "mab", "per_arm_gaps": gaps}
-    if fam.linear:
-        contexts = fam.contexts
+    report: dict = {"epsilon": eps, "type": "linear" if linear else "mab", "per_arm_gaps": gaps}
+    if linear:
+        contexts = np.asarray(instance.contexts, dtype=float)
         best_per_arm = np.zeros(k)
         for i in range(k):
             for j in range(k):
@@ -475,7 +475,10 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
                     continue
                 sol = solve_l1(contexts, y)
                 denom = max((gaps[i] + eps) / 3.0, (gaps[j] + eps) / 3.0, eps)
-                contrib = sol.rho * sol.p / denom**2
+                weighted = sol.p > 0
+                contrib = np.zeros(k)
+                with np.errstate(divide="ignore", over="ignore"):
+                    contrib[weighted] = sol.rho * sol.p[weighted] / denom**2
                 best_per_arm = np.maximum(best_per_arm, contrib)
         report["complexity"] = float(best_per_arm.sum())
         report["epsilon_zero_flag"] = False
@@ -485,5 +488,8 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
         report["complexity"] = math.inf if infinite else float(sum(_squared_ratio(instance.sigma, d) for d in denoms))
         report["epsilon_zero_flag"] = infinite
     if tau is not None:
-        report["comm_bound"] = fam.comm_bound(tau)
+        if linear:
+            report["comm_bound"] = linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, instance.dim, tau)
+        else:
+            report["comm_bound"] = mab_comm_bound(cfg.n_agents, cfg.gamma, tau)
     return report

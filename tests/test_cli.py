@@ -265,8 +265,10 @@ class TestRun:
         out = tmp_path / "res.csv"
         args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "2", "--max-rounds", "5000"]
         assert "sigma is too large" in refused([*args, "--out", str(out)])
-        # bounds resolves the config at its round cap of 10^7, as for the log argument
-        assert "sigma is too large" in refused(["bounds", "--instance", str(inst), "--out", str(out)])
+        if kind == "linear":
+            # bounds resolves a linear config, whose ridge cap reads sigma, with
+            # the reward checks at its round cap of 10^7
+            assert "sigma is too large" in refused(["bounds", "--instance", str(inst), "--out", str(out)])
         assert not out.exists()
 
     def test_overflowing_reward_noise_in_a_sweep_exit_2(self, tmp_path, refused, monkeypatch):
@@ -503,6 +505,23 @@ class TestBounds:
         assert main(["bounds", "--instance", str(inst), "--epsilon", eps]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["complexity"] == want and rep["epsilon_zero_flag"] is False
+
+    def test_mab_reward_noise_that_only_a_draw_overflows(self, tmp_path, capsys):
+        # bounds draws no reward; it refused this for a run's reward sums
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"type":"mab","means":[0.5,0.4,0.1],"sigma":1e308}')
+        assert main(["bounds", "--instance", str(inst)]) == 0
+        assert json.loads(capsys.readouterr().out)["complexity"] == "+inf"
+
+    @pytest.mark.parametrize("eps", ["0", "1e-200"])
+    def test_linear_squared_denominator_underflows(self, tmp_path, capsys, eps):
+        # (gap / 3)^2 underflows to 0: the weighted arms' terms are past the
+        # largest float, and the arms the design does not weight gave 0/0,
+        # a NaN refused as JSON after divide and invalid RuntimeWarnings
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"type":"linear","dim":2,"contexts":[[1,0],[0,1],[0.5,0.5]],"theta":[1e-170,0],"sigma":0.3}')
+        assert main(["bounds", "--instance", str(inst), "--epsilon", eps]) == 0
+        assert json.loads(capsys.readouterr().out)["complexity"] == "+inf"
 
     def test_sigma_scaling_in_output(self, tmp_path, capsys):
         import fedpex

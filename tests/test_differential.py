@@ -15,7 +15,9 @@ second copy of its rule (n x x^T and the sum times x), and set-up's K
 one-pull merges into the empty state against the former `init`. For the pull path: drivers
 that draw every activation with `rng.integers` and every reward with
 `sample_reward_*`, one pull at a time, including the per-round synchronous
-loops that the block-drawn episodes replaced.
+loops that the block-drawn episodes replaced; they also catch a mis-folded
+reward sum, which the audit takes from the driver. For famabpe's uploads: a
+replay of the activations alone, with one count per agent and no reward.
 """
 
 import math
@@ -58,6 +60,7 @@ from fedpex.design_lp import (
 from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_sub, quad_form_inv, solve
 from fedpex.runner import (
     ActivationSchedule,
+    AuditError,
     AuditRecord,
     LinearFamily,
     MabFamily,
@@ -1311,6 +1314,42 @@ def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
     )
 
 
+def replay_uploads(instance, config, rounds, comm_every_round=False):
+    """famabpe's uploads (t, agent, pulls) through round `rounds`, from its
+    activations alone: one count of held pulls per agent, the server total
+    each agent downloaded and the server total, with ref_trigger_mab's rule
+    in integers and no reward or stop check. The normals are drawn, unread,
+    only to keep the activations where the per-round stream puts them."""
+    cfg = config.resolved(instance.k_arms)
+    k, m_agents = instance.k_arms, cfg.n_agents
+    num, den = (0, 1) if comm_every_round else Fraction(cfg.gamma).as_integer_ratio()
+    rng = make_rng(cfg.seed)
+    rng.standard_normal(k)  # set-up's K rewards
+    total, downloaded, held, uploads = k, [k] * m_agents, [0] * m_agents, []
+    for t in range(k + 1, rounds + 1):
+        m = ref_next_agent(cfg.activation, m_agents, t, k, rng)
+        rng.standard_normal()
+        held[m] += 1
+        if (downloaded[m] + held[m]) * den > (den + num) * downloaded[m]:
+            uploads.append((t, m + 1, held[m]))
+            total += held[m]
+            downloaded[m], held[m] = total, 0
+    return uploads
+
+
+def logged_uploads(log):
+    return [(rec.t, rec.agent, rec.pulls) for rec in log]
+
+
+def assert_replayed(instance, config, result, log, comm_every_round=False):
+    """The run's upload log is the replay's through tau, and its messages
+    are its U uploads and a download after each but a stopping one."""
+    uploads = replay_uploads(instance, config, result.tau, comm_every_round)
+    assert logged_uploads(log) == uploads
+    assert result.n_downloads == len(uploads) - result.terminated
+    assert result.comm_cost == 2 * len(uploads) - result.terminated
+
+
 def assert_same_famabpe(instance, config, states, audit=False, comm_every_round=False):
     ref_log, log = [], []
     want = ref_run_famabpe(instance, config, ref_log, comm_every_round)
@@ -1322,6 +1361,7 @@ def assert_same_famabpe(instance, config, states, audit=False, comm_every_round=
     assert stop_checks(states) == ref_states
     assert len(ref_states) == 1 + got.comm_cost - got.n_downloads  # the initialized state and every upload's
     states.clear()
+    assert_replayed(instance, config, got, log, comm_every_round)
     return got
 
 
@@ -1365,6 +1405,67 @@ class TestFamabpeAgainstArrayBuffers:
         cfg = RunConfig(seed=4, epsilon=0.05)
         want = ref_run_famabpe(inst, cfg, [], comm_every_round=True)
         assert run_single_agent(inst, cfg).to_json() == want.to_json()
+
+
+class TestFamabpeUploadsFromActivationsAlone:
+    """Before its stop, a famabpe run's uploads depend only on its
+    activations, gamma, K and M: the replay gives its upload log and its
+    message counts without a reward or a stop check."""
+
+    # a gap of 0.001 at sigma 1 takes millions of rounds to stop at epsilon
+    # 0, so a run of it is cut at max_rounds
+    TIED = MabInstance(means=(0.501, 0.5, 0.5, 0.5, 0.5), sigma=1.0)
+    CUT = RunConfig(n_agents=3, seed=5, max_rounds=5_000)
+
+    @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_cut_stopped_audited_and_forced_runs(self, m, activation):
+        inst = gen_gap_instance_mab(5, 0.3, make_rng(60 + m), sigma=0.3)
+        base = RunConfig(n_agents=m, seed=m, activation=activation)
+        runs = [
+            (self.TIED, replace(base, max_rounds=20_000), {}),
+            (inst, base, {}),
+            (inst, replace(base, seed=m + 1), {"audit": True}),
+            (inst, base, {"comm_every_round": True}),
+            (self.TIED, replace(base, max_rounds=500), {"comm_every_round": True, "audit": True}),
+        ]
+        results = []
+        for instance, cfg, kw in runs:
+            log = []
+            results.append(run_famabpe(instance, cfg, audit_log=log, **kw))
+            assert_replayed(instance, cfg, results[-1], log, kw.get("comm_every_round", False))
+        assert [r.terminated for r in results] == [False, True, True, True, False]
+        assert results[0].comm_cost > 100
+
+    def test_each_upload_one_pull_late(self, mutate_driver):
+        mutate_driver("> ag.trigger_limit:", "> ag.trigger_limit + 1:")
+        log = []
+        res = run_famabpe(self.TIED, self.CUT, audit_log=log)
+        with pytest.raises(AssertionError):
+            assert_replayed(self.TIED, self.CUT, res, log)
+
+    def test_uploader_count_not_reset(self, mutate_driver):
+        mutate_driver("held[m], sums[m] = 0, 0.0", "sums[m] = 0.0")
+        log = []
+        # the run sends held pulls again, so its end refuses its pulls, by
+        # which time its log holds every upload
+        with pytest.raises(ValueError, match="pulls_per_arm must sum to tau"):
+            run_famabpe(self.TIED, self.CUT, audit_log=log)
+        assert logged_uploads(log) != replay_uploads(self.TIED, self.CUT, self.CUT.max_rounds)
+
+    def test_set_up_download_limit_off_by_one(self, monkeypatch):
+        download, calls = MabFamily.download, []
+
+        def off_by_one(self, server, check):
+            ag, fallback = download(self, server, check)
+            calls.append(1)
+            return (replace(ag, trigger_limit=ag.trigger_limit + 1) if len(calls) == 1 else ag), fallback
+
+        monkeypatch.setattr(MabFamily, "download", off_by_one)
+        log = []
+        res = run_famabpe(self.TIED, self.CUT, audit_log=log)
+        with pytest.raises(AssertionError):
+            assert_replayed(self.TIED, self.CUT, res, log)
 
 
 def mab_state(rng, k, kind):
@@ -2089,6 +2190,21 @@ def ref_run_falinpe(instance, config, audit_log):
     )
 
 
+def assert_same_falinpe(instance, config, states, audit=False):
+    ref_log, log = [], []
+    want = ref_run_falinpe(instance, config, ref_log)
+    ref_states = states[:]
+    states.clear()
+    got = run_falinpe(instance, config, audit=audit, audit_log=log)
+    assert got.to_json() == want.to_json()
+    assert log == ref_log
+    # the bytes of every server state, not only its stop score B
+    assert states == ref_states and ref_states
+    assert len(ref_states) == 1 + want.comm_cost - want.n_downloads  # the initialized state and every upload's
+    states.clear()
+    return got
+
+
 class TestFalinpeAgainstPerPullDraws:
     @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
     @pytest.mark.parametrize("m", [1, 3, 10])
@@ -2096,19 +2212,7 @@ class TestFalinpeAgainstPerPullDraws:
         inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(900 + m), sigma=0.2)
         base = RunConfig(n_agents=m, seed=m, activation=activation, epsilon=0.05, max_rounds=20_000)
         configs = [base, replace(base, arm_select="greedy", seed=m + 1), replace(base, max_rounds=40)]
-        results = []
-        for cfg in configs:
-            ref_log, log = [], []
-            want = ref_run_falinpe(inst, cfg, ref_log)
-            ref_states = server_states[:]
-            server_states.clear()
-            results.append(run_falinpe(inst, cfg, audit=m == 3, audit_log=log))
-            assert results[-1].to_json() == want.to_json()
-            assert log == ref_log
-            # the bytes of every server state, not only its stop score B
-            assert server_states == ref_states and ref_states
-            assert len(ref_states) == 1 + want.comm_cost - want.n_downloads  # the initialized state and every upload's
-            server_states.clear()
+        results = [assert_same_falinpe(inst, cfg, server_states, audit=m == 3) for cfg in configs]
         assert results[0].terminated and not results[-1].terminated
 
     def test_every_download_counts_its_lp_fallback(self, monkeypatch, server_states):
@@ -2127,6 +2231,37 @@ class TestFalinpeAgainstPerPullDraws:
             sync = assert_same_sync(inst, SyncConfig(n_agents=m, seed=m, episode_len=5, epsilon=0.05), server_states)
             # one common target per download of the merged state
             assert sync.terminated and sync.lp_fallbacks == sync.n_downloads // m
+
+
+# the driver's running reward sums, mis-folded: the audit takes each upload's
+# (n, sum) from the driver, so only a reference that draws every reward itself
+# sees these
+REWARD_FOLD_MUTATIONS = {
+    # the reward of every uploading round is left out of its upload's sum
+    "last-reward-not-folded": (
+        "sums[m] += means[ag.current_target - 1] + sigma * z",
+        "sums[m] += (means[ag.current_target - 1] + sigma * z) * (held[m] <= ag.trigger_limit)",
+    ),
+    # an upload's sum is sent again in the uploader's next upload
+    "sum-not-reset": ("held[m], sums[m] = 0, 0.0", "held[m] = 0"),
+}
+
+
+class TestRewardFoldMutationsFailTheReferences:
+    @pytest.mark.parametrize("mutation", list(REWARD_FOLD_MUTATIONS))
+    @pytest.mark.parametrize("family", ["famabpe", "falinpe"])
+    def test_whole_run_comparison_fails(self, family, mutation, mutate_driver, server_states):
+        mutate_driver(*REWARD_FOLD_MUTATIONS[mutation])
+        if family == "famabpe":
+            inst, same = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3), assert_same_famabpe
+            cfg = RunConfig(n_agents=3, seed=8)
+        else:
+            inst, same = gen_gap_instance_linear(3, 5, 0.3, make_rng(26), sigma=0.3), assert_same_falinpe
+            cfg = RunConfig(n_agents=3, seed=7, epsilon=0.05)
+        with pytest.raises(AssertionError) as failed:
+            same(inst, cfg, server_states)
+        # the comparison failed, not the driver's own checks
+        assert not isinstance(failed.value, AuditError)
 
 
 # ---------------------------------------------------------------------------
