@@ -290,6 +290,12 @@ class RunConfig:
         max_rounds samples is refused, and so is a sigma under which a
         reward sum of max_rounds pulls or a MAB stop check's score could.
         """
+        return self._resolved(k_arms, sigma, means, draws=True)
+
+    def _resolved(self, k_arms: int, sigma: float | None, means: tuple | None, draws: bool) -> "RunConfig":
+        """`resolved`, whose checks on reward noise apply only if `draws`:
+        a config that draws no reward still reads sigma for a linear ridge.
+        The ridge-cap warning names the line that called the caller."""
         if self.max_rounds <= k_arms:
             raise ValueError("max_rounds must exceed the arm count")
         m = self.n_agents
@@ -316,7 +322,7 @@ class RunConfig:
             raise ValueError(
                 "the confidence widths overflow within max_rounds samples: delta, the ridge or a gamma is too extreme"
             )
-        if sigma is not None:
+        if draws and sigma is not None:
             # numpy's normals stay below 14 in magnitude, so every reward lies
             # within |mean| + 16 sigma; a MAB score adds the difference of two
             # estimates to two widths, the widest at one pull and t samples
@@ -328,7 +334,7 @@ class RunConfig:
             warnings.warn(
                 f"ridge={ridge} exceeds the confidence-analysis cap {cap:.6g}; "
                 "the stopping guarantee no longer applies",
-                stacklevel=2,
+                stacklevel=3,
             )
         return replace(self, gamma=gamma, gamma1=gamma1, gamma2=gamma2, ridge=ridge)
 

@@ -457,12 +457,12 @@ def compute_theory_diagnostics(instance, config: RunConfig, tau: int | None = No
     ordered arm pairs per arm; identical-context pairs and the arms a pair's
     design does not weight contribute nothing, and a weighted term past the
     largest float, its squared denominator 0 included, is +inf.
-    No reward is drawn, so a MAB config is resolved without a run's checks
-    on reward noise; a linear one keeps them, as its default ridge reads sigma.
+    No reward is drawn, so the config is resolved without a run's checks on
+    reward noise; a linear one still reads sigma for its default ridge.
     """
     eps, k = config.epsilon, instance.k_arms
     linear = isinstance(instance, LinearInstance)
-    cfg = config.resolved(k, instance.sigma) if linear else config.resolved(k)
+    cfg = config._resolved(k, instance.sigma if linear else None, None, draws=False)
     gaps = [instance.gap(a) for a in range(1, k + 1)]
     report: dict = {"epsilon": eps, "type": "linear" if linear else "mab", "per_arm_gaps": gaps}
     if linear:

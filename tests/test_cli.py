@@ -255,7 +255,7 @@ class TestRun:
         [("mab", a) for a in ("famabpe", "ugapec-sync", "ugapec-single")]
         + [("linear", a) for a in ("falinpe", "lingape-sync", "lingape-single")],
     )
-    def test_overflowing_reward_noise_exit_2(self, tmp_path, refused, kind, algo):
+    def test_overflowing_reward_noise_exit_2(self, tmp_path, capsys, refused, kind, algo):
         # rewards of sigma 1e308 overflow: the runs computed their estimates,
         # and so a stopping arm, from inf and NaN, with RuntimeWarnings
         inst = tmp_path / "inst.json"
@@ -265,11 +265,17 @@ class TestRun:
         out = tmp_path / "res.csv"
         args = ["run", "--algo", algo, "--instance", str(inst), "--agents", "2", "--max-rounds", "5000"]
         assert "sigma is too large" in refused([*args, "--out", str(out)])
-        if kind == "linear":
-            # bounds resolves a linear config, whose ridge cap reads sigma, with
-            # the reward checks at its round cap of 10^7
-            assert "sigma is too large" in refused(["bounds", "--instance", str(inst), "--out", str(out)])
         assert not out.exists()
+        if kind == "linear":
+            # bounds draws no reward: sigma only sets the default ridge, which
+            # is 1 here as at sigma 0.3, so both print the same
+            outputs = []
+            for sigma in (1e308, 0.3):
+                inst.write_text(json.dumps({**spec, "sigma": sigma}))
+                for tau in ([], ["--tau", "1000"]):
+                    assert main(["bounds", "--instance", str(inst), *tau]) == 0
+                    outputs.append(capsys.readouterr().out)
+            assert outputs[:2] == outputs[2:]
 
     def test_overflowing_reward_noise_in_a_sweep_exit_2(self, tmp_path, refused, monkeypatch):
         # refused before any sweep instance is generated
@@ -512,6 +518,14 @@ class TestBounds:
         inst.write_text('{"type":"mab","means":[0.5,0.4,0.1],"sigma":1e308}')
         assert main(["bounds", "--instance", str(inst)]) == 0
         assert json.loads(capsys.readouterr().out)["complexity"] == "+inf"
+
+    def test_linear_reward_noise_that_only_a_draw_overflows(self, tmp_path, capsys):
+        # bounds draws no reward; it refused this for a run's reward sums
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"type":"linear","dim":2,"contexts":[[1,0],[0,1],[0.5,0.5]],"theta":[0.6,0],"sigma":1e308}')
+        assert main(["bounds", "--instance", str(inst), "--tau", "1000"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["complexity"] == 100.00000000000001 and rep["comm_bound"] == pytest.approx(211.27031433083087)
 
     @pytest.mark.parametrize("eps", ["0", "1e-200"])
     def test_linear_squared_denominator_underflows(self, tmp_path, capsys, eps):

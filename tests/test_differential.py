@@ -1,23 +1,24 @@
 """Differential tests: every fast path against the slow path it replaced.
 
-The reference functions below are the former implementations, kept here
-only as oracles. For the linear layers: the loop Cholesky and triangular
-solves, the log-determinant trigger, per-arm width scoring, the greedy
-rule that refactors cov + x x^T for every arm, the per-solve target
-choice that whitens afresh, and the loop informative_arm_lp, on random SPD
-snapshots at d = 2, 5, 10; and the hybrid rule itself against the integer trigger limit
-fixed at download. For famabpe: the driver with K-length pending arrays per
-agent, the exact rational trigger, the masked server merge, a stop check
-that computes the widths from the counts and B from numpy scalars, and a
-download that recomputes the target from the snapshot. For both families' merges:
-reward sums that add every pull as it happens, merged for falinpe by a
-second copy of its rule (n x x^T and the sum times x), and set-up's K
-one-pull merges into the empty state against the former `init`. For the pull path: drivers
-that draw every activation with `rng.integers` and every reward with
-`sample_reward_*`, one pull at a time, including the per-round synchronous
-loops that the block-drawn episodes replaced; they also catch a mis-folded
-reward sum, which the audit takes from the driver. For famabpe's uploads: a
-replay of the activations alone, with one count per agent and no reward.
+The reference functions here and in `reference.py` are the former
+implementations, kept only as oracles. For the linear layers: the loop
+Cholesky and triangular solves, the log-determinant trigger, per-arm width
+scoring, the greedy rule that refactors cov + x x^T for every arm, the
+per-solve target choice that whitens afresh, and the loop
+informative_arm_lp, on random SPD snapshots at d = 2, 5, 10; and the hybrid
+rule itself against the integer trigger limit fixed at download. For both
+families' message paths: the exact rational trigger, the masked MAB merge,
+a stop check that computes the widths from the counts and B from numpy
+scalars, and a download that recomputes the target from the snapshot. For
+both families' merges: reward sums that add every pull as it happens,
+merged for falinpe by a second copy of its rule (n x x^T and the sum times
+x), and set-up's K one-pull merges into the empty state against the former
+`init`. For whole runs: `reference.py`'s per-round loops, asynchronous and
+synchronous, which draw every activation with `rng.integers` and every
+reward with `sample_reward_mab` one pull at a time, or take the active
+agents from a fixed sequence; they also catch a mis-folded reward sum,
+which the audit takes from the driver. For famabpe's uploads: a replay of
+the activations alone, with one count per agent and no reward.
 """
 
 import math
@@ -25,7 +26,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -34,26 +35,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpex import baselines, linalg, stream
+import reference
+from fedpex import baselines, linalg, runner, stream
 from fedpex import linear as lin
 from fedpex import mab
 from fedpex.core import (
     LinearInstance,
     MabInstance,
     RunConfig,
-    RunResult,
     gen_gap_instance_linear,
     gen_gap_instance_mab,
     make_rng,
-    sample_reward_linear,
     sample_reward_mab,
 )
 from fedpex.baselines import SyncConfig, run_single_agent, run_synchronous
 from fedpex.design_lp import (
     SUPPORT_TOL,
-    InfeasibleTargetError,
     NoSupportError,
-    ZeroTargetError,
     design_support,
     informative_arm_lp,
 )
@@ -61,13 +59,31 @@ from fedpex.linalg import NotPositiveDefiniteError, back_sub, cholesky, forward_
 from fedpex.runner import (
     ActivationSchedule,
     AuditError,
-    AuditRecord,
     LinearFamily,
     MabFamily,
-    linear_comm_bound,
-    mab_comm_bound,
     run_falinpe,
     run_famabpe,
+)
+from reference import (
+    assert_replayed,
+    assert_same,
+    combined,
+    fixed,
+    logged_uploads,
+    ref_bonuses_mab,
+    ref_breaking_index,
+    ref_choose,
+    ref_download,
+    ref_family,
+    ref_informative_arm_lp,
+    ref_merge_linear,
+    ref_merge_mab,
+    ref_next_agent,
+    ref_select_arm_greedy,
+    ref_stop_check,
+    ref_trigger_mab,
+    replay_uploads,
+    run_async,
 )
 
 DIMS = (2, 5, 10)
@@ -143,30 +159,6 @@ def ref_trigger(agent, n, x, gamma1, gamma2):
     return grown > math.log1p(float(gamma1)) + ref_logdet(snap.cov)
 
 
-@dataclass
-class RefLinAgent:
-    """A reference driver's agent: a copy of its snapshot's fields and a
-    reward sum that adds every pull as it happens."""
-
-    cov: np.ndarray
-    counts: np.ndarray
-    pending_sum: float  # sum of the rewards not yet uploaded
-    current_target: int
-    counts_total: int
-    pending_total: int
-    target_q: float
-    trigger_limit: int
-
-
-def ref_trigger_hybrid(agent, gamma1, gamma2):
-    """The count rule in exact rationals, or pending_total * target_q > gamma1."""
-    g2 = Fraction(gamma2)
-    lhs = (agent.counts_total + agent.pending_total) * g2.denominator
-    if lhs > (g2.denominator + g2.numerator) * agent.counts_total:
-        return True
-    return agent.pending_total * agent.target_q > float(gamma1)
-
-
 def ref_scores(rewards, contexts, cov, c):
     i = int(np.argmax(rewards))
     scores = np.empty(len(rewards))
@@ -189,93 +181,6 @@ def ref_stopping(cov, resp, contexts, c):
 def ref_greedy(cov, contexts, y):
     vals = np.array([ref_quad_form_inv(cov + np.outer(x, x), y) for x in contexts])
     return int(np.argmin(vals)) + 1
-
-
-# The linear message path before a run's values were resolved once: the stop
-# check and download as they were composed from the public kernels, with the
-# run's Fractions passed to every call. The drivers' fast path must match
-# them bit for bit.
-
-
-def ref_pair(rewards, zx, c):
-    """0-based best arm i, challenger j and j's score, out of place."""
-    i = int(rewards.argmax())
-    diff = zx[:, i, None] - zx
-    scores = rewards - rewards[i] + np.sqrt((diff * diff).sum(0)) * c
-    scores[i] = -np.inf
-    j = int(scores.argmax())
-    return i, j, float(scores[j])
-
-
-def ref_stop_check(server, contexts, dim, delta, sigma, ridge, gamma1, gamma2, n_agents):
-    """public cholesky and forward_sub on a fresh [X | resp], c_scalar on Fractions."""
-    z = forward_sub(cholesky(server.cov), np.concatenate((contexts, server.resp[None])).T)
-    zx = z[:, :-1]
-    c = lin.c_scalar(server.counts_total, dim, delta, sigma, ridge, gamma1, gamma2, n_agents)
-    i, j, b = ref_pair(z[:, -1] @ zx, zx, c)
-    return lin.StopCheck(i + 1, j + 1, b, zx)
-
-
-def ref_informative_arm_lp(counts, p):
-    """The loop form of informative_arm_lp: arm (1-based) minimizing
-    counts_k / p_k over the arms with p_k > SUPPORT_TOL, ties to the lowest."""
-    best = -1
-    best_score = np.inf
-    for k, pk in enumerate(p):
-        if pk > SUPPORT_TOL:
-            score = counts[k] / pk
-            if score < best_score:
-                best_score = score
-                best = k
-    if best < 0:
-        raise NoSupportError("selection distribution has empty support")
-    return best + 1
-
-
-def ref_select_arm_greedy(cov, contexts, y):
-    """The per-solve greedy rule: factor cov and whiten y and the contexts afresh."""
-    z = forward_sub(cholesky(cov), np.column_stack((y, contexts.T)))
-    return lin.select_arm_greedy(z[:, 0], z[:, 1:])
-
-
-def ref_choose(cov, counts, contexts, i, j, arm_select, zx=None, memo=None):
-    """The arm from a memo of whole L1 solutions (a fresh one by default), by
-    the loop informative_arm_lp; the greedy rule reads zx, or whitens afresh
-    when it is not given."""
-    y = contexts[i - 1] - contexts[j - 1]
-    memo = {} if memo is None else memo
-    if arm_select == "lp":
-        if (i, j) not in memo:
-            try:
-                memo[(i, j)] = lin.solve_l1(contexts, y)
-            except (ZeroTargetError, InfeasibleTargetError):
-                memo[(i, j)] = None
-        if memo[(i, j)] is not None:
-            return ref_informative_arm_lp(counts, memo[(i, j)].p), False
-    if zx is None:
-        return ref_select_arm_greedy(cov, contexts, y), arm_select == "lp"
-    return lin.select_arm_greedy(zx[:, i - 1] - zx[:, j - 1], zx), arm_select == "lp"
-
-
-def ref_download(server, contexts, stop, gamma1, gamma2, arm_select, memo):
-    """A fresh agent: its target, q and the trigger limit from float(gamma1)
-    and gamma2's ratio."""
-    i, j, _b, zx = stop
-    target, fallback = ref_choose(server.cov, server.counts, contexts, i, j, arm_select, zx, memo)
-    z = zx[:, target - 1]
-    q = float(z @ z)
-    limit = lin.trigger_limit_linear(server.counts_total, q, float(gamma1), gamma2.as_integer_ratio())
-    agent = RefLinAgent(
-        cov=server.cov,
-        counts=server.counts,
-        pending_sum=0.0,
-        current_target=target,
-        counts_total=server.counts_total,
-        pending_total=0,
-        target_q=q,
-        trigger_limit=limit,
-    )
-    return agent, fallback
 
 
 # ---------------------------------------------------------------------------
@@ -972,22 +877,6 @@ SIGNED_ZERO_CONTEXTS = np.array([[0.8, 0.0, -0.5], [0.0, -0.9, 0.25], [0.6, 0.0,
 SIGNED_ZERO_THETA = np.array([-0.3, 0.5, 0.1])  # means -0.29, -0.425 and -0.18
 
 
-def ref_init(fam, rng):
-    """The server state after one pull of every arm, as the families' former
-    `init` built it: the MAB estimates are the rewards themselves, and the
-    linear sums start at ridge I and 0 and add x x^T and r x in arm order."""
-    inst, k = fam.instance, fam.instance.k_arms
-    if isinstance(fam, MabFamily):
-        rewards = np.array([sample_reward_mab(inst, a, rng) for a in range(1, k + 1)])
-        return mab.MabServerState(rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
-    rewards = np.array([sample_reward_linear(inst, a, rng) for a in range(1, k + 1)])
-    cov, resp = fam.cfg.ridge * np.eye(inst.dim), np.zeros(inst.dim)
-    for x, reward in zip(fam.contexts, rewards):
-        cov += np.outer(x, x)
-        resp += reward * x
-    return lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
-
-
 def set_up(fam, rng):
     """The server state after set-up: one-pull merges of arms 1..K into the
     family's empty state, as the asynchronous driver makes them."""
@@ -1033,8 +922,10 @@ class TestSetUpAgainstInit:
         negative_zeros = 0
         for seed in range(8):
             config = RunConfig(n_agents=3, seed=seed, max_rounds=inst.k_arms + 1)
-            fam = family(inst, config)
-            want = ref_init(fam, make_rng(seed))
+            fam, ref = family(inst, config), ref_family(inst, config)
+            # the reference's set-up, the state the former `init` built
+            src = combined(ref.cfg)
+            want = ref.init([src.reward(inst, a) for a in range(1, inst.k_arms + 1)])
             checked.clear()
             run(inst, config)
             assert_same_state(checked[0], want)
@@ -1053,16 +944,6 @@ def buffered(fam, rng, arm, n):
 def upload(fam, server, arm, rewards):
     """The family's merge of a buffer of `arm`, as the round loop calls it."""
     return fam.merge(server, arm, len(rewards), reduce(add, rewards, 0.0))
-
-
-def ref_merge_linear(server, contexts, arm, n, reward_sum):
-    """The linear merge rule: n pulls of `arm`, whose context is x and whose
-    rewards sum to reward_sum, add n x x^T to cov and reward_sum x to resp."""
-    x = contexts[arm - 1]
-    counts = server.counts.copy()
-    counts[arm - 1] += n
-    return lin.LinServerState(server.cov + n * np.outer(x, x), server.resp + reward_sum * x, counts,
-                              server.counts_total + n)
 
 
 class TestMergeAgainstPerPullAdds:
@@ -1187,182 +1068,34 @@ class TestSnapshotsAreNeverWritten:
 
 
 # ---------------------------------------------------------------------------
-# famabpe: array buffers against the frozen-arm buffer
+# Whole runs against reference.py's per-round loops; famabpe first
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RefMabAgent:
-    mean_est: np.ndarray
-    counts: np.ndarray
-    pending_sums: np.ndarray
-    pending_counts: np.ndarray
-    current_target: int
-    counts_total: int
-    pending_total: int
+@pytest.fixture
+def server_states(monkeypatch):
+    """Logs the bytes of every server state the stop checks see, and of
+    every snapshot agent_target_mab reads, so that a difference in the last
+    bit of one reward sum, or in the order of the pending adds or merges,
+    fails a comparison even where it changes no decision."""
+    log = []
 
+    def logged(name, original):
+        def wrapper(*args, **kwargs):
+            state = args[0]
+            arrays = (state.cov, state.resp, state.counts) if name == "stopping_linear" else args[:2]
+            log.append((name, tuple(np.asarray(a).tobytes() for a in arrays)))
+            return original(*args, **kwargs)
 
-def ref_snapshot(server, delta, sigma, gamma_m):
-    k = len(server.mean_est)
-    target = mab.agent_target_mab(server.mean_est, server.counts, server.counts_total, delta, sigma, gamma_m)
-    return RefMabAgent(
-        mean_est=server.mean_est.copy(),
-        counts=server.counts.copy(),
-        pending_sums=np.zeros(k),
-        pending_counts=np.zeros(k, dtype=np.int64),
-        current_target=target,
-        counts_total=server.counts_total,
-        pending_total=0,
-    )
+        return wrapper
 
-
-def ref_trigger_mab(counts_total, pending_total, gamma):
-    """sum(counts + pending) > (1 + gamma) sum(counts) in exact rationals."""
-    g = Fraction(gamma)
-    return (counts_total + pending_total) * g.denominator > (g.denominator + g.numerator) * counts_total
-
-
-def ref_merge_mab(server, pending_sums, pending_counts):
-    """The merge in numpy, from a server state of either representation."""
-    counts = np.asarray(server.counts)
-    new_counts = counts + pending_counts
-    mean = np.array(server.mean_est)
-    touched = pending_counts > 0
-    old = mean[touched] * counts[touched]
-    mean[touched] = (old + pending_sums[touched]) / new_counts[touched]
-    return mab.MabServerState(mean, new_counts, server.counts_total + int(pending_counts.sum()), 2.0 / new_counts)
-
-
-def ref_bonuses_mab(counts, t_sum, delta, sigma, gamma_m):
-    """The confidence widths by their formula from the counts, as bonuses_mab
-    computed them before server states carried 2/counts."""
-    arg = (4.0 * len(counts) / delta) * ((1.0 + gamma_m) * t_sum) ** 2
-    return sigma * np.sqrt((2.0 / counts) * math.log(arg))
-
-
-def ref_breaking_index(mean_est, bonuses):
-    """select_pair_mab's pair, and B from four numpy-scalar operations."""
-    i, j = mab.select_pair_mab(mean_est, bonuses)
-    return i, j, float(mean_est[j - 1] - mean_est[i - 1] + bonuses[i - 1] + bonuses[j - 1])
-
-
-def ref_next_agent(activation, m_agents, tau, k, rng):
-    """The active agent of round tau > K, drawn by the Generator itself."""
-    if m_agents == 1:
-        return 0
-    if activation == "uniform-random":
-        return int(rng.integers(m_agents))
-    return (tau - k - 1) % m_agents
-
-
-def ref_run_famabpe(instance, config, audit_log, comm_every_round=False):
-    """The famabpe driver with K-length pending arrays per agent."""
-    cfg = config.resolved(instance.k_arms)
-    k, m_agents, gamma = instance.k_arms, cfg.n_agents, cfg.gamma
-    gamma_m = float(gamma) * m_agents
-    rng = make_rng(cfg.seed)
-    init_rewards = np.array([sample_reward_mab(instance, a, rng) for a in range(1, k + 1)])
-    server = mab.MabServerState(init_rewards, np.ones(k, dtype=np.int64), k, np.full(k, 2.0))
-    # every agent downloads the initialized state, which is stop-checked once
-    ref_breaking_index(server.mean_est, ref_bonuses_mab(server.counts, k, cfg.delta, instance.sigma, gamma_m))
-    agents = [ref_snapshot(server, cfg.delta, instance.sigma, gamma_m) for _ in range(m_agents)]
-    pulls = np.ones(k, dtype=np.int64)
-    comm = switches = downloads = 0
-    tau = k
-    stopped = False
-    best_est = 0
-    while not stopped and tau < cfg.max_rounds:
-        tau += 1
-        m = ref_next_agent(cfg.activation, m_agents, tau, k, rng)
-        ag = agents[m]
-        arm = ag.current_target
-        ag.pending_sums[arm - 1] += sample_reward_mab(instance, arm, rng)
-        ag.pending_counts[arm - 1] += 1
-        ag.pending_total += 1
-        pulls[arm - 1] += 1
-        if comm_every_round or ref_trigger_mab(ag.counts_total, ag.pending_total, gamma):
-            comm += 1
-            server = ref_merge_mab(server, ag.pending_sums, ag.pending_counts)
-            bon = ref_bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, _j, b_value = ref_breaking_index(server.mean_est, bon)
-            target = None
-            if b_value <= cfg.epsilon:
-                stopped = True
-                best_est = i
-            else:
-                comm += 1
-                downloads += 1
-                agents[m] = ref_snapshot(server, cfg.delta, instance.sigma, gamma_m)
-                target = agents[m].current_target
-                switches += target != arm
-            audit_log.append(AuditRecord(tau, m + 1, arm, ag.pending_total, target, stopped, b_value))
-    if not stopped:
-        best_est = int(np.argmax(server.mean_est)) + 1
-    if stopped and not comm_every_round:
-        assert comm <= mab_comm_bound(m_agents, gamma, tau)
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=k + m_agents,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-    )
-
-
-def replay_uploads(instance, config, rounds, comm_every_round=False):
-    """famabpe's uploads (t, agent, pulls) through round `rounds`, from its
-    activations alone: one count of held pulls per agent, the server total
-    each agent downloaded and the server total, with ref_trigger_mab's rule
-    in integers and no reward or stop check. The normals are drawn, unread,
-    only to keep the activations where the per-round stream puts them."""
-    cfg = config.resolved(instance.k_arms)
-    k, m_agents = instance.k_arms, cfg.n_agents
-    num, den = (0, 1) if comm_every_round else Fraction(cfg.gamma).as_integer_ratio()
-    rng = make_rng(cfg.seed)
-    rng.standard_normal(k)  # set-up's K rewards
-    total, downloaded, held, uploads = k, [k] * m_agents, [0] * m_agents, []
-    for t in range(k + 1, rounds + 1):
-        m = ref_next_agent(cfg.activation, m_agents, t, k, rng)
-        rng.standard_normal()
-        held[m] += 1
-        if (downloaded[m] + held[m]) * den > (den + num) * downloaded[m]:
-            uploads.append((t, m + 1, held[m]))
-            total += held[m]
-            downloaded[m], held[m] = total, 0
-    return uploads
-
-
-def logged_uploads(log):
-    return [(rec.t, rec.agent, rec.pulls) for rec in log]
-
-
-def assert_replayed(instance, config, result, log, comm_every_round=False):
-    """The run's upload log is the replay's through tau, and its messages
-    are its U uploads and a download after each but a stopping one."""
-    uploads = replay_uploads(instance, config, result.tau, comm_every_round)
-    assert logged_uploads(log) == uploads
-    assert result.n_downloads == len(uploads) - result.terminated
-    assert result.comm_cost == 2 * len(uploads) - result.terminated
-
-
-def assert_same_famabpe(instance, config, states, audit=False, comm_every_round=False):
-    ref_log, log = [], []
-    want = ref_run_famabpe(instance, config, ref_log, comm_every_round)
-    ref_states = stop_checks(states)
-    states.clear()
-    got = run_famabpe(instance, config, audit=audit, audit_log=log, comm_every_round=comm_every_round)
-    assert got.to_json() == want.to_json()
-    assert log == ref_log
-    assert stop_checks(states) == ref_states
-    assert len(ref_states) == 1 + got.comm_cost - got.n_downloads  # the initialized state and every upload's
-    states.clear()
-    assert_replayed(instance, config, got, log, comm_every_round)
-    return got
+    for module, name in ((mab, "breaking_index"), (mab, "agent_target_mab"), (lin, "stopping_linear")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    # the reference loops' stop checks are logged as the drivers' are, where
+    # the family references look them up
+    monkeypatch.setattr(reference, "ref_stop_check", logged("stopping_linear", ref_stop_check))
+    monkeypatch.setattr(reference, "ref_breaking_index", logged("breaking_index", ref_breaking_index))
+    return log
 
 
 MAB_SHAPES = [(m, k) for m in (1, 3, 10, 100) for k in (2, 5, 50)]
@@ -1383,7 +1116,7 @@ class TestFamabpeAgainstArrayBuffers:
             # stopped by the round cap
             replace(base, seed=m + k + 3, max_rounds=k + 15),
         ]
-        results = [assert_same_famabpe(inst, cfg, server_states, audit=m * k <= 50) for cfg in configs]
+        results = [assert_same(inst, cfg, server_states, audit=m * k <= 50) for cfg in configs]
         assert not results[-1].terminated
         assert any(r.terminated for r in results)
 
@@ -1391,19 +1124,19 @@ class TestFamabpeAgainstArrayBuffers:
     def test_comm_every_round(self, m, k, server_states):
         inst = gen_gap_instance_mab(k, 0.4, make_rng(800 + m + k), sigma=0.3)
         cfg = RunConfig(n_agents=m, seed=k, max_rounds=20_000)
-        res = assert_same_famabpe(inst, cfg, server_states, comm_every_round=True)
+        res = assert_same(inst, cfg, server_states, comm_every_round=True)
         assert res.comm_cost == 2 * (res.tau - k) - res.terminated
 
     def test_signed_zero_rewards(self, server_states):
         # sigma = 0: an initial reward of -0.0 stays -0.0 in the initialized state
         inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2), sigma=0.0)
         for m in (1, 3):
-            assert_same_famabpe(inst, RunConfig(n_agents=m, seed=m, epsilon=0.1), server_states, audit=True)
+            assert_same(inst, RunConfig(n_agents=m, seed=m, epsilon=0.1), server_states, audit=True)
 
     def test_the_single_agent_baseline_runs_through_the_same_path(self):
         inst = gen_gap_instance_mab(5, 0.3, make_rng(9), sigma=0.3)
         cfg = RunConfig(seed=4, epsilon=0.05)
-        want = ref_run_famabpe(inst, cfg, [], comm_every_round=True)
+        want = run_async(ref_family(inst, cfg), forced=True)
         assert run_single_agent(inst, cfg).to_json() == want.to_json()
 
 
@@ -1798,7 +1531,7 @@ def per_round_stream(activation, m_agents, rng, n):
     """n rounds of Generator.integers (or the cycle) and standard_normal."""
     agents, normals = [], []
     for t in range(n):
-        agents.append(ref_next_agent(activation, m_agents, t + 1, 0, rng))
+        agents.append(ref_next_agent(activation, m_agents, t, rng))
         normals.append(rng.standard_normal())
     return agents, normals
 
@@ -1944,7 +1677,7 @@ class TestBlockStream:
         wi, ki = stream._ziggurat_tables()
         monkeypatch.setattr(stream, "_ziggurat", (wi, np.zeros_like(ki)))
         inst = gen_gap_instance_mab(5, 0.3, make_rng(3), sigma=0.3)
-        assert_same_famabpe(inst, RunConfig(n_agents=10, seed=3), server_states, audit=True)
+        assert_same(inst, RunConfig(n_agents=10, seed=3), server_states, audit=True)
 
     def test_failed_self_check_leaves_every_round_irregular(self, monkeypatch):
         # with a wrong multiplier the crafted words are not the ones drawn
@@ -1997,7 +1730,7 @@ class TestBlockStream:
         assert last > 2600
         for cap in (5 + last - 1, 5 + last, 5 + last + 1):
             cfg = RunConfig(n_agents=10, seed=13, activation=activation, epsilon=0.0, max_rounds=cap)
-            res = assert_same_famabpe(inst, cfg, server_states, audit=True)
+            res = assert_same(inst, cfg, server_states, audit=True)
             assert res.tau == cap and not res.terminated
 
     @pytest.mark.parametrize("activation", ["uniform-random", "round-robin"])
@@ -2006,7 +1739,7 @@ class TestBlockStream:
         inst = gen_gap_instance_mab(5, 0.05, make_rng(12), sigma=1.0)
         for cap in (5 + 1, 5 + 2, 5 + 255, 5 + 256, 5 + 257, 5 + 3 * 256 + 101):
             cfg = RunConfig(n_agents=10, seed=cap, activation=activation, epsilon=0.0, max_rounds=cap)
-            res = assert_same_famabpe(inst, cfg, server_states, audit=True)
+            res = assert_same(inst, cfg, server_states, audit=True)
             assert res.tau == cap and not res.terminated
 
 
@@ -2112,97 +1845,8 @@ def test_import_builds_no_ziggurat_tables():
 
 
 # ---------------------------------------------------------------------------
-# falinpe: one sample_reward_linear call per pull
+# falinpe, planted mutations and fixed activation sequences
 # ---------------------------------------------------------------------------
-
-
-def ref_run_falinpe(instance, config, audit_log):
-    """The falinpe driver with one activation and one reward call per pull."""
-    cfg = config.resolved(instance.k_arms, instance.sigma)
-    k, dim, m_agents = instance.k_arms, instance.dim, cfg.n_agents
-    contexts = np.asarray(instance.contexts, dtype=float)
-    rng = make_rng(cfg.seed)
-    memo: dict = {}
-    init_rewards = np.array([sample_reward_linear(instance, a, rng) for a in range(1, k + 1)])
-    cov, resp = cfg.ridge * np.eye(dim), np.zeros(dim)
-    for x, reward in zip(contexts, init_rewards):
-        cov += np.outer(x, x)
-        resp += reward * x
-    server = lin.LinServerState(cov, resp, np.ones(k, dtype=np.int64), k)
-    # every agent downloads the initialized state, which is stop-checked once
-    stop = ref_stop_check(
-        server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-    )
-    agents, fallbacks = [], 0
-    for _ in range(m_agents):
-        agent, fb = ref_download(
-            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
-        )
-        agents.append(agent)
-        fallbacks += int(fb)
-    pulls = np.ones(k, dtype=np.int64)
-    comm = switches = downloads = 0
-    tau, stopped, best_est = k, False, 0
-    while not stopped and tau < cfg.max_rounds:
-        tau += 1
-        m = ref_next_agent(cfg.activation, m_agents, tau, k, rng)
-        ag = agents[m]
-        arm = ag.current_target
-        ag.pending_sum += sample_reward_linear(instance, arm, rng)
-        ag.pending_total += 1
-        pulls[arm - 1] += 1
-        if ref_trigger_hybrid(ag, cfg.gamma1, cfg.gamma2):
-            comm += 1
-            # every pending pull was of the frozen target
-            server = ref_merge_linear(server, contexts, arm, ag.pending_total, ag.pending_sum)
-            stop = ref_stop_check(
-                server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-            )
-            target = None
-            if stop.b <= cfg.epsilon:
-                stopped, best_est = True, stop.i
-            else:
-                comm += 1
-                downloads += 1
-                agents[m], fb = ref_download(
-                    server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
-                )
-                fallbacks += int(fb)
-                target = agents[m].current_target
-                switches += target != arm
-            audit_log.append(AuditRecord(tau, m + 1, arm, ag.pending_total, target, stopped, stop.b))
-    if not stopped:
-        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
-    else:
-        assert comm <= linear_comm_bound(m_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, dim, tau)
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=k + m_agents,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-        lp_fallbacks=fallbacks,
-    )
-
-
-def assert_same_falinpe(instance, config, states, audit=False):
-    ref_log, log = [], []
-    want = ref_run_falinpe(instance, config, ref_log)
-    ref_states = states[:]
-    states.clear()
-    got = run_falinpe(instance, config, audit=audit, audit_log=log)
-    assert got.to_json() == want.to_json()
-    assert log == ref_log
-    # the bytes of every server state, not only its stop score B
-    assert states == ref_states and ref_states
-    assert len(ref_states) == 1 + want.comm_cost - want.n_downloads  # the initialized state and every upload's
-    states.clear()
-    return got
 
 
 class TestFalinpeAgainstPerPullDraws:
@@ -2212,7 +1856,7 @@ class TestFalinpeAgainstPerPullDraws:
         inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(900 + m), sigma=0.2)
         base = RunConfig(n_agents=m, seed=m, activation=activation, epsilon=0.05, max_rounds=20_000)
         configs = [base, replace(base, arm_select="greedy", seed=m + 1), replace(base, max_rounds=40)]
-        results = [assert_same_falinpe(inst, cfg, server_states, audit=m == 3) for cfg in configs]
+        results = [assert_same(inst, cfg, server_states, audit=m == 3) for cfg in configs]
         assert results[0].terminated and not results[-1].terminated
 
     def test_every_download_counts_its_lp_fallback(self, monkeypatch, server_states):
@@ -2222,13 +1866,10 @@ class TestFalinpeAgainstPerPullDraws:
         monkeypatch.setattr(lin, "solve_l1", infeasible)
         inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(950), sigma=0.2)
         for m in (1, 3):
-            cfg = RunConfig(n_agents=m, seed=m, epsilon=0.05)
-            got = run_falinpe(inst, cfg)
-            assert got.to_json() == ref_run_falinpe(inst, cfg, []).to_json()
+            got = assert_same(inst, RunConfig(n_agents=m, seed=m, epsilon=0.05), server_states)
             # initialization is one download that all M agents hold, each counting its fallback
             assert got.terminated and got.lp_fallbacks == m + got.n_downloads
-            server_states.clear()
-            sync = assert_same_sync(inst, SyncConfig(n_agents=m, seed=m, episode_len=5, epsilon=0.05), server_states)
+            sync = assert_same(inst, SyncConfig(n_agents=m, seed=m, episode_len=5, epsilon=0.05), server_states)
             # one common target per download of the merged state
             assert sync.terminated and sync.lp_fallbacks == sync.n_downloads // m
 
@@ -2253,15 +1894,65 @@ class TestRewardFoldMutationsFailTheReferences:
     def test_whole_run_comparison_fails(self, family, mutation, mutate_driver, server_states):
         mutate_driver(*REWARD_FOLD_MUTATIONS[mutation])
         if family == "famabpe":
-            inst, same = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3), assert_same_famabpe
-            cfg = RunConfig(n_agents=3, seed=8)
+            inst, cfg = gen_gap_instance_mab(5, 0.3, make_rng(27), sigma=0.3), RunConfig(n_agents=3, seed=8)
         else:
-            inst, same = gen_gap_instance_linear(3, 5, 0.3, make_rng(26), sigma=0.3), assert_same_falinpe
+            inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(26), sigma=0.3)
             cfg = RunConfig(n_agents=3, seed=7, epsilon=0.05)
         with pytest.raises(AssertionError) as failed:
-            same(inst, cfg, server_states)
+            assert_same(inst, cfg, server_states)
         # the comparison failed, not the driver's own checks
         assert not isinstance(failed.value, AuditError)
+
+
+def fixed_schedule(sequence):
+    """An ActivationSchedule for the drivers whose blocks take the active
+    agents from `sequence`, repeated, and one normal per round from the run's
+    rng: the stream that fixed(sequence) gives the reference."""
+
+    class FixedSchedule:
+        def __init__(self, policy, n_agents):
+            self.t = 0
+
+        def block(self, rng, n):
+            count = min(n, 4096)
+            agents = [sequence[(self.t + i) % len(sequence)] for i in range(count)]
+            self.t += count
+            return agents, rng.standard_normal(count).tolist()
+
+    return FixedSchedule
+
+
+# activation sequences of M agents, up to a round cap, that uniform and
+# round-robin activation rarely make
+PATTERNS = {
+    # one agent does all the work while M - 1 hold set-up's download
+    "one-agent": lambda m, cap: [0],
+    # one agent activates once, then never again
+    "once-then-never": lambda m, cap: [m - 1] + [0] * cap,
+    "bursts-of-50": lambda m, cap: [a for a in range(m) for _ in range(50)],
+    # two agents alternate among M
+    "two-alternate": lambda m, cap: [0, 1],
+}
+
+
+class TestFixedActivationSequences:
+    """The asynchronous drivers, their activations taken from a fixed
+    sequence, equal the reference loop fed the same sequence: RunResult,
+    audit log and server-state bytes, and famabpe's uploads its replay."""
+
+    @pytest.mark.parametrize("m", [2, 10])
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    def test_audited_runs_equal_the_reference(self, pattern, m, monkeypatch, server_states):
+        cap = 20_000
+        sequence = PATTERNS[pattern](m, cap)
+        monkeypatch.setattr(runner, "ActivationSchedule", fixed_schedule(sequence))
+        mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1500 + m), sigma=0.3)
+        lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1510 + m), sigma=0.2)
+        for inst, cfg in (
+            (mab_inst, RunConfig(n_agents=m, seed=m, max_rounds=cap)),
+            (lin_inst, RunConfig(n_agents=m, seed=m, epsilon=0.05, max_rounds=cap)),
+        ):
+            assert assert_same(inst, cfg, server_states, source=fixed(sequence), audit=True).terminated
 
 
 # ---------------------------------------------------------------------------
@@ -2269,175 +1960,14 @@ class TestRewardFoldMutationsFailTheReferences:
 # ---------------------------------------------------------------------------
 
 
-def ref_run_sync_mab(instance, config):
-    """The synchronous MAB loop with one sample_reward_mab call per pull."""
-    cfg = config.resolved(instance.k_arms)
-    k, m_agents, episode = instance.k_arms, cfg.n_agents, config.episode_len
-    gamma_m = float(cfg.gamma) * m_agents
-    rng = make_rng(cfg.seed)
-    warmup = math.ceil(k / m_agents)
-    server = mab.MabServerState(np.zeros(k), np.zeros(k, dtype=np.int64), 0, np.full(k, math.inf))
-    pend_sums = [np.zeros(k) for _ in range(m_agents)]
-    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
-    targets = [None] * m_agents
-    pulls = np.zeros(k, dtype=np.int64)
-    tau = g = comm = init_comm = switches = downloads = 0
-    stopped, best_est = False, 0
-    while not stopped and tau + m_agents <= cfg.max_rounds:
-        g += 1
-        for m in range(m_agents):
-            arm = ((g - 1) * m_agents + m) % k + 1 if g <= warmup else targets[m]
-            pend_sums[m][arm - 1] += sample_reward_mab(instance, arm, rng)
-            pend_counts[m][arm - 1] += 1
-            pulls[arm - 1] += 1
-            tau += 1
-        at_sync, at_init = g % episode == 0, g == warmup
-        if not (at_sync or at_init):
-            continue
-        for m in range(m_agents):
-            for a in np.flatnonzero(pend_counts[m]):
-                server = mab.server_merge_mab(server, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
-            pend_sums[m][:] = 0.0
-            pend_counts[m][:] = 0
-        if at_sync:
-            comm += 2 * m_agents
-        else:
-            init_comm += 2 * m_agents
-        if int(server.counts.min()) > 0:
-            bon = ref_bonuses_mab(server.counts, server.counts_total, cfg.delta, instance.sigma, gamma_m)
-            i, j, b = ref_breaking_index(server.mean_est, bon)
-            if at_sync and g > warmup and b <= cfg.epsilon:
-                stopped, best_est = True, i
-                break
-            new_target = mab.select_arm_mab(i, j, bon)
-            for m in range(m_agents):
-                downloads += 1
-                switches += targets[m] is not None and targets[m] != new_target
-                targets[m] = new_target
-    if not stopped:
-        best_est = int(np.argmax(server.mean_est)) + 1
-    return sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads)
-
-
-def ref_run_sync_linear(instance, config):
-    """The synchronous linear loop with one sample_reward_linear call per pull."""
-    cfg = config.resolved(instance.k_arms, instance.sigma)
-    k, dim, m_agents, episode = instance.k_arms, instance.dim, cfg.n_agents, config.episode_len
-    contexts = np.asarray(instance.contexts, dtype=float)
-    rng = make_rng(cfg.seed)
-    warmup = math.ceil(k / m_agents)
-    memo: dict = {}
-    server = lin.LinServerState(cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
-    pend_sums = [np.zeros(k) for _ in range(m_agents)]
-    pend_counts = [np.zeros(k, dtype=np.int64) for _ in range(m_agents)]
-    targets = [None] * m_agents
-    pulls = np.zeros(k, dtype=np.int64)
-    tau = g = comm = init_comm = switches = downloads = fallbacks = 0
-    stopped, best_est = False, 0
-    while not stopped and tau + m_agents <= cfg.max_rounds:
-        g += 1
-        for m in range(m_agents):
-            arm = ((g - 1) * m_agents + m) % k + 1 if g <= warmup else targets[m]
-            pend_sums[m][arm - 1] += sample_reward_linear(instance, arm, rng)
-            pend_counts[m][arm - 1] += 1
-            pulls[arm - 1] += 1
-            tau += 1
-        at_sync, at_init = g % episode == 0, g == warmup
-        if not (at_sync or at_init):
-            continue
-        for m in range(m_agents):
-            for a in np.flatnonzero(pend_counts[m]):
-                server = ref_merge_linear(server, contexts, a + 1, int(pend_counts[m][a]), float(pend_sums[m][a]))
-            pend_sums[m][:] = 0.0
-            pend_counts[m][:] = 0
-        if at_sync:
-            comm += 2 * m_agents
-        else:
-            init_comm += 2 * m_agents
-        if int(server.counts.min()) == 0:
-            continue
-        stop = ref_stop_check(
-            server, contexts, dim, cfg.delta, instance.sigma, cfg.ridge, cfg.gamma1, cfg.gamma2, m_agents
-        )
-        if at_sync and g > warmup and stop.b <= cfg.epsilon:
-            stopped, best_est = True, stop.i
-            break
-        agent, fb = ref_download(
-            server, contexts, stop, cfg.gamma1, cfg.gamma2, cfg.arm_select, memo
-        )
-        new_target = agent.current_target
-        fallbacks += int(fb)
-        for m in range(m_agents):
-            downloads += 1
-            switches += targets[m] is not None and targets[m] != new_target
-            targets[m] = new_target
-    if not stopped:
-        best_est = int(np.argmax(contexts @ lin.rls_estimate(server.cov, server.resp))) + 1
-    return sync_result(
-        instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads, fallbacks
-    )
-
-
-def sync_result(instance, cfg, best_est, tau, comm, init_comm, switches, pulls, stopped, downloads, fb=0):
-    return RunResult(
-        best_arm_est=best_est,
-        best_arm_true=instance.best_arm(),
-        correct=instance.gap(best_est) <= cfg.epsilon,
-        tau=tau,
-        comm_cost=comm,
-        init_comm=init_comm,
-        switch_cost=switches,
-        pulls_per_arm=tuple(int(x) for x in pulls),
-        terminated=stopped,
-        n_downloads=downloads,
-        lp_fallbacks=fb,
-    )
-
-
-@pytest.fixture
-def server_states(monkeypatch):
-    """Logs the bytes of every server state the stop checks see, and of
-    every snapshot agent_target_mab reads, so that a difference in the last
-    bit of one reward sum, or in the order of the pending adds or merges,
-    fails a comparison even where it changes no decision."""
-    log = []
-
-    def logged(name, original):
-        def wrapper(*args, **kwargs):
-            state = args[0]
-            arrays = (state.cov, state.resp, state.counts) if name == "stopping_linear" else args[:2]
-            log.append((name, tuple(np.asarray(a).tobytes() for a in arrays)))
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for module, name in ((mab, "breaking_index"), (mab, "agent_target_mab"), (lin, "stopping_linear")):
-        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
-    # the reference drivers' stop checks are logged as the drivers' are
-    monkeypatch.setattr(sys.modules[__name__], "ref_stop_check", logged("stopping_linear", ref_stop_check))
-    monkeypatch.setattr(sys.modules[__name__], "ref_breaking_index", logged("breaking_index", ref_breaking_index))
-    return log
-
-
-def stop_checks(states):
-    """The logged server states of the stop checks; an asynchronous run
-    stop-checks the initialized state and every upload's state, and
-    nothing else."""
-    return [entry for entry in states if entry[0] != "agent_target_mab"]
-
-
-def assert_same_sync(instance, config, states):
-    ref = ref_run_sync_mab if isinstance(instance, MabInstance) else ref_run_sync_linear
-    want = ref(instance, config)
-    ref_states = states[:]
-    states.clear()
-    got = run_synchronous(instance, config)
-    assert got.to_json() == want.to_json()
-    assert states == ref_states and states
-    states.clear()
-    return got
-
-
+# the synchronous driver, mutated: it keeps no audit, so only a reference
+# that draws and folds every reward itself sees these
+SYNC_MUTATIONS = {
+    # an episode's reward sums are carried into the next episode's uploads
+    "sums-not-reset": ("sums, held = np.zeros(m_agents), 0\n        comm", "held = 0\n        comm"),
+    # the first warm-up pull is merged as a pull of the next arm
+    "warm-up-pull-to-the-next-arm": ("fam.merge(server, a + 1, 1,", "fam.merge(server, (a + (r == m == 0)) % k + 1, 1,"),
+}
 EPISODES = (1, 3, 7, 100)
 SYNC_SHAPES = [(m, k, e) for m in (1, 3, 10) for k in (2, 5, 8) for e in EPISODES]
 
@@ -2448,12 +1978,12 @@ class TestSyncAgainstPerRoundLoops:
         inst = gen_gap_instance_mab(k, 0.3, make_rng(1000 + 7 * m + k), sigma=0.3)
         base = SyncConfig(n_agents=m, seed=m + k + e, episode_len=e, max_rounds=50_000)
         results = [
-            assert_same_sync(inst, base, server_states),
-            assert_same_sync(inst, replace(base, seed=base.seed + 1, epsilon=0.1), server_states),
+            assert_same(inst, base, server_states),
+            assert_same(inst, replace(base, seed=base.seed + 1, epsilon=0.1), server_states),
             # noiseless: every reward is its arm's mean plus 0 * z
-            assert_same_sync(replace(inst, sigma=0.0), replace(base, epsilon=0.05), server_states),
+            assert_same(replace(inst, sigma=0.0), replace(base, epsilon=0.05), server_states),
             # cut part-way into an episode (or the warm-up)
-            assert_same_sync(inst, replace(base, max_rounds=k + m * (e + e // 2 + 2) + 1), server_states),
+            assert_same(inst, replace(base, max_rounds=k + m * (e + e // 2 + 2) + 1), server_states),
         ]
         assert not results[-1].terminated and any(r.terminated for r in results)
 
@@ -2465,9 +1995,9 @@ class TestSyncAgainstPerRoundLoops:
         base = SyncConfig(n_agents=m, seed=m + e, episode_len=e, arm_select=arm_select, epsilon=0.05,
                           max_rounds=20_000)
         results = [
-            assert_same_sync(inst, base, server_states),
-            assert_same_sync(replace(inst, sigma=0.0), replace(base, seed=base.seed + 1), server_states),
-            assert_same_sync(inst, replace(base, max_rounds=5 + m * (e + e // 2 + 2) + 1), server_states),
+            assert_same(inst, base, server_states),
+            assert_same(replace(inst, sigma=0.0), replace(base, seed=base.seed + 1), server_states),
+            assert_same(inst, replace(base, max_rounds=5 + m * (e + e // 2 + 2) + 1), server_states),
         ]
         assert not results[-1].terminated and results[0].terminated
 
@@ -2476,9 +2006,9 @@ class TestSyncAgainstPerRoundLoops:
         inst = gen_gap_instance_mab(8, 0.3, make_rng(1200), sigma=0.3)
         for cap in (9, 10, 14, 50_000):
             cfg = SyncConfig(n_agents=1, seed=2, episode_len=3, max_rounds=cap)
-            assert_same_sync(inst, cfg, server_states)
+            assert_same(inst, cfg, server_states)
         lin_inst = gen_gap_instance_linear(3, 8, 0.3, make_rng(1201), sigma=0.2)
-        assert_same_sync(lin_inst, SyncConfig(n_agents=1, seed=2, episode_len=3, epsilon=0.05), server_states)
+        assert_same(lin_inst, SyncConfig(n_agents=1, seed=2, episode_len=3, epsilon=0.05), server_states)
 
     @pytest.mark.parametrize("e", [1, 2, 3, 100])
     def test_smallest_accepted_cap(self, e, server_states):
@@ -2487,7 +2017,7 @@ class TestSyncAgainstPerRoundLoops:
         mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1400), sigma=0.3)
         lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1401), sigma=0.2)
         for inst in (mab_inst, lin_inst):
-            got = assert_same_sync(inst, SyncConfig(n_agents=3, seed=e, episode_len=e, max_rounds=6), server_states)
+            got = assert_same(inst, SyncConfig(n_agents=3, seed=e, episode_len=e, max_rounds=6), server_states)
             assert (got.tau, got.terminated, got.n_downloads) == (6, False, 3)
             assert got.comm_cost + got.init_comm == 6 * (2 if e == 1 else 1)
 
@@ -2496,7 +2026,19 @@ class TestSyncAgainstPerRoundLoops:
         inst = MabInstance(means=(0.5, -0.0, 0.0, 0.2), sigma=0.0)
         for e in (1, 3, 100):
             cfg = SyncConfig(n_agents=3, seed=e, episode_len=e, epsilon=0.1)
-            assert_same_sync(inst, cfg, server_states)
+            assert_same(inst, cfg, server_states)
+
+    @pytest.mark.parametrize("mutation", list(SYNC_MUTATIONS))
+    @pytest.mark.parametrize("linear", [False, True], ids=["mab", "linear"])
+    def test_planted_driver_mutations_fail(self, linear, mutation, mutate_driver, server_states):
+        mutate_driver(*SYNC_MUTATIONS[mutation], driver=baselines.run_synchronous)
+        if linear:
+            inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1501), sigma=0.2)
+        else:
+            inst = gen_gap_instance_mab(5, 0.3, make_rng(1500), sigma=0.3)
+        with pytest.raises(AssertionError) as failed:
+            assert_same(inst, SyncConfig(n_agents=3, seed=4, episode_len=3, epsilon=0.05), server_states)
+        assert not isinstance(failed.value, AuditError)
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_blocks_shorter_than_an_episode(self, block, monkeypatch, server_states):
@@ -2504,8 +2046,8 @@ class TestSyncAgainstPerRoundLoops:
         mab_inst = gen_gap_instance_mab(5, 0.3, make_rng(1300), sigma=0.3)
         lin_inst = gen_gap_instance_linear(3, 5, 0.3, make_rng(1301), sigma=0.2)
         for m, e in ((1, 7), (3, 100), (10, 12)):
-            assert_same_sync(mab_inst, SyncConfig(n_agents=m, seed=e, episode_len=e), server_states)
+            assert_same(mab_inst, SyncConfig(n_agents=m, seed=e, episode_len=e), server_states)
             cut = SyncConfig(n_agents=m, seed=e, episode_len=e, max_rounds=5 + 2 * m * e)
-            assert_same_sync(mab_inst, cut, server_states)
+            assert_same(mab_inst, cut, server_states)
             lin_cfg = SyncConfig(n_agents=m, seed=e, episode_len=e, epsilon=0.05)
-            assert_same_sync(lin_inst, lin_cfg, server_states)
+            assert_same(lin_inst, lin_cfg, server_states)
