@@ -20,7 +20,6 @@ import time
 import warnings
 from .baselines import SyncConfig, run_single_agent, run_synchronous
 from .core import (
-    GenerationError,
     MabInstance,
     RunConfig,
     gen_gap_instance_linear,
@@ -29,7 +28,8 @@ from .core import (
     make_rng,
     save_instance,
 )
-from .runner import AuditError, compute_theory_diagnostics, run_falinpe, run_famabpe
+from .linalg import NotPositiveDefiniteError
+from .runner import AuditError, bandit_family, compute_theory_diagnostics, run_falinpe, run_famabpe
 
 CSV_COLUMNS = [
     "algo",
@@ -155,13 +155,12 @@ def _parse_sweep(text: str) -> list[float]:
     return gaps
 
 
-def _check_resolves(config, k_arms: int, sigma: float, means: tuple | None) -> None:
-    """Resolve `config` as a run against such an instance would (`means` for
-    a MAB instance only), to refuse it before any output; the run itself
-    gives a ridge-cap warning."""
+def _check_resolves(check, *args) -> None:
+    """check(*args), which resolves a config as a run would, to refuse it
+    before any output; the run itself gives a ridge-cap warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        config.resolved(k_arms, sigma, means)
+        check(*args)
 
 
 def cmd_run(args) -> int:
@@ -183,7 +182,7 @@ def cmd_run(args) -> int:
     if args.gap_sweep is not None:
         kind = "mab" if is_mab_algo else "linear"
         # every sweep instance has --k arms, and a MAB one means within [0, 1)
-        _check_resolves(config, args.k, args.sigma, (1.0,) if is_mab_algo else None)
+        _check_resolves(config.resolved, args.k, args.sigma, (1.0,) if is_mab_algo else None)
         for idx, gap in enumerate(_parse_sweep(args.gap_sweep)):
             rng = make_rng(args.gen_seed + idx)
             if is_mab_algo:
@@ -198,9 +197,10 @@ def cmd_run(args) -> int:
         jobs.append((args.instance, inst))
     else:
         raise ValueError("provide --instance or --gap-sweep")
-    # resolving against each instance checks max_rounds against its arm count
+    # each instance's family resolves the config against it (max_rounds against its
+    # arm count) and checks that a linear stop check stays finite within max_rounds
     for _label, inst in jobs:
-        _check_resolves(config, inst.k_arms, inst.sigma, inst.means if is_mab_algo else None)
+        _check_resolves(bandit_family, inst, config)
     audit = os.environ.get("FEDPEX_AUDIT", "") == "1"
     rows_written = 0
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
@@ -213,11 +213,7 @@ def cmd_run(args) -> int:
                 seed = args.seed_base + rep
                 config = _make_config(args, seed)
                 t0 = time.perf_counter()
-                try:
-                    result = _dispatch(args.algo, inst, config, audit)
-                except AuditError as exc:
-                    print(f"invariant violation: {exc}", file=sys.stderr)
-                    return 1
+                result = _dispatch(args.algo, inst, config, audit)
                 ms = (time.perf_counter() - t0) * 1000.0
                 # the columns between seed and runtime_ms are the result's fields
                 writer.writerow([args.algo, label, seed, *(getattr(result, c) for c in CSV_COLUMNS[3:-1]), f"{ms:.3f}"])
@@ -267,7 +263,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_bounds(args)
-    except (AuditError, GenerationError, OSError, MemoryError) as exc:
+    # a covariance that loses its pivots in a run, or an LP that fails, is a runtime failure
+    except (AuditError, NotPositiveDefiniteError, OSError, MemoryError, RuntimeError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:

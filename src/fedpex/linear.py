@@ -132,7 +132,7 @@ def check_trigger_hybrid(agent: AgentState, n: int, g1: float, ratio: tuple[int,
 
 
 def trigger_limit_linear(counts_total: int, q: float, g1: float, ratio: tuple[int, int]) -> int:
-    """Largest pending count n that fires neither rule of check_trigger_hybrid
+    """Largest unsent count n that fires neither rule of check_trigger_hybrid
     for a downloaded total C and target_q = q. The count rule is quiet up to
     trigger_limit_mab's limit. Since fl(n*q) does not decrease as n grows,
     the determinant rule is quiet up to the largest n with fl(n*q) <= g1,
@@ -153,17 +153,16 @@ def trigger_limit_linear(counts_total: int, q: float, g1: float, ratio: tuple[in
 
 
 def server_merge_linear(
-    server: LinServerState, pending_cov: np.ndarray, pending_resp: np.ndarray, counts: np.ndarray, n: int
+    server: LinServerState, arm: int, n: int, reward_sum: float, outers: np.ndarray, contexts: np.ndarray
 ) -> LinServerState:
-    """Fold one agent's n pulls into the server state: their matrix and vector
-    sums are added, and `counts`, the merged state's per-arm counts, is built
-    by the caller from its buffer (a frozen target adds n to one arm)."""
-    return LinServerState(
-        cov=server.cov + pending_cov,
-        resp=server.resp + pending_resp,
-        counts=counts,
-        counts_total=server.counts_total + n,
-    )
+    """A new server state with n pulls of `arm`, context x, whose rewards sum
+    to `reward_sum`: n x x^T added to cov (`outers` holds each arm's x x^T),
+    reward_sum x to resp and n to the arm's count."""
+    a = arm - 1
+    counts = server.counts.copy()
+    counts[a] += n
+    cov, resp = server.cov + n * outers[a], server.resp + reward_sum * contexts[a]
+    return LinServerState(cov, resp, counts, server.counts_total + n)
 
 
 def stopping_linear(server: LinServerState, rhs: np.ndarray, c: float) -> StopCheck:

@@ -125,9 +125,6 @@ class MabFamily:
 
     # the audit's reference rules, from an agent's snapshot alone
 
-    def rule_limit(self, ag) -> int:
-        return mab.trigger_limit_mab(ag.snapshot.counts_total, self.limit_ratio)
-
     def rule_fires(self, ag, n: int) -> bool:
         return mab.check_trigger_mab(ag, n, self.limit_ratio)
 
@@ -158,6 +155,12 @@ class LinearFamily:
         coef = math.sqrt(2.0 * g1) * m + math.sqrt(1.0 + g1 * m)
         self.radius = (math.sqrt(cfg.ridge), coef * instance.sigma, 1.0 + g2 * m, min(g1, 1.0) * cfg.ridge)
         self.radius += (2.0 / cfg.delta, instance.dim)
+        # the widest score stays finite, as RunConfig.resolved checks a MAB one: a reward's reach
+        # plus c times a pair width, at most 2 / sqrt(ridge) (norms <= 1, cov >= ridge I)
+        root, sig, growth, scale, log_scale, dim, t = *self.radius, cfg.max_rounds
+        widest = root + sig * math.sqrt(dim * math.log(log_scale * (1.0 + growth * t / scale)))
+        if not 2.0 * (1.0 + 16.0 * instance.sigma + 2.0 * widest / root) < math.inf:
+            raise ValueError("sigma, the ridge or gamma1 is too extreme: the linear confidence widths overflow")
 
     def empty(self):
         """The server state of no pulls: the ridge prior and a zero response."""
@@ -165,12 +168,7 @@ class LinearFamily:
         return lin.LinServerState(self.cfg.ridge * np.eye(dim), np.zeros(dim), np.zeros(k, dtype=np.int64), 0)
 
     def merge(self, server, arm, n, reward_sum):
-        """`server` with an upload of n pulls of `arm`, context x: n x x^T and
-        reward_sum x added, as the audit adds them."""
-        a = arm - 1
-        counts = server.counts.copy()
-        counts[a] += n
-        return lin.server_merge_linear(server, n * self.outers[a], reward_sum * self.contexts[a], counts, n)
+        return lin.server_merge_linear(server, arm, n, reward_sum, self.outers, self.contexts)
 
     def stop(self, server):
         """The StopCheck (i, j, B, whitened contexts) of a server state, at
@@ -188,9 +186,6 @@ class LinearFamily:
     def comm_bound(self, tau: int) -> float:
         cfg = self.cfg
         return linear_comm_bound(cfg.n_agents, cfg.gamma1, cfg.gamma2, cfg.ridge, self.instance.dim, tau)
-
-    def rule_limit(self, ag) -> int:
-        return lin.trigger_limit_linear(ag.snapshot.counts_total, ag.target_q, self.g1, self.limit_ratio)
 
     def rule_fires(self, ag, n: int) -> bool:
         return lin.check_trigger_hybrid(ag, n, self.g1, self.limit_ratio)
@@ -220,18 +215,24 @@ def _state_bytes(state) -> tuple:
     return tuple(np.asarray(v).tobytes() if isinstance(v, (np.ndarray, tuple)) else v for v in vars(state).values())
 
 
-class Audit:
-    """A run's invariants, checked at every download, after every upload and
-    at the run's end, once per download however many agents hold it.
+def _watched(ag) -> tuple:
+    """What a download fixed: the target, the limit, q and the snapshot's bytes."""
+    return ag.current_target, ag.trigger_limit, ag.target_q, _state_bytes(ag.snapshot)
 
-    An upload runs on the uploader's old download, the server before the
-    merge (the latest download's snapshot) and the merged state, so an
-    upload's check reads those two downloads' records, and the end reads all."""
+
+class Audit:
+    """A run's invariants. Each download is checked once, when it is made,
+    however many agents hold it: its cached total, its limit (the exact rule
+    is quiet at the limit and fires one pull later) and its target are the
+    rules'. What it fixed, the target, the limit, q and the snapshot's bytes,
+    is then watched: after an upload, the uploader's old download and the
+    latest one, and at the run's end every download still held. So an
+    upload need only carry limit + 1 pulls, and an agent end within its limit."""
 
     def __init__(self, fam, server, agents):
-        # each agent's download record (state, (target, snapshot bytes), agent),
-        # set-up's one record shared by all M; the latest record; the per-arm
-        # count of the initial and the uploaded pulls; and the linear family's
+        # each agent's download record (state, watched values, agent), set-up's
+        # one record shared by all M; the latest record; the per-arm count of
+        # the initial and the uploaded pulls; and the linear family's
         # covariance and response, summed as its merge sums them
         self.fam, self.pulls = fam, np.asarray(server.counts).tolist()
         self.records = [self.download(agents[0], 0)] * len(agents)
@@ -239,20 +240,21 @@ class Audit:
         self.sums = (server.cov.copy(), server.resp.copy()) if fam.linear else None
 
     def download(self, ag, m):
-        """Agent m's cached total, limit and target are the rules'; returns its record."""
-        snap = ag.snapshot
-        if snap.counts_total != int(np.sum(snap.counts)) or ag.trigger_limit != self.fam.rule_limit(ag):
+        """Agent m's cached total, limit and target are the rules'; returns its
+        record. Past 2^52 pulls, which no run reaches, a linear limit is the
+        count rule's alone, so the rule is read quiet up to 2^52."""
+        snap, limit, fires = ag.snapshot, ag.trigger_limit, self.fam.rule_fires
+        if snap.counts_total != int(np.sum(snap.counts)) or fires(ag, min(limit, 2**52)) or not fires(ag, limit + 1):
             raise AuditError(f"agent {m + 1} downloaded a total or trigger limit that is not the rule's")
         if not self.fam.rule_target(ag):
             raise AuditError(f"agent {m + 1} downloaded a target that is not the rule's")
-        return ag, (ag.current_target, _state_bytes(snap)), m
+        return ag, _watched(ag), m
 
     def upload(self, server, agents, held, ag, n, total, m, tau):
         """After agent m, whose state was `ag`, uploaded n pulls summing to
         `total` in round tau, the server merged them and m downloaded unless it stopped."""
         fam, a = self.fam, ag.current_target - 1
-        # the rule fires at exactly this count: neither late nor early
-        if n != ag.trigger_limit + 1 or not fam.rule_fires(ag, n) or fam.rule_fires(ag, n - 1):
+        if n != ag.trigger_limit + 1:
             raise AuditError(f"agent {m + 1} uploaded {n} pulls at a trigger limit of {ag.trigger_limit}")
         self.pulls[a] += n
         if self.sums is not None:
@@ -280,18 +282,15 @@ class Audit:
         elif server.cov.tobytes() != self.sums[0].tobytes() or server.resp.tobytes() != self.sums[1].tobytes():
             raise AuditError("covariance or response conservation violated")
         for ag, seen, m in records.values():
-            if seen != (ag.current_target, _state_bytes(ag.snapshot)):
-                raise AuditError(f"agent {m + 1} target or snapshot changed between downloads")
+            if seen != _watched(ag):
+                raise AuditError(f"agent {m + 1} target, limit, q or snapshot changed between downloads")
 
     def end(self, server, agents, held, tau):
         """Everything above, once per distinct record; no agent over its limit."""
-        records = {id(rec): rec for rec in self.records}
-        self.check(server, held, tau, records)
+        self.check(server, held, tau, {id(rec): rec for rec in self.records})
         for m, (ag, n) in enumerate(zip(agents, held)):
-            if n > ag.trigger_limit or self.fam.rule_fires(ag, n):
+            if n > ag.trigger_limit:
                 raise AuditError(f"agent {m + 1} holds {n} pulls over its trigger limit of {ag.trigger_limit}")
-        for ag, _seen, m in records.values():
-            self.download(ag, m)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ class ActivationSchedule:
     """Picks the single active agent for each round t >= K+1, and draws it
     in blocks together with the rounds' reward normals.
 
-    uniform-random draws from the run's rng; round-robin cycles 1..M.
-    With one agent the choice is vacuous and consumes no randomness, which
-    keeps single-agent reward streams aligned across harnesses.
+    uniform-random draws from the run's rng and round-robin cycles 1..M
+    (RunConfig refuses any other policy). One agent's choice is vacuous and
+    consumes no randomness, keeping single-agent reward streams aligned.
 
     A uniform round draws `int(rng.integers(M))`: for M < 2^32 (RunConfig
     refuses more) numpy maps one `next_uint32` word w to (w M) >> 32 and
@@ -37,8 +37,6 @@ class ActivationSchedule:
     """
 
     def __init__(self, policy: str, n_agents: int):
-        if policy not in ("uniform-random", "round-robin"):
-            raise ValueError(f"unknown activation policy {policy!r}")
         self.policy = policy
         self.n_agents = n_agents
         self._next = 0

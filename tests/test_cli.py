@@ -277,6 +277,18 @@ class TestRun:
                     outputs.append(capsys.readouterr().out)
             assert outputs[:2] == outputs[2:]
 
+    @pytest.mark.parametrize("algo", ["falinpe", "lingape-single", "lingape-sync"])
+    def test_overflowing_linear_widths_exit_2(self, tmp_path, refused, algo):
+        # sigma 1e158 times gamma1's coefficient near 1e150 passes the largest
+        # float: the radius was inf, and a zero pair width times it NaN, with
+        # RuntimeWarnings at every stop check
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"type":"linear","dim":1,"contexts":[[0.0],[0.5]],"theta":[0.5],"sigma":1e158}')
+        out = tmp_path / "res.csv"
+        args = ["run", "--algo", algo, "--instance", str(inst), "--gamma1", "1e300", "--max-rounds", "2000"]
+        assert "confidence widths overflow" in refused([*args, "--out", str(out)])
+        assert not out.exists()
+
     def test_overflowing_reward_noise_in_a_sweep_exit_2(self, tmp_path, refused, monkeypatch):
         # refused before any sweep instance is generated
         monkeypatch.setattr(cli, "gen_gap_instance_mab", lambda *args, **kw: pytest.fail("an instance was generated"))
@@ -411,6 +423,27 @@ class TestRun:
                        env_extra={"FEDPEX_AUDIT": "1"})
         assert proc.returncode == 0
 
+    def test_failed_audit_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a merge that drops one pull of every upload after set-up's
+        from fedpex.runner import MabFamily
+
+        merge = MabFamily.merge
+
+        def dropping(self, server, arm, n, reward_sum):
+            return merge(self, server, arm, n - (server.counts_total >= self.instance.k_arms), reward_sum)
+
+        monkeypatch.setattr(MabFamily, "merge", dropping)
+        monkeypatch.setenv("FEDPEX_AUDIT", "1")
+        inst = tmp_path / "inst.json"
+        main(["gen", "--type", "mab", "--k", "3", "--gap", "0.4", "--seed", "5", "--out", str(inst)])
+        capsys.readouterr()
+        code = main(["run", "--algo", "famabpe", "--instance", str(inst), "--agents", "2",
+                     "--out", str(tmp_path / "res.csv")])
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 1 and captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: count conservation"), captured.err
+
     def test_single_and_linear_algos(self, tmp_path):
         lin = tmp_path / "lin.json"
         main(["gen", "--type", "linear", "--d", "2", "--k", "3", "--gap", "0.4",
@@ -468,6 +501,37 @@ class TestInstanceBoundary:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stdout == "" and not out.exists()
+
+
+class TestNumericalFailureExit1:
+    """A run or a bound that fails numerically on an accepted instance is a
+    runtime failure: exit 1 and one `error:` line. The LP's failure escaped
+    main as a traceback, and the lost pivot exited 2, the usage code, after
+    the CSV header was written."""
+
+    # a context of norm 1e-9 leaves the LP's absolute pivot tolerance no pivot
+    LP = '{"type":"linear","dim":2,"contexts":[[0,0],[1e-9,1e-9]],"theta":[0,0.5],"sigma":0.3}'
+    # sigma 1e-140 sets a default ridge near 3e-279, and no context reaches the second axis
+    PIVOT = '{"type":"linear","dim":2,"contexts":[[0.5,0],[0,0]],"theta":[0.5,0],"sigma":1e-140}'
+
+    @pytest.mark.parametrize(
+        "text,command,message",
+        [(LP, "bounds", "LP unbounded"), (LP, "run", "LP unbounded"), (PIVOT, "run", "pivot")],
+        ids=["lp-bounds", "lp-run", "pivot-run"],
+    )
+    def test_exit_1(self, tmp_path, capsys, text, command, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        args = ["bounds", "--instance", str(inst)]
+        if command == "run":
+            args = ["run", "--algo", "falinpe", "--instance", str(inst), "--max-rounds", "2000",
+                    "--out", str(tmp_path / "res.csv")]
+        capsys.readouterr()
+        code = main(args)
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 1 and captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
 
 
 class TestBounds:

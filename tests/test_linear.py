@@ -168,39 +168,48 @@ class TestHybridTrigger:
         assert check_trigger_hybrid(agent, 1, 0.9, (10**9, 1))
 
 
+def outers_of(contexts):
+    return contexts[:, :, None] * contexts[:, None, :]
+
+
 class TestServerMergeLinear:
     def test_zero_merge_identity(self):
+        contexts = np.array([[0.8, 0.1], [0.2, 0.7]])
         server = LinServerState(np.eye(2), np.zeros(2), np.array([1, 1], dtype=np.int64), 2)
-        out = server_merge_linear(server, np.zeros((2, 2)), np.zeros(2), server.counts, 0)
+        out = server_merge_linear(server, 1, 0, 0.0, outers_of(contexts), contexts)
         assert np.array_equal(out.cov, server.cov) and out.counts_total == 2
+        assert np.array_equal(out.counts, server.counts) and out.counts is not server.counts
 
     def test_merges_commute(self):
         rng = np.random.default_rng(3)
+        contexts = rng.standard_normal((2, 3))
         server = LinServerState(np.eye(3), rng.standard_normal(3), np.ones(2, dtype=np.int64), 2)
-        xa, xb = rng.standard_normal(3), rng.standard_normal(3)
-        ca = (np.outer(xa, xa), 0.4 * xa, np.array([1, 0], dtype=np.int64), 1)
-        cb = (np.outer(xb, xb), -0.2 * xb, np.array([0, 2], dtype=np.int64), 2)
+        ca, cb = (1, 1, 0.4), (2, 2, -0.2)
 
-        def merge(state, pending_cov, pending_resp, pending_counts, n):
-            return server_merge_linear(state, pending_cov, pending_resp, state.counts + pending_counts, n)
+        def merge(state, arm, n, reward_sum):
+            return server_merge_linear(state, arm, n, reward_sum, outers_of(contexts), contexts)
 
         ab = merge(merge(server, *ca), *cb)
         ba = merge(merge(server, *cb), *ca)
         np.testing.assert_allclose(ab.cov, ba.cov)
         np.testing.assert_allclose(ab.resp, ba.resp)
-        assert np.array_equal(ab.counts, ba.counts)
+        assert np.array_equal(ab.counts, ba.counts) and ab.counts.tolist() == [2, 3]
 
     def test_global_identity_after_flush(self):
         rng = np.random.default_rng(4)
         ridge = 0.5
         d = 3
-        server = LinServerState(ridge * np.eye(d), np.zeros(d), np.zeros(2, dtype=np.int64), 0)
-        total = ridge * np.eye(d)
-        for _ in range(5):
-            x = rng.standard_normal(d)
-            total += np.outer(x, x)
-            server = server_merge_linear(server, np.outer(x, x), 0.1 * x, server.counts + [1, 0], 1)
+        contexts = rng.standard_normal((5, d))
+        server = LinServerState(ridge * np.eye(d), np.zeros(d), np.zeros(5, dtype=np.int64), 0)
+        total, resp = ridge * np.eye(d), np.zeros(d)
+        for a, n in enumerate([1, 3, 1, 2, 4]):
+            x = contexts[a]
+            total += n * np.outer(x, x)
+            resp += 0.1 * x
+            server = server_merge_linear(server, a + 1, n, 0.1, outers_of(contexts), contexts)
         np.testing.assert_allclose(server.cov, total)
+        np.testing.assert_allclose(server.resp, resp)
+        assert server.counts.tolist() == [1, 3, 1, 2, 4] and server.counts_total == 11
 
 
 class TestStoppingLinear:

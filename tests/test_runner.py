@@ -170,6 +170,26 @@ class TestRunFalinpe:
         res = run_falinpe(inst, RunConfig(n_agents=3, seed=6, epsilon=0.05, arm_select="lp"))
         assert res.lp_fallbacks == 0 and res.terminated
 
+    def test_audited_limit_past_2_52_pulls(self, monkeypatch):
+        # contexts of norm 1e-9 put the determinant rule's limit g1/q past
+        # 2^52 pulls, where trigger_limit_linear keeps the count rule's
+        # limit; the audit reads the exact rule as quiet only up to 2^52
+        inst = LinearInstance(
+            contexts=np.array([[1e-9, 0.0], [0.0, 1e-9], [5e-10, 5e-10]]), theta=np.array([0.6, 0.0]), sigma=0.3
+        )
+        cfg = RunConfig(n_agents=2, seed=1, gamma2=1e17, max_rounds=3000, arm_select="greedy")
+        download, limits = LinearFamily.download, []
+
+        def recording(self, server, check):
+            ag, fallback = download(self, server, check)
+            limits.append(ag.trigger_limit)
+            return ag, fallback
+
+        monkeypatch.setattr(LinearFamily, "download", recording)
+        res = run_falinpe(inst, cfg, audit=True)
+        assert limits == [3 * 10**17] and res.tau == 3000 and res.comm_cost == 0
+        assert res.to_json() == run_falinpe(inst, cfg).to_json()
+
     def test_long_audited_run_keeps_conservation(self):
         # the sums grow past 1e5 here, where a per-pull fold of x x^T and r x
         # differs from n x x^T and (sum r) x by more than 1e-9; the audit's
@@ -411,6 +431,38 @@ class TestAuditCatchesMutations:
         # every upload passed its audit, so the run's end raised
         assert len(log) == last + 1 and log[-1].agent in {rec.agent for rec in log[:-1]}
 
+    @pytest.mark.parametrize("field", ["trigger_limit", "target_q"])
+    @pytest.mark.parametrize("family,run", [(MabFamily, mab_run), (LinearFamily, linear_run)])
+    def test_write_into_an_idle_agents_limit_or_q(self, family, run, field, monkeypatch):
+        # an upload by another agent than the one before it: the download that
+        # agent made is the latest, held by an agent that is idle at this upload
+        log = []
+        run(audit_log=log)
+        u = next(i for i in range(1, len(log)) if log[i].agent != log[i - 1].agent)
+        download, merge, made, merged = family.download, family.merge, [], []
+
+        def recording(self, server, check):
+            ag, fallback = download(self, server, check)
+            made.append(ag)
+            return ag, fallback
+
+        def writing(self, server, *upload):
+            merged.append(server)
+            if len(merged) == u + 1:
+                # made[0] is set-up's download, made[u] the one after upload u - 1
+                ag = made[u]
+                value = getattr(ag, field)
+                setattr(ag, field, value + 1 if field == "trigger_limit" else math.nextafter(value, math.inf))
+            return merge(self, server, *upload)
+
+        monkeypatch.setattr(family, "download", recording)
+        mutate_uploads(monkeypatch, family, writing)
+        log = []
+        with pytest.raises(AuditError, match="changed between downloads"):
+            run(audit=True, audit_log=log)
+        # the log takes an upload after its audit: upload u raised
+        assert len(log) == u
+
     def test_mab_merge_that_drops_one_pull_on_either_representation(self, representation, monkeypatch):
         merge, seen = MabFamily.merge, []
 
@@ -482,8 +534,8 @@ class TestAuditIsPerDownload:
             res = run_famabpe(gen_gap_instance_mab(5, 0.3, make_rng(40), sigma=0.3), config, audit=True)
         else:
             res = run_falinpe(gen_gap_instance_linear(5, 5, 0.3, make_rng(41), sigma=0.3), config, audit=True)
-        # set-up's download and each counted one, at download and at the end
-        assert len(calls) == 2 * (1 + res.n_downloads)
+        # set-up's download and each counted one, each checked once, when it is made
+        assert len(calls) == 1 + res.n_downloads
 
 
     @pytest.mark.parametrize("family", [MabFamily, LinearFamily])
